@@ -5,7 +5,8 @@ The kernel backend is chosen at import time from SIPCUTS_PURE_NUMPY, so
 the script re-executes itself in a subprocess per mode and prints one
 timing table at the end.  Workloads cover the three layers that lean on
 the kernel: raw dense LP solves, branch-and-bound MIP solves, and a full
-branch-and-cut run on a generated server-location instance.
+branch-and-cut run on a generated server-location instance. Modes whose
+backend is not installed (numba) are skipped and named in the output.
 
 Usage:
     python3 benchmarks/bench_simplex.py [--repeat N] [--modes numba,numpy]
@@ -14,6 +15,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -21,6 +23,8 @@ import sys
 import time
 
 RESULT_MARK = "BENCH_RESULT "
+#: the checkout's sources, put first on the workers' import path
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _random_lp(rng, m, n):
@@ -107,6 +111,7 @@ def run_workloads(repeat: int) -> dict:
 def _spawn(mode: str, repeat: int) -> dict:
     env = dict(os.environ)
     env["SIPCUTS_PURE_NUMPY"] = "1" if mode == "numpy" else "0"
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker", "--repeat", str(repeat)],
         env=env,
@@ -136,7 +141,13 @@ def main(argv=None) -> int:
         print(RESULT_MARK + json.dumps(run_workloads(args.repeat)))
         return 0
 
-    modes = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
+    requested = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
+    modes = [m for m in requested if m != "numba" or importlib.util.find_spec("numba")]
+    for mode in requested:
+        if mode not in modes:
+            print(f"skipped mode {mode}: backend not installed")
+    if not modes:
+        return 1
     results = {mode: _spawn(mode, args.repeat) for mode in modes}
 
     names = list(next(iter(results.values()))["timings"])

@@ -237,26 +237,6 @@ def solve_benders_subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> Su
     return SubproblemResult(value=float(out.objective), cut=cut, feas_cut=None)
 
 
-def separate_benders(
-    inst: SipInstance,
-    s: int,
-    x_hat: np.ndarray,
-    theta_hat: float,
-    born_iter: int = -1,
-) -> Cut | None:
-    """Classical cut if the scenario LP value exceeds theta_hat enough."""
-    res = solve_benders_subproblem(inst, s, x_hat)
-    if res.feas_cut is not None:
-        return None
-    cut = res.cut
-    viol = -cut.slack(x_hat, theta_hat)
-    if viol > BENDERS_VIOL_TOL * (abs(theta_hat) + 1.0):
-        cut.born_iter = born_iter
-        cut.violation_at_birth = viol
-        return cut
-    return None
-
-
 def separate_integer_lshaped(
     inst: SipInstance,
     s: int,

@@ -25,36 +25,19 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
-from .benders import MasterModel  # noqa: F401  (re-export for drivers of the CLI)
 from .driver import (
     BoundTrace,
-    LazyCuts,
     VariantConfig,
     VARIANTS,
     gap_closed_profile,
     profile_to_csv,
-    run_branch_and_cut,
     run_root_loop,
+    solve_root_then_bc,
 )
 from .instances import FormatError, Rng, SnipParams, SslpParams, gen_snip, gen_sslp, read_instance, write_instance
 from .model import InstanceError, build_extensive_form
 from .optbase import KernelError, OPTIMAL, lp_relaxation, solve_lp
-
-
-@dataclass
-class RunConfig:
-    """Resolved options shared by the work-performing subcommands."""
-
-    variant: str = "span_mip"
-    delta: float = 0.5
-    k: int = 20
-    alpha: float = 1.0
-    time_limit: float = math.inf
-    seed: int = 0
-    workers: int = 1
-    out: str = "."
 
 
 def _env_float(name: str, fallback: float) -> float:
@@ -225,29 +208,19 @@ def cmd_root(args) -> int:
 def cmd_solve(args) -> int:
     inst = read_instance(args.instance)
     os.makedirs(args.out, exist_ok=True)
-    if args.mode == "lbc":
-        cfg = VariantConfig(
-            variant="span_mip",
-            delta=args.delta,
-            k=args.k,
-            alpha=args.alpha,
-            time_limit=args.time_limit,
-            workers=args.workers,
-        )
-    else:
-        cfg = VariantConfig(
-            variant="benders_only", time_limit=args.time_limit, workers=args.workers
-        )
+    cfg = VariantConfig(
+        variant="span_mip" if args.mode == "lbc" else "benders_only",
+        delta=args.delta,
+        k=args.k,
+        alpha=args.alpha,
+        time_limit=args.time_limit,
+        workers=args.workers,
+    )
     trace = BoundTrace()
     trace_path = os.path.join(args.out, f"{inst.name}.{args.mode}.trace.csv")
     t0 = time.monotonic()
     try:
-        master, trace = run_root_loop(inst, cfg, trace=trace)
-        root_time = time.monotonic() - t0
-        left = max(args.time_limit - root_time, 0.0)
-        res = run_branch_and_cut(
-            inst, master, LazyCuts(), node_limit=args.node_limit, time_limit=left
-        )
+        res, trace, root_time = solve_root_then_bc(inst, cfg, args.node_limit, trace)
     except (KernelError, InstanceError) as exc:
         trace.to_csv(trace_path)
         print(f"error={exc}", file=sys.stderr)

@@ -203,7 +203,7 @@ def run_root_loop(
     def classical_round(x, theta) -> bool:
         cuts = _parallel(
             cfg.workers,
-            lambda s: _classical_cut(inst, s, x, theta[s], iteration),
+            lambda s: separate_classical(inst, s, x, theta[s], iteration),
             scen,
         )
         added = [master.add_cut(c) for c in cuts if c is not None]
@@ -254,19 +254,17 @@ def run_root_loop(
     return master, trace
 
 
-def _classical_cut(inst, s, x, theta_s, iteration) -> Cut | None:
-    res = solve_benders_subproblem(inst, s, x)
+def separate_classical(inst, s, x_hat, theta_hat, born_iter=-1) -> Cut | None:
+    """Classical cut at (x_hat, theta_hat), or the Farkas feasibility cut
+    when the scenario LP is infeasible there; None unless violated enough."""
+    res = solve_benders_subproblem(inst, s, x_hat)
     if res.feas_cut is not None:
-        cut = res.feas_cut
-        if -cut.slack(x, 0.0) > BENDERS_VIOL_TOL:
-            cut.born_iter = iteration
-            cut.violation_at_birth = -cut.slack(x, 0.0)
-            return cut
-        return None
-    cut = res.cut
-    viol = -cut.slack(x, theta_s)
-    if viol > BENDERS_VIOL_TOL * (abs(theta_s) + 1.0):
-        cut.born_iter = iteration
+        cut, viol, tol = res.feas_cut, -res.feas_cut.slack(x_hat, 0.0), BENDERS_VIOL_TOL
+    else:
+        cut = res.cut
+        viol, tol = -cut.slack(x_hat, theta_hat), BENDERS_VIOL_TOL * (abs(theta_hat) + 1.0)
+    if viol > tol:
+        cut.born_iter = born_iter
         cut.violation_at_birth = viol
         return cut
     return None
@@ -354,7 +352,7 @@ def run_branch_and_cut(
     continuous recourse with classical cuts alone."""
     if lazy.integer_lshaped and np.any(inst.vtype != BIN):
         raise InstanceError("integer optimality cuts require a pure-binary first stage")
-    start = time.monotonic()
+    n = inst.nx
     int_mask = inst.vtype != 0
     memo: dict[bytes, np.ndarray] = {}
 
@@ -366,76 +364,67 @@ def run_branch_and_cut(
             memo[key] = got
         return got
 
-    best_x = None
-    upper = math.inf
-    # nodes: (priority bound, insertion sequence, lb vector, ub vector)
-    nodes = [(-math.inf, 0, inst.lb.copy(), inst.ub.copy())]
-    seq = 1
-    node_count = 0
-    status = "optimal"
-    lower_final = math.inf
+    def relax(lb, ub):
+        out, _, _ = root.solve(integer=False, lb=lb, ub=ub)
+        if out.status not in (optbase.OPTIMAL, optbase.INFEASIBLE):
+            raise optbase.KernelError(f"node relaxation came back {out.status}")
+        return out.status, out.objective, out.x
 
-    while nodes:
-        nodes.sort(key=lambda n: (n[0], n[1]))
-        bound0, _, nlb, nub = nodes.pop(0)
-        if upper < math.inf and relative_gap(upper, bound0) <= BC_GAP_TOL:
-            lower_final = bound0
-            break
-        if node_count >= node_limit or (time.monotonic() - start) >= time_limit:
-            status = "limit"
-            lower_final = bound0
-            break
-        node_count += 1
-        while True:
-            out, x, theta = root.solve(integer=False, lb=nlb, ub=nub)
-            if out.status == optbase.INFEASIBLE:
-                break
-            if out.status != optbase.OPTIMAL:
-                raise optbase.KernelError(f"node relaxation came back {out.status}")
-            if upper < math.inf and relative_gap(upper, out.objective) <= BC_GAP_TOL:
-                break
-            frac = np.where(int_mask, np.abs(x - np.round(x)), 0.0)
-            j = int(np.argmax(frac))
-            if frac[j] <= optbase.INTTOL:
-                xint = np.where(int_mask, np.round(x) + 0.0, x)
-                qvals = exact_q(xint)
-                added = False
-                for s in range(inst.nscen):
-                    if lazy.benders:
-                        cut = _classical_cut(inst, s, xint, theta[s], -1)
-                        if cut is not None and root.add_cut(cut):
-                            added = True
-                    if lazy.integer_lshaped and math.isfinite(qvals[s]):
-                        cut = separate_integer_lshaped(
-                            inst, s, xint, theta[s], root.theta_lb[s], q_exact=qvals[s]
-                        )
-                        if cut is not None and root.add_cut(cut):
-                            added = True
-                if added:
-                    continue
-                if np.all(np.isfinite(qvals)):
-                    cand = float(inst.c @ xint + inst.probs @ qvals)
-                    if cand < upper - 1e-12:
-                        upper = cand
-                        best_x = xint
-                break
-            child_lb = nlb.copy()
-            child_lb[j] = math.ceil(x[j])
-            child_ub = nub.copy()
-            child_ub[j] = math.floor(x[j])
-            nodes.append((out.objective, seq, nlb.copy(), child_ub))
-            nodes.append((out.objective, seq + 1, child_lb, nub.copy()))
-            seq += 2
-            break
+    def closed(bound, upper):
+        return upper < math.inf and relative_gap(upper, bound) <= BC_GAP_TOL
 
-    if best_x is None and status == "optimal" and upper == math.inf:
-        return BcResult("infeasible", None, math.inf, math.inf, node_count, 0.0)
-    open_bounds = [lower_final] + [n[0] for n in nodes]
-    lower = min(open_bounds) if min(open_bounds) < math.inf else upper
-    gap = relative_gap(upper, lower)
-    if status == "optimal" and gap > BC_GAP_TOL:
-        status = "limit"
-    return BcResult(status, best_x, upper, min(lower, upper), node_count, gap)
+    def on_integral(z, _value, _lb, _ub, upper):
+        x, theta = z[:n], z[n:]
+        xint = np.where(int_mask, np.round(x) + 0.0, x)
+        qvals = exact_q(xint)
+        added = False
+        for s in range(inst.nscen):
+            if lazy.benders:
+                cut = separate_classical(inst, s, xint, theta[s])
+                if cut is not None and root.add_cut(cut):
+                    added = True
+            if lazy.integer_lshaped and math.isfinite(qvals[s]):
+                cut = separate_integer_lshaped(
+                    inst, s, xint, theta[s], root.theta_lb[s], q_exact=qvals[s]
+                )
+                if cut is not None and root.add_cut(cut):
+                    added = True
+        if added:
+            return optbase.RESOLVE
+        if np.all(np.isfinite(qvals)):
+            cand = float(inst.c @ xint + inst.probs @ qvals)
+            if cand < upper - 1e-12:
+                return xint, cand
+        return None
+
+    int_idx = np.nonzero(int_mask)[0]
+    status, best_x, upper, bound, nodes = optbase.best_bound_search(
+        inst.lb, inst.ub, int_idx, relax, closed, on_integral, node_limit, time_limit
+    )
+    if status == optbase.INFEASIBLE:
+        return BcResult("infeasible", None, math.inf, math.inf, nodes, 0.0)
+    lower = min(bound, upper)
+    return BcResult(status, best_x, upper, lower, nodes, relative_gap(upper, lower))
+
+
+def solve_root_then_bc(
+    inst: SipInstance,
+    cfg: VariantConfig,
+    node_limit: int = 100_000,
+    trace: BoundTrace | None = None,
+) -> tuple[BcResult, BoundTrace, float]:
+    """Root loop under `cfg`, then branch-and-cut on its master with the
+    rest of `cfg.time_limit`, counted from the start of the call.
+
+    Returns the B&C result, the root bound trace and the root seconds.
+    Passing `trace` lets the caller keep the partial record if a solve
+    fails."""
+    start = time.monotonic()
+    master, trace = run_root_loop(inst, cfg, trace)
+    root_s = time.monotonic() - start
+    left = max(cfg.time_limit - root_s, 0.0)
+    res = run_branch_and_cut(inst, master, node_limit=node_limit, time_limit=left)
+    return res, trace, root_s
 
 
 def solve_lbc(
@@ -451,9 +440,7 @@ def solve_lbc(
     cfg = VariantConfig(
         variant="span_mip", delta=delta, k=k, alpha=alpha, time_limit=time_limit, workers=workers
     )
-    master, trace = run_root_loop(inst, cfg)
-    left = time_limit - (trace.records[-1].time_s if trace.records else 0.0)
-    res = run_branch_and_cut(inst, master, node_limit=node_limit, time_limit=max(left, 0.0))
+    res, trace, _ = solve_root_then_bc(inst, cfg, node_limit)
     return res, trace
 
 
@@ -465,9 +452,7 @@ def solve_bbc(
 ) -> tuple[BcResult, BoundTrace]:
     """Classical-cut root only, then the same branch-and-cut."""
     cfg = VariantConfig(variant="benders_only", time_limit=time_limit, workers=workers)
-    master, trace = run_root_loop(inst, cfg)
-    left = time_limit - (trace.records[-1].time_s if trace.records else 0.0)
-    res = run_branch_and_cut(inst, master, node_limit=node_limit, time_limit=max(left, 0.0))
+    res, trace, _ = solve_root_then_bc(inst, cfg, node_limit)
     return res, trace
 
 

@@ -1,10 +1,11 @@
 """Self-contained LP and MIP solving on top of the dense simplex kernel.
 
 `LinearProgram` / `MipProgram` hold the problem data (sparse rows, senses,
-bounds). `solve_lp` returns primal and dual vectors plus certificates;
-`solve_mip` runs a deterministic best-bound branch and bound with
-most-fractional branching and records every improving incumbent, so a
-caller can harvest sub-optimal feasible points as well.
+bounds). `solve_lp` returns primal and dual vectors plus certificates.
+`best_bound_search` is the one tree search of the package: `solve_mip`
+runs it on the kernel and records every improving incumbent, so a
+caller can harvest sub-optimal feasible points as well, and the
+driver's branch-and-cut runs it on the cut master with lazy cuts.
 
 Everything is deterministic: identical inputs give identical outputs,
 including the incumbent pool order and node counts.
@@ -13,6 +14,7 @@ including the incumbent pool order and node counts.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -173,20 +175,78 @@ def _round_in_integer_bounds(lb, ub, is_int):
     return lb, ub
 
 
+#: integral-node hook result: rows were added, solve the node again
+RESOLVE = "resolve"
+
+
+def best_bound_search(
+    lb, ub, int_idx, relax, closed, on_integral, node_limit=2_000_000, time_limit=math.inf
+):
+    """Deterministic best-bound branch and bound, minimizing.
+
+    Nodes are (lb, ub) boxes, taken lowest bound first with FIFO ties;
+    the root box goes first. `relax(lb, ub)` returns (status, value, x)
+    with status OPTIMAL, INFEASIBLE or UNBOUNDED. `closed(bound, inc)`
+    says a node of that bound cannot improve the incumbent value `inc`;
+    when the best open node is closed the search is done. At a node
+    whose `x[int_idx]` is integral `on_integral(x, value, lb, ub, inc)`
+    returns a new incumbent (x, value), None to drop the node, or
+    RESOLVE to solve the node again; otherwise the node branches on the
+    most fractional integer (lowest index on ties), floor side first.
+
+    Returns (status, x, value, bound, nodes): OPTIMAL, INFEASIBLE (no
+    incumbent), UNBOUNDED or LIMIT, with `bound` the lowest open bound
+    (inf when none is left).
+    """
+    t0 = time.monotonic()
+    heap = [(-math.inf, 0, lb, ub)]
+    seq = 1
+    inc, inc_val, nodes = None, math.inf, 0
+    while heap:
+        top = heap[0][0]
+        if closed(top, inc_val):
+            return OPTIMAL, inc, inc_val, top, nodes
+        if nodes >= node_limit or time.monotonic() - t0 >= time_limit:
+            return LIMIT, inc, inc_val, top, nodes
+        _, _, nlb, nub = heapq.heappop(heap)
+        nodes += 1
+        while True:
+            status, val, x = relax(nlb, nub)
+            if status == UNBOUNDED:
+                return UNBOUNDED, None, math.inf, -math.inf, nodes
+            if status == INFEASIBLE or closed(val, inc_val):
+                break
+            frac = np.abs(x[int_idx] - np.round(x[int_idx]))
+            if frac.size == 0 or frac.max() <= INTTOL:
+                got = on_integral(x, val, nlb, nub, inc_val)
+                if got is RESOLVE:
+                    continue
+                if got is not None:
+                    inc, inc_val = got
+                break
+            j = int(int_idx[np.argmax(frac)])
+            ub_dn = nub.copy()
+            ub_dn[j] = np.floor(x[j])
+            lb_up = nlb.copy()
+            lb_up[j] = np.ceil(x[j])
+            heapq.heappush(heap, (val, seq, nlb, ub_dn))
+            heapq.heappush(heap, (val, seq + 1, lb_up, nub))
+            seq += 2
+            break
+    return (INFEASIBLE if inc is None else OPTIMAL), inc, inc_val, math.inf, nodes
+
+
 def solve_mip(
     prog: MipProgram,
     node_limit: int = 2_000_000,
     time_limit: float | None = None,
     itmax: int = 0,
 ) -> SolveOutcome:
-    """Best-bound branch and bound on the simplex kernel.
+    """`best_bound_search` on the simplex kernel.
 
-    Node selection is lowest relaxation bound with FIFO tie-break, the
-    branching variable is the most fractional integer (lowest index on
-    ties), children are floor/ceil bound splits. Every improving
-    incumbent is appended to `incumbent_pool` as (x, objective). On a
-    node or time limit the outcome has status "limit" and a valid
-    `bound`.
+    Every improving incumbent is appended to `incumbent_pool` as
+    (x, objective). On a node or time limit the outcome has status
+    "limit" and a valid `bound`.
     """
     t0 = time.perf_counter()
     sign = -1.0 if prog.maximize else 1.0
@@ -194,107 +254,48 @@ def solve_mip(
     dense = prog.A.to_dense()
     senses = prog.senses
     rhs = prog.rhs
-    is_int = prog.is_int
-    int_idx = np.nonzero(is_int)[0]
-    lb0, ub0 = _round_in_integer_bounds(prog.lb, prog.ub, is_int)
-
-    def finish(status, inc, inc_val, bound, pool, nodes):
-        wall = time.perf_counter() - t0
-        out = SolveOutcome(status=status, node_count=nodes, wall_time=wall)
-        if inc is not None:
-            out.x = inc
-            out.objective = sign * inc_val + prog.c0
-        if bound is not None:
-            out.bound = sign * bound + prog.c0
-        out.incumbent_pool = [(xv, sign * ov + prog.c0) for (xv, ov) in pool]
-        return out
-
-    status0, x0, obj0, y0, ray0, _ = _solve_dense(c, dense, senses, rhs, lb0, ub0, itmax)
-    if status0 == _simplex.NUMERIC:
-        raise KernelError("simplex reported numerical trouble at the root")
-    if status0 == _simplex.INFEASIBLE:
-        return finish(INFEASIBLE, None, None, None, [], 1)
-    if status0 == _simplex.UNBOUNDED:
-        return finish(UNBOUNDED, None, None, None, [], 1)
-    if status0 == _simplex.ITER_LIMIT:
-        raise KernelError("iteration limit in root relaxation")
-
-    heap = []
-    counter = 0
-    heapq.heappush(heap, (obj0, counter, lb0, ub0))
-    counter += 1
-    incumbent = None
-    inc_val = np.inf
+    int_idx = np.nonzero(prog.is_int)[0]
+    lb0, ub0 = _round_in_integer_bounds(prog.lb, prog.ub, prog.is_int)
     pool = []
-    nodes = 0
 
-    while heap:
-        if nodes >= node_limit:
-            bound = heap[0][0] if heap else inc_val
-            return finish(LIMIT, incumbent, inc_val, min(bound, inc_val), pool, nodes)
-        if time_limit is not None and time.perf_counter() - t0 > time_limit:
-            bound = heap[0][0] if heap else inc_val
-            return finish(LIMIT, incumbent, inc_val, min(bound, inc_val), pool, nodes)
-        parent_bound, _, nlb, nub = heapq.heappop(heap)
-        if parent_bound >= inc_val - 1e-9 * (1.0 + abs(inc_val)):
-            continue
-        nodes += 1
-        status, x, obj, y, ray, _ = _solve_dense(c, dense, senses, rhs, nlb, nub, itmax)
+    def relax(lb, ub):
+        status, x, obj, _, _, _ = _solve_dense(c, dense, senses, rhs, lb, ub, itmax)
         if status == _simplex.NUMERIC or status == _simplex.ITER_LIMIT:
             raise KernelError("simplex failure inside branch and bound")
-        if status == _simplex.INFEASIBLE:
-            continue
-        if status == _simplex.UNBOUNDED:
-            return finish(UNBOUNDED, None, None, None, pool, nodes)
-        if obj >= inc_val - 1e-9 * (1.0 + abs(inc_val)):
-            continue
+        return (OPTIMAL, INFEASIBLE, UNBOUNDED)[status], obj, x
 
-        if int_idx.size:
-            xi = x[int_idx]
-            frac = np.abs(xi - np.round(xi))
+    def closed(bound, inc_val):
+        return bound >= inc_val - 1e-9 * (1.0 + abs(inc_val))
+
+    def on_integral(x, obj, lb, ub, inc_val):
+        # snap integer parts and re-verify rows
+        xs = x.copy()
+        xs[int_idx] = np.clip(np.round(xs[int_idx]) + 0.0, lb[int_idx], ub[int_idx])
+        gap = dense @ xs - rhs
+        v = np.where(senses == LE, gap, np.where(senses == GE, -gap, np.abs(gap)))
+        if np.max(v / (1.0 + np.abs(rhs)), initial=0.0) <= 10 * FEASTOL:
+            val = float(c @ xs)
         else:
-            frac = np.zeros(0)
-        if frac.size == 0 or frac.max() <= INTTOL:
-            # integral candidate: snap integer parts and re-verify rows
-            xs = x.copy()
-            if int_idx.size:
-                xs[int_idx] = np.round(xs[int_idx]) + 0.0
-                xs[int_idx] = np.clip(xs[int_idx], nlb[int_idx], nub[int_idx])
-            ax = dense @ xs
-            viol = 0.0
-            for i in range(rhs.size):
-                gap = ax[i] - rhs[i]
-                if senses[i] == LE:
-                    v = gap
-                elif senses[i] == GE:
-                    v = -gap
-                else:
-                    v = abs(gap)
-                viol = max(viol, v / (1.0 + abs(rhs[i])))
-            if viol <= 10 * FEASTOL:
-                val = float(c @ xs)
-            else:
-                xs, val = x.copy(), obj  # snap broke a row, keep the LP point
-            if val < inc_val - 1e-9 * (1.0 + abs(val)):
-                incumbent = xs
-                inc_val = val
-                pool.append((xs.copy(), val))
-            continue
+            xs, val = x.copy(), obj  # snap broke a row, keep the LP point
+        if val < inc_val - 1e-9 * (1.0 + abs(val)):
+            pool.append((xs.copy(), val))
+            return xs, val
+        return None
 
-        j = int(int_idx[np.argmax(np.minimum(frac, 1.0 - frac))])
-        xj = x[j]
-        lb_dn, ub_dn = nlb.copy(), nub.copy()
-        ub_dn[j] = np.floor(xj)
-        lb_up, ub_up = nlb.copy(), nub.copy()
-        lb_up[j] = np.ceil(xj)
-        heapq.heappush(heap, (obj, counter, lb_dn, ub_dn))
-        counter += 1
-        heapq.heappush(heap, (obj, counter, lb_up, ub_up))
-        counter += 1
-
-    if incumbent is None:
-        return finish(INFEASIBLE, None, None, None, pool, nodes)
-    return finish(OPTIMAL, incumbent, inc_val, inc_val, pool, nodes)
+    limit = math.inf if time_limit is None else time_limit
+    status, inc, inc_val, bound, nodes = best_bound_search(
+        lb0, ub0, int_idx, relax, closed, on_integral, node_limit, limit
+    )
+    out = SolveOutcome(status=status, node_count=nodes, wall_time=time.perf_counter() - t0)
+    if inc is not None:
+        out.x = inc
+        out.objective = sign * inc_val + prog.c0
+    if status == OPTIMAL:
+        out.bound = out.objective
+    elif status == LIMIT:
+        out.bound = sign * min(bound, inc_val) + prog.c0
+    out.incumbent_pool = [(xv, sign * ov + prog.c0) for (xv, ov) in pool]
+    return out
 
 
 def to_lp_text(prog: LinearProgram) -> str:

@@ -10,11 +10,11 @@ from sipcuts.benders import (
     MasterModel,
     compute_theta_lower_bound,
     first_stage_point,
-    separate_benders,
     separate_integer_lshaped,
     solve_benders_subproblem,
     write_cut_csv,
 )
+from sipcuts.driver import separate_classical
 from sipcuts.model import (
     BIN,
     CONT,
@@ -52,11 +52,11 @@ def test_toy_benders_cuts_frozen(t1):
 
 def test_benders_threshold(t1):
     x0 = np.array([0.0])
-    got = separate_benders(t1, 0, x0, theta_hat=0.0)
+    got = separate_classical(t1, 0, x0, theta_hat=0.0)
     assert got is not None and got.violation_at_birth == pytest.approx(2.0)
-    assert separate_benders(t1, 0, x0, theta_hat=2.0) is None
+    assert separate_classical(t1, 0, x0, theta_hat=2.0) is None
     # just below the value but within tolerance: no cut
-    assert separate_benders(t1, 0, x0, theta_hat=2.0 - 1e-5) is None
+    assert separate_classical(t1, 0, x0, theta_hat=2.0 - 1e-5) is None
 
 
 def test_bound_term_constant_enters_rhs():
@@ -208,7 +208,7 @@ def test_master_one_round_closes_toy(t1):
     out, x, theta = master.solve()
     assert out.status == OPTIMAL and out.objective == pytest.approx(0.0)
     for s in range(2):
-        cut = separate_benders(t1, s, x, theta[s])
+        cut = separate_classical(t1, s, x, theta[s])
         assert cut is not None and master.add_cut(cut)
     out, x, theta = master.solve()
     assert out.objective == pytest.approx(1.0)

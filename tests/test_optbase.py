@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import linprog_reference, milp_reference
+from sipcuts import optbase
 from sipcuts.optbase import (
     EQ,
     GE,
@@ -389,6 +390,20 @@ def test_mip_determinism():
     assert len(a.incumbent_pool) == len(b.incumbent_pool)
     for (xa, va), (xb, vb) in zip(a.incumbent_pool, b.incumbent_pool):
         assert xa.tobytes() == xb.tobytes() and va == vb
+
+
+def test_mip_solves_one_kernel_lp_per_node(monkeypatch):
+    calls = []
+    kernel = optbase._solve_dense
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(optbase, "_solve_dense", counting)
+    out = solve_mip(_random_mip(17))
+    assert out.status == OPTIMAL and out.node_count > 1
+    assert len(calls) == out.node_count
 
 
 def test_mip_node_limit_reports_limit_with_valid_bound():
