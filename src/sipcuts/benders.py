@@ -15,7 +15,6 @@ Cut families
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -24,14 +23,13 @@ import numpy as np
 from . import optbase
 from .model import (
     BIN,
-    CONT,
     InstanceError,
     SipInstance,
     eval_recourse,
     joint_scenario_program,
     recourse_program,
 )
-from .optbase import GE, LinearProgram, MipProgram, SolveOutcome, lp_relaxation, solve_lp
+from .optbase import GE, LinearProgram, SolveOutcome, lp_relaxation, solve_lp
 from .sparse import CooMatrix
 
 #: relative violation needed before a classical cut enters the master
@@ -49,7 +47,6 @@ class Cut:
     coef_x: np.ndarray
     coef_theta: float
     rhs: float
-    born_iter: int = -1
     violation_at_birth: float = 0.0
 
     def slack(self, x: np.ndarray, theta_s: float) -> float:
@@ -91,12 +88,9 @@ class MasterModel:
         return out
 
     def build_program(
-        self,
-        integer: bool,
-        lb: np.ndarray | None = None,
-        ub: np.ndarray | None = None,
-    ) -> MipProgram:
-        """Master over (x, theta); optional first-stage bound overrides."""
+        self, lb: np.ndarray | None = None, ub: np.ndarray | None = None
+    ) -> LinearProgram:
+        """Master LP over (x, theta); optional first-stage bound overrides."""
         inst = self.inst
         n, S = inst.nx, inst.nscen
         rows = [inst.A.rows]
@@ -118,50 +112,24 @@ class MasterModel:
         A = CooMatrix(r, n + S, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
         xlb = inst.lb if lb is None else np.asarray(lb, dtype=np.float64)
         xub = inst.ub if ub is None else np.asarray(ub, dtype=np.float64)
-        return MipProgram(
+        return LinearProgram(
             c=np.concatenate([inst.c, inst.probs]),
             A=A,
             senses=np.full(r, GE, dtype=np.int8),
             rhs=np.concatenate(rhs),
             lb=np.concatenate([xlb, self.theta_lb]),
             ub=np.concatenate([xub, np.full(S, np.inf)]),
-            is_int=np.concatenate([inst.vtype != CONT, np.zeros(S, dtype=bool)])
-            if integer
-            else np.zeros(n + S, dtype=bool),
         )
 
     def solve(
-        self,
-        integer: bool = False,
-        lb: np.ndarray | None = None,
-        ub: np.ndarray | None = None,
+        self, lb: np.ndarray | None = None, ub: np.ndarray | None = None
     ) -> tuple[SolveOutcome, np.ndarray, np.ndarray]:
-        """Solve the master; returns (outcome, x, theta)."""
-        prog = self.build_program(integer, lb=lb, ub=ub)
-        if integer:
-            out = optbase.solve_mip(prog)
-        else:
-            out = solve_lp(lp_relaxation(prog))
+        """Solve the master LP; returns (outcome, x, theta)."""
+        out = solve_lp(self.build_program(lb, ub))
         if out.status != optbase.OPTIMAL:
             return out, np.zeros(self.inst.nx), np.zeros(self.inst.nscen)
         n = self.inst.nx
         return out, out.x[:n], out.x[n:]
-
-
-def first_stage_point(inst: SipInstance) -> np.ndarray:
-    """Deterministic feasible point of the first-stage LP relaxation."""
-    prog = LinearProgram(
-        c=np.zeros(inst.nx),
-        A=inst.A,
-        senses=np.full(inst.A.nrows, GE, dtype=np.int8),
-        rhs=inst.b.copy(),
-        lb=inst.lb.copy(),
-        ub=inst.ub.copy(),
-    )
-    out = solve_lp(prog)
-    if out.status != optbase.OPTIMAL:
-        raise InstanceError(f"first stage is {out.status}; nothing to decompose")
-    return out.x
 
 
 def compute_theta_lower_bound(inst: SipInstance, s: int) -> float:
@@ -243,7 +211,6 @@ def separate_integer_lshaped(
     x_hat: np.ndarray,
     theta_hat: float,
     theta_lb: float,
-    born_iter: int = -1,
     q_exact: float | None = None,
 ) -> Cut | None:
     """Exact-value cut at a binary first-stage point.
@@ -267,28 +234,7 @@ def separate_integer_lshaped(
     cut = Cut(family="integer_lshaped", scenario=s, coef_x=coef, coef_theta=1.0, rhs=rhs)
     viol = -cut.slack(x_bin, theta_hat)
     if viol > INTL_VIOL_TOL * (abs(theta_hat) + 1.0):
-        cut.born_iter = born_iter
         cut.violation_at_birth = viol
         return cut
     return None
 
-
-def write_cut_csv(cuts: list[Cut], path: str) -> None:
-    """Dump cuts for inspection; coef_x is space-joined with full precision."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["family", "scenario", "born_iter", "violation_at_birth", "coef_theta", "rhs", "coef_x"]
-        )
-        for cut in cuts:
-            w.writerow(
-                [
-                    cut.family,
-                    cut.scenario,
-                    cut.born_iter,
-                    repr(float(cut.violation_at_birth)),
-                    repr(float(cut.coef_theta)),
-                    repr(float(cut.rhs)),
-                    " ".join(repr(float(v)) for v in cut.coef_x),
-                ]
-            )

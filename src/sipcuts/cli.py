@@ -11,8 +11,6 @@ All stdout is machine-parseable ``key=value`` lines. Exit codes:
 (partial trace still written), 4 stopped on a time or node limit
 (the gap report is still valid).
 
-Environment defaults: ``SIPCUTS_WORKERS`` and ``SIPCUTS_TIME_LIMIT``
-seed the ``--workers`` / ``--time-limit`` defaults; flags win.
 Bound-trace CSVs carry wall-clock times, so re-runs match in every
 column except ``time_s``.
 """
@@ -40,39 +38,12 @@ from .model import InstanceError, build_extensive_form
 from .optbase import KernelError, OPTIMAL, lp_relaxation, solve_lp
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        return fallback
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        return fallback
-
-
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=0.5, help="separation slack in [0,1)")
     p.add_argument("--K", dest="k", type=int, default=20, help="span size")
     p.add_argument("--alpha", type=float, default=1.0, help="epigraph weight in the norm")
-    p.add_argument(
-        "--time-limit",
-        type=float,
-        default=_env_float("SIPCUTS_TIME_LIMIT", math.inf),
-        help="wall-clock seconds",
-    )
-    p.add_argument(
-        "--workers", type=int, default=_env_int("SIPCUTS_WORKERS", 1), help="scenario threads"
-    )
+    p.add_argument("--time-limit", type=float, default=math.inf, help="wall-clock seconds")
+    p.add_argument("--workers", type=int, default=1, help="scenario threads")
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -206,6 +177,8 @@ def cmd_root(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.node_limit < 1:
+        raise ValueError("node limit must be at least 1")
     inst = read_instance(args.instance)
     os.makedirs(args.out, exist_ok=True)
     cfg = VariantConfig(
@@ -258,32 +231,12 @@ def _read_manifest(path: str):
     return rows
 
 
-def _read_trace(path: str, baseline: float) -> BoundTrace:
-    from .driver import TraceRecord
-
-    tr = BoundTrace(baseline=baseline)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            tr.records.append(
-                TraceRecord(
-                    time_s=float(row["time_s"]),
-                    lower_bound=float(row["lower_bound"]),
-                    iteration=int(row["iter"]),
-                    n_benders=int(row["n_benders"]),
-                    n_lagrangian=int(row["n_lagrangian"]),
-                    n_intl=int(row["n_intL"]),
-                )
-            )
-    return tr
-
-
 def cmd_profile(args) -> int:
     rows = _read_manifest(args.manifest)
     gammas = [float(tok) for tok in args.gamma.split(",") if tok]
     traces: dict[str, dict[str, BoundTrace]] = {}
     for row in rows:
-        traces.setdefault(row["method"], {})[row["instance"]] = _read_trace(
+        traces.setdefault(row["method"], {})[row["instance"]] = BoundTrace.from_csv(
             row["path"], float(row["baseline"])
         )
     sets = {m: frozenset(per) for m, per in traces.items()}

@@ -57,6 +57,10 @@ from .model import BIN, InstanceError, SipInstance, eval_recourse
 VARIANTS = ("benders_only", "strengthened", "exact", "span_coef", "span_weight", "span_mip")
 
 TRACE_HEADER = ("time_s", "lower_bound", "iter", "n_benders", "n_lagrangian", "n_intL")
+#: classical rounds before the first multiplier block
+BENDERS_CAP = 500
+#: multiplier rounds (safety cap)
+MAX_ROUNDS = 200
 
 
 @dataclass
@@ -69,8 +73,6 @@ class VariantConfig:
     early_stop: bool = True
     early_window: int = 5
     early_fraction: float = 0.01
-    benders_cap: int = 500  # classical iterations before the first multiplier block
-    max_rounds: int = 200  # multiplier rounds (safety cap)
     workers: int = 1
 
     def __post_init__(self):
@@ -151,6 +153,24 @@ class BoundTrace:
                     [repr(r.time_s), repr(r.lower_bound), r.iteration, r.n_benders, r.n_lagrangian, r.n_intl]
                 )
 
+    @classmethod
+    def from_csv(cls, path: str, baseline: float) -> BoundTrace:
+        """Read back a trace written by `to_csv`."""
+        tr = cls(baseline)
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                tr.records.append(
+                    TraceRecord(
+                        time_s=float(row["time_s"]),
+                        lower_bound=float(row["lower_bound"]),
+                        iteration=int(row["iter"]),
+                        n_benders=int(row["n_benders"]),
+                        n_lagrangian=int(row["n_lagrangian"]),
+                        n_intl=int(row["n_intL"]),
+                    )
+                )
+        return tr
+
 
 def _parallel(workers: int, fn, items):
     """Map preserving order; results are worker-count independent."""
@@ -168,7 +188,7 @@ def _latest_classical(cuts: list[Cut], s: int) -> Cut | None:
 
 
 def _solve_master(master: MasterModel):
-    out, x, theta = master.solve(integer=False)
+    out, x, theta = master.solve()
     if out.status != optbase.OPTIMAL:
         raise InstanceError(f"cut master is {out.status}; cannot run the root loop")
     return out.objective, x, theta
@@ -182,10 +202,10 @@ def run_root_loop(
     Passing `trace` lets the caller keep the partial record if a solve
     fails mid-loop."""
     start = time.monotonic()
-    theta_lb = np.array([compute_theta_lower_bound(inst, s) for s in range(inst.nscen)])
-    master = MasterModel(inst, theta_lb)
     if trace is None:
         trace = BoundTrace()
+    theta_lb = np.array([compute_theta_lower_bound(inst, s) for s in range(inst.nscen)])
+    master = MasterModel(inst, theta_lb)
     pools = [ScenarioPool() for _ in range(inst.nscen)]
     scen = list(range(inst.nscen))
     iteration = 0
@@ -203,7 +223,7 @@ def run_root_loop(
     def classical_round(x, theta) -> bool:
         cuts = _parallel(
             cfg.workers,
-            lambda s: separate_classical(inst, s, x, theta[s], iteration),
+            lambda s: separate_classical(inst, s, x, theta[s]),
             scen,
         )
         added = [master.add_cut(c) for c in cuts if c is not None]
@@ -211,7 +231,7 @@ def run_root_loop(
 
     bound, x, theta = resolve()
     classical_clean = False
-    for _ in range(cfg.benders_cap):
+    for _ in range(BENDERS_CAP):
         if out_of_time():
             trace.stop_reason = "time_limit"
             return master, trace
@@ -225,7 +245,7 @@ def run_root_loop(
         return master, trace
 
     phase_bounds = [bound]
-    for _ in range(cfg.max_rounds):
+    for _ in range(MAX_ROUNDS):
         if out_of_time():
             trace.stop_reason = "time_limit"
             return master, trace
@@ -235,7 +255,7 @@ def run_root_loop(
         else:
             new_cuts = _parallel(
                 cfg.workers,
-                lambda s: _multiplier_cut(inst, s, x, theta[s], master.cuts, pools[s], cfg, iteration),
+                lambda s: _multiplier_cut(inst, s, x, theta[s], master.cuts, pools[s], cfg),
                 scen,
             )
             added = [master.add_cut(c) for c in new_cuts if c is not None]
@@ -254,7 +274,7 @@ def run_root_loop(
     return master, trace
 
 
-def separate_classical(inst, s, x_hat, theta_hat, born_iter=-1) -> Cut | None:
+def separate_classical(inst, s, x_hat, theta_hat) -> Cut | None:
     """Classical cut at (x_hat, theta_hat), or the Farkas feasibility cut
     when the scenario LP is infeasible there; None unless violated enough."""
     res = solve_benders_subproblem(inst, s, x_hat)
@@ -264,19 +284,18 @@ def separate_classical(inst, s, x_hat, theta_hat, born_iter=-1) -> Cut | None:
         cut = res.cut
         viol, tol = -cut.slack(x_hat, theta_hat), BENDERS_VIOL_TOL * (abs(theta_hat) + 1.0)
     if viol > tol:
-        cut.born_iter = born_iter
         cut.violation_at_birth = viol
         return cut
     return None
 
 
-def _multiplier_cut(inst, s, x, theta_s, cuts, pool, cfg: VariantConfig, iteration) -> Cut | None:
+def _multiplier_cut(inst, s, x, theta_s, cuts, pool, cfg: VariantConfig) -> Cut | None:
     scen_tol = LAGR_VIOL_TOL * (abs(theta_s) + 1.0)
     if cfg.variant == "strengthened":
         parent = _latest_classical(cuts, s)
         if parent is None:
             return None
-        cand = strengthen_benders(inst, s, parent, pool, born_iter=iteration)
+        cand = strengthen_benders(inst, s, parent, pool)
         if -cand.slack(x, theta_s) > scen_tol:
             cand.violation_at_birth = -cand.slack(x, theta_s)
             return cand
@@ -298,10 +317,7 @@ def _multiplier_cut(inst, s, x, theta_s, cuts, pool, cfg: VariantConfig, iterati
             if idx.size == 0 or ub <= scen_tol:
                 return None
             norm = NormalizationSpec("span_weight", cfg.alpha, span[idx])
-    res = separate_restricted(
-        inst, s, x, theta_s, norm, pool=pool, delta=cfg.delta, born_iter=iteration
-    )
-    return res.cut
+    return separate_restricted(inst, s, x, theta_s, norm, pool=pool, delta=cfg.delta).cut
 
 
 # ------------------------------------------------------------------ B&C
@@ -365,7 +381,7 @@ def run_branch_and_cut(
         return got
 
     def relax(lb, ub):
-        out, _, _ = root.solve(integer=False, lb=lb, ub=ub)
+        out, _, _ = root.solve(lb, ub)
         if out.status not in (optbase.OPTIMAL, optbase.INFEASIBLE):
             raise optbase.KernelError(f"node relaxation came back {out.status}")
         return out.status, out.objective, out.x

@@ -45,6 +45,8 @@ ORACLE_BUDGET = 100
 TRUST_FLOOR = 1e-3
 #: consecutive identical queries (sup-norm) end the search
 QUERY_STALL_TOL = 1e-10
+#: branch-and-bound nodes allowed to the basis-selection MIP
+SELECT_NODE_LIMIT = 200_000
 
 
 class ScenarioPool:
@@ -276,8 +278,6 @@ def separate_restricted(
     norm: NormalizationSpec,
     pool: ScenarioPool | None = None,
     delta: float = 0.0,
-    oracle_budget: int = ORACLE_BUDGET,
-    born_iter: int = -1,
 ) -> SeparationResult:
     """Search the normalized multiplier set for a violated inequality.
 
@@ -302,7 +302,7 @@ def separate_restricted(
     calls = 0
     upper = math.inf
     stop = "budget"
-    while calls < oracle_budget:
+    while calls < ORACLE_BUDGET:
         upper, g_pi, g_pi0, g_mult = _solve_master(x_hat, theta_hat, pool, norm)
         if upper <= scen_tol:
             stop = "no_violation"
@@ -352,7 +352,6 @@ def separate_restricted(
         coef_x=best_pi,
         coef_theta=best_pi0,
         rhs=best_val,
-        born_iter=born_iter,
         violation_at_birth=lower,
     )
     return SeparationResult(cut, best_pi, best_pi0, lower, upper, calls, stop)
@@ -363,7 +362,6 @@ def strengthen_benders(
     s: int,
     parent: Cut,
     pool: ScenarioPool | None = None,
-    born_iter: int = -1,
 ) -> Cut:
     """Re-derive the right-hand side of a classical cut exactly.
 
@@ -382,7 +380,6 @@ def strengthen_benders(
         coef_x=parent.coef_x.copy(),
         coef_theta=1.0,
         rhs=value,
-        born_iter=born_iter,
         violation_at_birth=value - parent.rhs,
     )
 
@@ -412,7 +409,6 @@ def select_basis_mip(
     candidates: np.ndarray,
     k_max: int,
     alpha: float,
-    node_limit: int = 200_000,
 ) -> tuple[np.ndarray, float]:
     """Pick at most k_max rows of `candidates` maximizing the pool-model
     violation under the weight normalization; returns (indices, bound).
@@ -489,7 +485,7 @@ def select_basis_mip(
         is_int=is_int,
         maximize=True,
     )
-    out = solve_mip(prog, node_limit=node_limit)
+    out = solve_mip(prog, node_limit=SELECT_NODE_LIMIT)
     if out.status != optbase.OPTIMAL:
         raise optbase.KernelError(f"basis selection ended {out.status}")
     lam = out.x[lp0 : lp0 + K] - out.x[lm0 : lm0 + K]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optbase
-from .optbase import GE, MipProgram, solve_lp, solve_mip
+from .optbase import GE, MipProgram, solve_mip
 from .sparse import CooMatrix
 
 CONT, INT, BIN = 0, 1, 2
@@ -175,20 +175,6 @@ def toy_instance() -> SipInstance:
     )
 
 
-def first_stage_program(inst: SipInstance, c: np.ndarray | None = None) -> MipProgram:
-    """MIP over the first-stage feasible set with an optional objective."""
-    obj = np.zeros(inst.nx) if c is None else np.asarray(c, dtype=np.float64)
-    return MipProgram(
-        c=obj,
-        A=inst.A,
-        senses=np.full(inst.A.nrows, GE, dtype=np.int8),
-        rhs=inst.b.copy(),
-        lb=inst.lb.copy(),
-        ub=inst.ub.copy(),
-        is_int=inst.vtype != CONT,
-    )
-
-
 def recourse_program(inst: SipInstance, s: int, x: np.ndarray) -> MipProgram:
     """Scenario subproblem min q'y s.t. W y >= h - T x for fixed x."""
     scen = inst.scenarios[s]
@@ -207,14 +193,9 @@ def recourse_program(inst: SipInstance, s: int, x: np.ndarray) -> MipProgram:
     )
 
 
-def eval_recourse(inst: SipInstance, s: int, x: np.ndarray, relaxed: bool = False) -> float:
-    """Exact recourse value Q_s(x), or its LP relaxation value when
-    `relaxed`. Returns +inf when the subproblem is infeasible."""
-    prog = recourse_program(inst, s, x)
-    if relaxed:
-        out = solve_lp(optbase.lp_relaxation(prog))
-    else:
-        out = solve_mip(prog)
+def eval_recourse(inst: SipInstance, s: int, x: np.ndarray) -> float:
+    """Exact recourse value Q_s(x); +inf when the subproblem is infeasible."""
+    out = solve_mip(recourse_program(inst, s, x))
     if out.status == optbase.OPTIMAL:
         return float(out.objective)
     if out.status == optbase.INFEASIBLE:

@@ -33,7 +33,6 @@ INTTOL = 1e-6
 
 LE, GE, EQ = 0, 1, 2
 _SENSE_CODE = {"<=": LE, ">=": GE, "==": EQ, "=": EQ}
-_SENSE_STR = {LE: "<=", GE: ">=", EQ: "="}
 
 
 class KernelError(RuntimeError):
@@ -64,7 +63,6 @@ class LinearProgram:
     ub: np.ndarray
     c0: float = 0.0
     maximize: bool = False
-    names: list[str] | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
@@ -115,7 +113,6 @@ def lp_relaxation(prog: MipProgram) -> LinearProgram:
         ub=prog.ub.copy(),
         c0=prog.c0,
         maximize=prog.maximize,
-        names=prog.names,
     )
 
 
@@ -129,8 +126,6 @@ class SolveOutcome:
     bound: float | None = None
     incumbent_pool: list = field(default_factory=list)
     node_count: int = 0
-    iterations: int = 0
-    wall_time: float = 0.0
 
 
 def _solve_dense(c, A, senses, rhs, lb, ub, itmax=0):
@@ -141,29 +136,20 @@ def solve_lp(prog: LinearProgram, itmax: int = 0) -> SolveOutcome:
     """Solve an LP. Optimal outcomes carry row duals satisfying strong
     duality; infeasible ones carry Farkas row multipliers in `ray`;
     unbounded ones carry an improving primal direction."""
-    t0 = time.perf_counter()
     sign = -1.0 if prog.maximize else 1.0
     dense = prog.A.to_dense()
-    status, x, obj, y, ray, it = _solve_dense(
+    status, x, obj, y, ray, _ = _solve_dense(
         sign * prog.c, dense, prog.senses, prog.rhs, prog.lb, prog.ub, itmax
     )
-    wall = time.perf_counter() - t0
     if status == _simplex.NUMERIC:
         raise KernelError("simplex reported numerical trouble")
     if status == _simplex.OPTIMAL:
-        return SolveOutcome(
-            status=OPTIMAL,
-            x=x,
-            objective=sign * obj + prog.c0,
-            duals=sign * y,
-            iterations=it,
-            wall_time=wall,
-        )
+        return SolveOutcome(status=OPTIMAL, x=x, objective=sign * obj + prog.c0, duals=sign * y)
     if status == _simplex.INFEASIBLE:
-        return SolveOutcome(status=INFEASIBLE, x=x, ray=ray, iterations=it, wall_time=wall)
+        return SolveOutcome(status=INFEASIBLE, x=x, ray=ray)
     if status == _simplex.UNBOUNDED:
-        return SolveOutcome(status=UNBOUNDED, x=x, ray=ray, iterations=it, wall_time=wall)
-    return SolveOutcome(status=LIMIT, x=x, iterations=it, wall_time=wall)
+        return SolveOutcome(status=UNBOUNDED, x=x, ray=ray)
+    return SolveOutcome(status=LIMIT, x=x)
 
 
 def _round_in_integer_bounds(lb, ub, is_int):
@@ -248,7 +234,6 @@ def solve_mip(
     (x, objective). On a node or time limit the outcome has status
     "limit" and a valid `bound`.
     """
-    t0 = time.perf_counter()
     sign = -1.0 if prog.maximize else 1.0
     c = sign * prog.c
     dense = prog.A.to_dense()
@@ -286,7 +271,7 @@ def solve_mip(
     status, inc, inc_val, bound, nodes = best_bound_search(
         lb0, ub0, int_idx, relax, closed, on_integral, node_limit, limit
     )
-    out = SolveOutcome(status=status, node_count=nodes, wall_time=time.perf_counter() - t0)
+    out = SolveOutcome(status=status, node_count=nodes)
     if inc is not None:
         out.x = inc
         out.objective = sign * inc_val + prog.c0
@@ -297,34 +282,3 @@ def solve_mip(
     out.incumbent_pool = [(xv, sign * ov + prog.c0) for (xv, ov) in pool]
     return out
 
-
-def to_lp_text(prog: LinearProgram) -> str:
-    """Render a deterministic LP-format-like dump for debugging."""
-
-    def name(j):
-        if prog.names and j < len(prog.names):
-            return prog.names[j]
-        return f"x{j}"
-
-    def term(coef, j):
-        return f"{'+' if coef >= 0 else '-'} {abs(coef):.12g} {name(j)}"
-
-    lines = ["\\ sipcuts debug dump", "Maximize" if prog.maximize else "Minimize"]
-    obj = " ".join(term(prog.c[j], j) for j in range(prog.nvars) if prog.c[j] != 0.0)
-    lines.append(f" obj: {obj if obj else '0'}")
-    lines.append("Subject To")
-    dense = prog.A.to_dense()
-    for i in range(prog.nrows):
-        row = " ".join(term(dense[i, j], j) for j in range(prog.nvars) if dense[i, j] != 0.0)
-        lines.append(f" r{i}: {row if row else '0'} {_SENSE_STR[int(prog.senses[i])]} {prog.rhs[i]:.12g}")
-    lines.append("Bounds")
-    for j in range(prog.nvars):
-        lo = "-inf" if not np.isfinite(prog.lb[j]) else f"{prog.lb[j]:.12g}"
-        hi = "+inf" if not np.isfinite(prog.ub[j]) else f"{prog.ub[j]:.12g}"
-        lines.append(f" {lo} <= {name(j)} <= {hi}")
-    if isinstance(prog, MipProgram) and prog.is_int.any():
-        lines.append("General")
-        for j in np.nonzero(prog.is_int)[0]:
-            lines.append(f" {name(int(j))}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -9,10 +9,8 @@ from sipcuts.benders import (
     Cut,
     MasterModel,
     compute_theta_lower_bound,
-    first_stage_point,
     separate_integer_lshaped,
     solve_benders_subproblem,
-    write_cut_csv,
 )
 from sipcuts.driver import separate_classical
 from sipcuts.model import (
@@ -213,9 +211,6 @@ def test_master_one_round_closes_toy(t1):
     out, x, theta = master.solve()
     assert out.objective == pytest.approx(1.0)
     assert x[0] == pytest.approx(1.0)
-    # integer master agrees here
-    out2, x2, _ = master.solve(integer=True)
-    assert out2.objective == pytest.approx(1.0)
 
 
 def test_master_bound_overrides(t1):
@@ -226,33 +221,3 @@ def test_master_bound_overrides(t1):
     assert out.status == OPTIMAL
     assert x[0] == pytest.approx(0.0)
     assert out.objective == pytest.approx(2.5)
-
-
-def test_first_stage_point_feasible_and_errors(t1):
-    x = first_stage_point(t1)
-    assert 0.0 <= x[0] <= 1.0
-    bad = SipInstance(
-        name="infeas",
-        c=np.array([1.0]),
-        A=CooMatrix(1, 1, [0], [0], [1.0]),
-        b=np.array([2.0]),  # x >= 2 vs ub 1
-        vtype=np.array([BIN], dtype=np.int8),
-        lb=np.zeros(1),
-        ub=np.ones(1),
-        scenarios=t1.scenarios,
-    )
-    with pytest.raises(InstanceError, match="infeasible"):
-        first_stage_point(bad)
-
-
-def test_write_cut_csv(tmp_path, t1):
-    cuts = [
-        Cut("benders", 0, np.array([2.0]), 1.0, 2.0, born_iter=1, violation_at_birth=2.0),
-        Cut("feasibility", 1, np.array([-1.0]), 0.0, 0.0),
-    ]
-    path = tmp_path / "cuts.csv"
-    write_cut_csv(cuts, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("family,scenario,born_iter")
-    assert "benders" in lines[1] and "2.0" in lines[1]

@@ -122,6 +122,15 @@ def test_solve_time_limit_exits_4(tmp_path, t1_file, capsys):
     assert float(kv["gap"][0]) > 1e-6 or kv["gap"] == ["inf"]
 
 
+def test_solve_node_limit_below_one_exits_2(tmp_path, t1_file, capsys):
+    code, kv, err = run_cli(
+        capsys,
+        ["solve", t1_file, "--mode", "bbc", "--node-limit", "0", "--out", str(tmp_path)],
+    )
+    assert code == 2 and "error=" in err
+    assert "status" not in kv
+
+
 def _write_trace(path, baseline, points):
     tr = BoundTrace(baseline=baseline)
     tr.records = [TraceRecord(t, b, i, 0, 0, 0) for i, (t, b) in enumerate(points)]

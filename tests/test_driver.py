@@ -1,10 +1,12 @@
 """Root cutting-plane loop, branch-and-cut, and gap profiles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from sipcuts import driver
 from sipcuts.benders import MasterModel
 from sipcuts.driver import (
     BoundTrace,
@@ -86,6 +88,22 @@ def test_trace_monotone_and_csv(tmp_path):
     assert len(lines) == len(trace.records) + 1
     # round-trip of the bound column
     assert [float(ln.split(",")[1]) for ln in lines[1:]] == bounds
+    back = BoundTrace.from_csv(str(path), baseline=1.5)
+    assert back.baseline == 1.5 and back.records == trace.records
+
+
+def test_trace_times_count_the_theta_bounds(monkeypatch):
+    # the trace clock starts with the call, before the per-scenario bound LPs
+    real = driver.compute_theta_lower_bound
+
+    def slow(inst, s):
+        time.sleep(0.05)
+        return real(inst, s)
+
+    monkeypatch.setattr(driver, "compute_theta_lower_bound", slow)
+    inst = toy_instance()
+    _, trace = run_root_loop(inst, VariantConfig(variant="benders_only"))
+    assert trace.records[0].time_s >= 0.05 * inst.nscen
 
 
 def test_trace_gap_closed_at():

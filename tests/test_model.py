@@ -21,7 +21,6 @@ from sipcuts.model import (
     build_extensive_form,
     enumerate_first_stage,
     eval_recourse,
-    first_stage_program,
     joint_scenario_program,
     recourse_program,
     toy_instance,
@@ -49,10 +48,6 @@ def test_toy_optimal_values(t1):
     lp = solve_lp(lp_relaxation(ef.program))
     assert lp.status == OPTIMAL and abs(lp.objective - 1.0) < 1e-9
     assert abs(z_ip_enum(t1) - 1.0) < 1e-12
-
-
-def test_toy_relaxed_recourse(t1):
-    assert abs(eval_recourse(t1, 0, np.array([0.5]), relaxed=True) - 1.0) < 1e-9
 
 
 # -------------------------------------------------------------- validation
@@ -191,11 +186,6 @@ def test_joint_scenario_program_value(t1):
     prog = joint_scenario_program(t1, 0, np.array([-1.0]), t1.scenarios[0].q)
     out = solve_mip(prog)
     assert out.status == OPTIMAL and abs(out.objective + 1.0) < 1e-9
-
-
-def test_first_stage_program(t1):
-    out = solve_mip(first_stage_program(t1, t1.c))
-    assert out.status == OPTIMAL and abs(out.objective - 0.0) < 1e-12
 
 
 def test_recourse_program_rhs_shift(t1):

@@ -18,7 +18,6 @@ from sipcuts.optbase import (
     lp_relaxation,
     solve_lp,
     solve_mip,
-    to_lp_text,
 )
 from sipcuts.sparse import CooMatrix
 
@@ -439,12 +438,3 @@ def test_lp_relaxation_drops_integrality():
     assert out.status == ref_status
     if ref_status == OPTIMAL:
         assert abs(out.objective - ref_obj) <= 1e-6 * (1 + abs(ref_obj))
-
-
-def test_to_lp_text_sections():
-    mip = _random_mip(5)
-    text = to_lp_text(mip)
-    assert "Minimize" in text or "Maximize" in text
-    assert "Subject To" in text
-    assert "Bounds" in text
-    assert "End" in text
