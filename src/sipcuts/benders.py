@@ -92,33 +92,21 @@ class MasterModel:
     ) -> LinearProgram:
         """Master LP over (x, theta); optional first-stage bound overrides."""
         inst = self.inst
-        n, S = inst.nx, inst.nscen
-        rows = [inst.A.rows]
-        cols = [inst.A.cols]
-        vals = [inst.A.vals]
-        rhs = [inst.b]
-        r = inst.A.nrows
-        for cut in self.cuts:
-            nz = np.nonzero(cut.coef_x)[0]
-            rows.append(np.full(nz.size, r, dtype=np.int64))
-            cols.append(nz)
-            vals.append(cut.coef_x[nz])
-            if cut.coef_theta != 0.0:
-                rows.append(np.array([r], dtype=np.int64))
-                cols.append(np.array([n + cut.scenario], dtype=np.int64))
-                vals.append(np.array([cut.coef_theta]))
-            rhs.append(np.array([cut.rhs]))
-            r += 1
-        A = CooMatrix(r, n + S, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        n, m = inst.nx, inst.A.nrows
+        A = np.zeros((m + len(self.cuts), n + inst.nscen))
+        A[:m, :n] = inst.A.to_dense()
+        for i, cut in enumerate(self.cuts, start=m):
+            A[i, :n] = cut.coef_x
+            A[i, n + cut.scenario] = cut.coef_theta
         xlb = inst.lb if lb is None else np.asarray(lb, dtype=np.float64)
         xub = inst.ub if ub is None else np.asarray(ub, dtype=np.float64)
         return LinearProgram(
             c=np.concatenate([inst.c, inst.probs]),
-            A=A,
-            senses=np.full(r, GE, dtype=np.int8),
-            rhs=np.concatenate(rhs),
+            A=CooMatrix.from_dense(A),
+            senses=np.full(A.shape[0], GE, dtype=np.int8),
+            rhs=np.concatenate([inst.b, [cut.rhs for cut in self.cuts]]),
             lb=np.concatenate([xlb, self.theta_lb]),
-            ub=np.concatenate([xub, np.full(S, np.inf)]),
+            ub=np.concatenate([xub, np.full(inst.nscen, np.inf)]),
         )
 
     def solve(

@@ -51,6 +51,7 @@ from .lagrangian import (
     select_basis_mip,
     separate_restricted,
     strengthen_benders,
+    xy_round_first_stage,
 )
 from .model import BIN, InstanceError, SipInstance, eval_recourse
 
@@ -369,7 +370,6 @@ def run_branch_and_cut(
     if lazy.integer_lshaped and np.any(inst.vtype != BIN):
         raise InstanceError("integer optimality cuts require a pure-binary first stage")
     n = inst.nx
-    int_mask = inst.vtype != 0
     memo: dict[bytes, np.ndarray] = {}
 
     def exact_q(xint: np.ndarray) -> np.ndarray:
@@ -391,7 +391,7 @@ def run_branch_and_cut(
 
     def on_integral(z, _value, _lb, _ub, upper):
         x, theta = z[:n], z[n:]
-        xint = np.where(int_mask, np.round(x) + 0.0, x)
+        xint = xy_round_first_stage(inst, x)
         qvals = exact_q(xint)
         added = False
         for s in range(inst.nscen):
@@ -413,7 +413,7 @@ def run_branch_and_cut(
                 return xint, cand
         return None
 
-    int_idx = np.nonzero(int_mask)[0]
+    int_idx = np.nonzero(inst.vtype != 0)[0]
     status, best_x, upper, bound, nodes = optbase.best_bound_search(
         inst.lb, inst.ub, int_idx, relax, closed, on_integral, node_limit, time_limit
     )
@@ -440,6 +440,9 @@ def solve_root_then_bc(
     root_s = time.monotonic() - start
     left = max(cfg.time_limit - root_s, 0.0)
     res = run_branch_and_cut(inst, master, node_limit=node_limit, time_limit=left)
+    # a search stopped before its first node still has the root bound
+    res.bound = max(res.bound, trace.final_bound)
+    res.gap = relative_gap(res.objective, res.bound)
     return res, trace, root_s
 
 

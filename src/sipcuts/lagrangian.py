@@ -156,81 +156,56 @@ def _master_program(
 ) -> tuple[LinearProgram, slice, int, np.ndarray | None]:
     """LP maximizing the pool-model violation over the multiplier set.
 
+    Columns are [t | mult (k) | abs helpers (nabs) | pi0]; rows are
+
+        t - (P x_z)'mult - theta_z pi0 <= 0      one per pool point
+        a_j + (N mult)_j >= 0,  a_j - (N mult)_j >= 0   interleaved, j < nabs
+        sum a + alpha pi0 <= 1
+
+    with P = I, N = I_n for the ball, P = basis, N = basis' for
+    span_coef and P = basis, N = I_k for span_weight.
+
     Returns (program, multiplier slice, pi0 column, basis or None); for
     span kinds the slice covers lam and pi = basis' @ lam."""
     n = x_hat.size
     z = pool_x.shape[0]
     if norm.kind == "ball":
-        k = n
         proj = None  # pi appears directly
-        pool_cols = pool_x
-        hat_cols = x_hat
-        nabs = n
+        pool_cols, hat_cols, N = pool_x, x_hat, np.eye(n)
     else:
-        V = norm.basis
-        k = V.shape[0]
-        proj = V
-        pool_cols = pool_x @ V.T  # row z: V x_z
-        hat_cols = V @ x_hat
-        nabs = n if norm.kind == "span_coef" else k
-    # columns: [t | mult (k) | abs helpers (nabs) | pi0]
-    t_col, m0, a0, p0 = 0, 1, 1 + k, 1 + k + nabs
-    ncols = p0 + 1
-    rows, cols, vals, senses, rhs = [], [], [], [], []
-    r = 0
-    for i in range(z):
-        rows += [r] * (2 + k)
-        cols += [t_col] + list(range(m0, m0 + k)) + [p0]
-        vals += [1.0] + list(-pool_cols[i]) + [-float(pool_th[i])]
-        senses.append(LE)
-        rhs.append(0.0)
-        r += 1
-    # |pi| (or |lam|) linearization: a_j -+ expr_j >= 0
-    for j in range(nabs):
-        if norm.kind == "span_coef":
-            expr_cols = list(range(m0, m0 + k))
-            expr_vals = list(proj[:, j])
-        else:  # ball: expr = pi_j ; span_weight: expr = lam_j
-            expr_cols = [m0 + j]
-            expr_vals = [1.0]
-        for sign in (1.0, -1.0):
-            rows += [r] * (1 + len(expr_cols))
-            cols += [a0 + j] + expr_cols
-            vals += [1.0] + [sign * v for v in expr_vals]
-            senses.append(GE)
-            rhs.append(0.0)
-            r += 1
-    # normalization row
-    rows += [r] * (nabs + 1)
-    cols += list(range(a0, a0 + nabs)) + [p0]
-    vals += [1.0] * nabs + [norm.alpha]
-    senses.append(LE)
-    rhs.append(1.0)
-    r += 1
-    c = np.zeros(ncols)
-    c[t_col] = 1.0
-    c[m0 : m0 + k] = -hat_cols
-    c[p0] = -theta_hat
-    lb = np.full(ncols, -np.inf)
-    ub = np.full(ncols, np.inf)
-    lb[a0 : a0 + nabs] = 0.0
-    lb[p0] = 0.0
+        proj = norm.basis
+        pool_cols, hat_cols = pool_x @ proj.T, proj @ x_hat  # row z: V x_z
+        N = proj.T if norm.kind == "span_coef" else np.eye(proj.shape[0])
+    nabs, k = N.shape
+    sign = np.tile([[1.0], [-1.0]], (nabs, 1))
+    A = np.block(
+        [
+            [np.ones((z, 1)), -pool_cols, np.zeros((z, nabs)), -pool_th[:, None]],
+            [
+                np.zeros((2 * nabs, 1)),
+                sign * np.repeat(N, 2, axis=0),
+                np.repeat(np.eye(nabs), 2, axis=0),
+                np.zeros((2 * nabs, 1)),
+            ],
+            [np.zeros((1, 1 + k)), np.ones((1, nabs)), np.full((1, 1), norm.alpha)],
+        ]
+    )
+    msl, p0 = slice(1, 1 + k), 1 + k + nabs
+    c = np.concatenate([[1.0], -hat_cols, np.zeros(nabs), [-theta_hat]])
+    lb = np.concatenate([np.full(1 + k, -np.inf), np.zeros(nabs + 1)])
+    ub = np.full(p0 + 1, np.inf)
     if trust is not None:
         center_m, center_p0, radius = trust
-        lb[m0 : m0 + k] = center_m - radius
-        ub[m0 : m0 + k] = center_m + radius
+        lb[msl] = center_m - radius
+        ub[msl] = center_m + radius
         lb[p0] = max(0.0, center_p0 - radius)
         ub[p0] = center_p0 + radius
-    prog = LinearProgram(
-        c=c,
-        A=CooMatrix(r, ncols, np.array(rows), np.array(cols), np.array(vals)),
-        senses=np.array(senses, dtype=np.int8),
-        rhs=np.array(rhs),
-        lb=lb,
-        ub=ub,
-        maximize=True,
-    )
-    return prog, slice(m0, m0 + k), p0, proj
+    senses = np.full(A.shape[0], GE, dtype=np.int8)
+    senses[:z] = senses[-1] = LE
+    rhs = np.zeros(A.shape[0])
+    rhs[-1] = 1.0
+    prog = LinearProgram(c, CooMatrix.from_dense(A), senses, rhs, lb, ub, maximize=True)
+    return prog, msl, p0, proj
 
 
 def _solve_master(x_hat, theta_hat, pool, norm, trust=None):
@@ -425,61 +400,32 @@ def select_basis_mip(
     z = pool_x.shape[0]
     pool_cols = pool_x @ V.T
     hat_cols = V @ x_hat
-    # columns: [t | lam+ (K) | lam- (K) | z (K) | pi0]
-    t_col = 0
-    lp0, lm0, z0 = 1, 1 + K, 1 + 2 * K
-    p0 = 1 + 3 * K
-    ncols = p0 + 1
-    rows, cols, vals, senses, rhs = [], [], [], [], []
-    r = 0
-    for i in range(z):
-        rows += [r] * (2 * K + 2)
-        cols += [t_col] + list(range(lp0, lp0 + K)) + list(range(lm0, lm0 + K)) + [p0]
-        vals += (
-            [1.0]
-            + list(-pool_cols[i])
-            + list(pool_cols[i])
-            + [-float(pool_th[i])]
-        )
-        senses.append(LE)
-        rhs.append(0.0)
-        r += 1
-    for kk in range(K):  # lam+_k + lam-_k <= z_k
-        rows += [r, r, r]
-        cols += [lp0 + kk, lm0 + kk, z0 + kk]
-        vals += [1.0, 1.0, -1.0]
-        senses.append(LE)
-        rhs.append(0.0)
-        r += 1
-    rows += [r] * K  # sum z <= k_max
-    cols += list(range(z0, z0 + K))
-    vals += [1.0] * K
-    senses.append(LE)
-    rhs.append(float(k_max))
-    r += 1
-    rows += [r] * (2 * K + 1)  # weight normalization
-    cols += list(range(lp0, lp0 + K)) + list(range(lm0, lm0 + K)) + [p0]
-    vals += [1.0] * (2 * K) + [alpha]
-    senses.append(LE)
-    rhs.append(1.0)
-    r += 1
-    c = np.zeros(ncols)
-    c[t_col] = 1.0
-    c[lp0 : lp0 + K] = -hat_cols
-    c[lm0 : lm0 + K] = hat_cols
-    c[p0] = -theta_hat
-    lb = np.zeros(ncols)
-    lb[t_col] = -np.inf
-    ub = np.ones(ncols)
-    ub[t_col] = np.inf
-    ub[p0] = np.inf
-    is_int = np.zeros(ncols, dtype=bool)
-    is_int[z0 : z0 + K] = True
+    # columns [t | lam+ (K) | lam- (K) | z (K) | pi0]; rows: the pool model,
+    # lam+_k + lam-_k <= z_k, sum z <= k_max, then the weight normalization
+    eye, ones = np.eye(K), np.ones((1, K))
+    A = np.block(
+        [
+            [np.ones((z, 1)), -pool_cols, pool_cols, np.zeros((z, K)), -pool_th[:, None]],
+            [np.zeros((K, 1)), eye, eye, -eye, np.zeros((K, 1))],
+            [np.zeros((1, 1 + 2 * K)), ones, np.zeros((1, 1))],
+            [np.zeros((1, 1)), ones, ones, np.zeros((1, K)), np.full((1, 1), alpha)],
+        ]
+    )
+    lp0, lm0, z0, p0 = 1, 1 + K, 1 + 2 * K, 1 + 3 * K
+    c = np.concatenate([[1.0], -hat_cols, hat_cols, np.zeros(K), [-theta_hat]])
+    lb = np.zeros(p0 + 1)
+    lb[0] = -np.inf
+    ub = np.ones(p0 + 1)
+    ub[0] = ub[p0] = np.inf
+    is_int = np.zeros(p0 + 1, dtype=bool)
+    is_int[z0:p0] = True
+    rhs = np.zeros(A.shape[0])
+    rhs[-2:] = [k_max, 1.0]
     prog = optbase.MipProgram(
         c=c,
-        A=CooMatrix(r, ncols, np.array(rows), np.array(cols), np.array(vals)),
-        senses=np.array(senses, dtype=np.int8),
-        rhs=np.array(rhs),
+        A=CooMatrix.from_dense(A),
+        senses=np.full(A.shape[0], LE, dtype=np.int8),
+        rhs=rhs,
         lb=lb,
         ub=ub,
         is_int=is_int,

@@ -32,23 +32,10 @@ FEASTOL = 1e-7
 INTTOL = 1e-6
 
 LE, GE, EQ = 0, 1, 2
-_SENSE_CODE = {"<=": LE, ">=": GE, "==": EQ, "=": EQ}
 
 
 class KernelError(RuntimeError):
     """Numerical failure inside the simplex kernel."""
-
-
-def _as_sense_array(senses, nrows: int) -> np.ndarray:
-    out = np.empty(nrows, dtype=np.int8)
-    if len(senses) != nrows:
-        raise ValueError("sense count does not match row count")
-    for i, s in enumerate(senses):
-        if isinstance(s, str):
-            out[i] = _SENSE_CODE[s]
-        else:
-            out[i] = int(s)
-    return out
 
 
 @dataclass
@@ -72,7 +59,12 @@ class LinearProgram:
         n = self.c.size
         if self.A.ncols != n:
             raise ValueError("objective length does not match column count")
-        self.senses = _as_sense_array(self.senses, self.A.nrows)
+        senses = np.asarray(self.senses)
+        if senses.shape != (self.A.nrows,):
+            raise ValueError("sense count does not match row count")
+        if not np.isin(senses, (LE, GE, EQ)).all():
+            raise ValueError("row senses must be LE, GE or EQ")
+        self.senses = senses.astype(np.int8)
         if self.rhs.size != self.A.nrows:
             raise ValueError("rhs length does not match row count")
         if self.lb.size != n or self.ub.size != n:
@@ -225,7 +217,7 @@ def best_bound_search(
 def solve_mip(
     prog: MipProgram,
     node_limit: int = 2_000_000,
-    time_limit: float | None = None,
+    time_limit: float = math.inf,
     itmax: int = 0,
 ) -> SolveOutcome:
     """`best_bound_search` on the simplex kernel.
@@ -267,9 +259,8 @@ def solve_mip(
             return xs, val
         return None
 
-    limit = math.inf if time_limit is None else time_limit
     status, inc, inc_val, bound, nodes = best_bound_search(
-        lb0, ub0, int_idx, relax, closed, on_integral, node_limit, limit
+        lb0, ub0, int_idx, relax, closed, on_integral, node_limit, time_limit
     )
     out = SolveOutcome(status=status, node_count=nodes)
     if inc is not None:

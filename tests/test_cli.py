@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, key=value output, artifacts."""
 
+import math
 import re
 
 import pytest
@@ -120,6 +121,9 @@ def test_solve_time_limit_exits_4(tmp_path, t1_file, capsys):
     assert code == 4
     assert kv["status"] == ["limit"]
     assert float(kv["gap"][0]) > 1e-6 or kv["gap"] == ["inf"]
+    # B&C got no time, but the root master's bound is still proven
+    bound, root_bound = float(kv["bound"][0]), float(kv["root_bound"][0])
+    assert math.isfinite(bound) and bound >= root_bound
 
 
 def test_solve_node_limit_below_one_exits_2(tmp_path, t1_file, capsys):

@@ -143,6 +143,29 @@ def test_model_max_with_exact_pool_matches_grid(t1):
     assert got <= want + 1e-3  # grid resolution slack
 
 
+@pytest.mark.parametrize("seed", [0, 6])
+@pytest.mark.parametrize("kind", ["ball", "span_coef", "span_weight"])
+def test_model_max_with_exact_pool_matches_grid_2d(kind, seed):
+    # two first-stage columns tell the interleaved |pi| / |lam| rows apart
+    inst = make_tiny(seed, nx=2)
+    pool = _full_pool(inst, 0)
+    x_hat = np.full(2, 0.5)
+    theta_hat = compute_theta_lower_bound(inst, 0)
+    V = np.vstack([solve_benders_subproblem(inst, 0, x_hat).cut.coef_x, np.ones(2)])
+    resolution = 2e-3
+    if kind == "ball":
+        norm = NormalizationSpec(kind, 1.0)
+        PI, P0 = ball_boundary(2, 1.0, resolution)
+    else:
+        norm = NormalizationSpec(kind, 1.0, basis=V)
+        boundary = span_coef_boundary if kind == "span_coef" else span_weight_boundary
+        PI, P0 = boundary(V, 1.0, resolution)
+    got = restricted_model_max(x_hat, theta_hat, pool, norm)
+    want = max_violation_on_grid(inst, 0, x_hat, theta_hat, PI, P0)
+    assert want > 0.1
+    assert want - 1e-9 <= got <= want + resolution
+
+
 # ------------------------------------------------------ restricted search
 
 

@@ -114,6 +114,21 @@ def test_lp_unbounded_ray():
     assert out.ray is not None and out.ray[0] > 0
 
 
+@pytest.mark.parametrize("senses", [[7], [-1], [1.5], ["<="]])
+def test_lp_rejects_unknown_sense_codes(senses):
+    # max x, 0 <= x <= 10, one row x [?] 2: only LE, GE and EQ are senses
+    with pytest.raises(ValueError, match="senses must be"):
+        LinearProgram(
+            c=np.array([1.0]),
+            A=CooMatrix.from_dense([[1.0]]),
+            senses=senses,
+            rhs=np.array([2.0]),
+            lb=np.array([0.0]),
+            ub=np.array([10.0]),
+            maximize=True,
+        )
+
+
 def test_lp_iteration_limit_reports_limit():
     lp = _random_lp(3, bounded=True)
     out = solve_lp(lp, itmax=1)
