@@ -43,7 +43,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--K", dest="k", type=int, default=20, help="span size")
     p.add_argument("--alpha", type=float, default=1.0, help="epigraph weight in the norm")
     p.add_argument("--time-limit", type=float, default=math.inf, help="wall-clock seconds")
-    p.add_argument("--workers", type=int, default=1, help="scenario threads")
+    p.add_argument(
+        "--workers", type=int, default=1, help="at least 1; scenarios always run in order"
+    )
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -224,7 +226,10 @@ def _read_manifest(path: str):
         need = {"method", "instance", "path", "baseline"}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise ValueError(f"manifest needs columns {sorted(need)}")
-        for row in reader:
+        for i, row in enumerate(reader, start=1):
+            empty = sorted(col for col in need if not row[col])
+            if empty:
+                raise ValueError(f"manifest row {i} has empty fields {empty}")
             rows.append(row)
     if not rows:
         raise ValueError("manifest is empty")

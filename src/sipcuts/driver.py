@@ -28,8 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +61,10 @@ TRACE_HEADER = ("time_s", "lower_bound", "iter", "n_benders", "n_lagrangian", "n
 BENDERS_CAP = 500
 #: multiplier rounds (safety cap)
 MAX_ROUNDS = 200
+#: early stop: rounds in the window, and the share of the total bound
+#: gain the window must add to keep going
+EARLY_WINDOW = 5
+EARLY_FRACTION = 0.01
 
 
 @dataclass
@@ -72,9 +75,7 @@ class VariantConfig:
     alpha: float = 1.0  # weight of the epigraph multiplier in the normalization
     time_limit: float = math.inf  # seconds, wall clock
     early_stop: bool = True
-    early_window: int = 5
-    early_fraction: float = 0.01
-    workers: int = 1
+    workers: int = 1  # validated (>= 1); scenarios always run in order
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -83,10 +84,10 @@ class VariantConfig:
             raise ValueError("delta must lie in [0, 1)")
         if self.k < 1:
             raise ValueError("span size must be at least 1")
-        if self.alpha <= 0.0:
+        if not (self.alpha > 0.0):
             raise ValueError("alpha must be positive")
-        if self.early_window < 1 or not (0.0 < self.early_fraction < 1.0):
-            raise ValueError("early stop needs window >= 1 and fraction in (0, 1)")
+        if not (self.time_limit >= 0.0):
+            raise ValueError("time limit must be non-negative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -135,16 +136,6 @@ class BoundTrace:
     def final_bound(self) -> float:
         return self.records[-1].lower_bound if self.records else -math.inf
 
-    def gap_closed_at(self, t: float) -> float:
-        """Bound improvement over the baseline achieved by time t."""
-        if math.isnan(self.baseline):
-            raise ValueError("trace has no baseline bound")
-        best = -math.inf
-        for rec in self.records:
-            if rec.time_s <= t:
-                best = rec.lower_bound
-        return 0.0 if best == -math.inf else best - self.baseline
-
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -159,7 +150,11 @@ class BoundTrace:
         """Read back a trace written by `to_csv`."""
         tr = cls(baseline)
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            missing = [col for col in TRACE_HEADER if col not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"trace {path} lacks columns {missing}")
+            for row in reader:
                 tr.records.append(
                     TraceRecord(
                         time_s=float(row["time_s"]),
@@ -171,14 +166,6 @@ class BoundTrace:
                     )
                 )
         return tr
-
-
-def _parallel(workers: int, fn, items):
-    """Map preserving order; results are worker-count independent."""
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _latest_classical(cuts: list[Cut], s: int) -> Cut | None:
@@ -208,7 +195,6 @@ def run_root_loop(
     theta_lb = np.array([compute_theta_lower_bound(inst, s) for s in range(inst.nscen)])
     master = MasterModel(inst, theta_lb)
     pools = [ScenarioPool() for _ in range(inst.nscen)]
-    scen = list(range(inst.nscen))
     iteration = 0
 
     def out_of_time() -> bool:
@@ -222,11 +208,7 @@ def run_root_loop(
         return bound, x, theta
 
     def classical_round(x, theta) -> bool:
-        cuts = _parallel(
-            cfg.workers,
-            lambda s: separate_classical(inst, s, x, theta[s]),
-            scen,
-        )
+        cuts = [separate_classical(inst, s, x, theta[s]) for s in range(inst.nscen)]
         added = [master.add_cut(c) for c in cuts if c is not None]
         return any(added)
 
@@ -254,21 +236,20 @@ def run_root_loop(
             bound, x, theta = resolve()
             phase_bounds.append(bound)
         else:
-            new_cuts = _parallel(
-                cfg.workers,
-                lambda s: _multiplier_cut(inst, s, x, theta[s], master.cuts, pools[s], cfg),
-                scen,
-            )
+            new_cuts = [
+                _multiplier_cut(inst, s, x, theta[s], master.cuts, pools[s], cfg)
+                for s in range(inst.nscen)
+            ]
             added = [master.add_cut(c) for c in new_cuts if c is not None]
             if not any(added):
                 trace.stop_reason = "saturated"
                 return master, trace
             bound, x, theta = resolve()
             phase_bounds.append(bound)
-        if cfg.early_stop and len(phase_bounds) > cfg.early_window:
+        if cfg.early_stop and len(phase_bounds) > EARLY_WINDOW:
             total = phase_bounds[-1] - phase_bounds[0]
-            recent = phase_bounds[-1] - phase_bounds[-1 - cfg.early_window]
-            if total > 0.0 and recent < cfg.early_fraction * total:
+            recent = phase_bounds[-1] - phase_bounds[-1 - EARLY_WINDOW]
+            if total > 0.0 and recent < EARLY_FRACTION * total:
                 trace.stop_reason = "early_stop"
                 return master, trace
     trace.stop_reason = "round_cap"
@@ -325,12 +306,6 @@ def _multiplier_cut(inst, s, x, theta_s, cuts, pool, cfg: VariantConfig) -> Cut 
 
 
 @dataclass
-class LazyCuts:
-    benders: bool = True
-    integer_lshaped: bool = True
-
-
-@dataclass
 class BcResult:
     status: str  # "optimal" | "limit" | "infeasible"
     x: np.ndarray | None
@@ -356,7 +331,6 @@ BC_GAP_TOL = 1e-6
 def run_branch_and_cut(
     inst: SipInstance,
     root: MasterModel,
-    lazy: LazyCuts = LazyCuts(),
     node_limit: int = 100_000,
     time_limit: float = math.inf,
 ) -> BcResult:
@@ -365,9 +339,8 @@ def run_branch_and_cut(
     Integer-feasible candidates are re-cut (classical cuts at the LP
     value, integer optimality cuts at the exact value) and re-solved
     until clean before the incumbent is accepted. Exactness needs a
-    binary first stage when integer optimality cuts are on, or fully
-    continuous recourse with classical cuts alone."""
-    if lazy.integer_lshaped and np.any(inst.vtype != BIN):
+    binary first stage, which the integer optimality cuts require."""
+    if np.any(inst.vtype != BIN):
         raise InstanceError("integer optimality cuts require a pure-binary first stage")
     n = inst.nx
     memo: dict[bytes, np.ndarray] = {}
@@ -395,11 +368,10 @@ def run_branch_and_cut(
         qvals = exact_q(xint)
         added = False
         for s in range(inst.nscen):
-            if lazy.benders:
-                cut = separate_classical(inst, s, xint, theta[s])
-                if cut is not None and root.add_cut(cut):
-                    added = True
-            if lazy.integer_lshaped and math.isfinite(qvals[s]):
+            cut = separate_classical(inst, s, xint, theta[s])
+            if cut is not None and root.add_cut(cut):
+                added = True
+            if math.isfinite(qvals[s]):
                 cut = separate_integer_lshaped(
                     inst, s, xint, theta[s], root.theta_lb[s], q_exact=qvals[s]
                 )
@@ -455,7 +427,9 @@ def solve_lbc(
     workers: int = 1,
     node_limit: int = 100_000,
 ) -> tuple[BcResult, BoundTrace]:
-    """Multiplier-cut root (MIP-selected span, weight norm) then branch-and-cut."""
+    """Multiplier-cut root (MIP-selected span, weight norm) then branch-and-cut.
+
+    `workers` is validated (>= 1) but scenarios always run in order."""
     cfg = VariantConfig(
         variant="span_mip", delta=delta, k=k, alpha=alpha, time_limit=time_limit, workers=workers
     )
@@ -469,7 +443,9 @@ def solve_bbc(
     workers: int = 1,
     node_limit: int = 100_000,
 ) -> tuple[BcResult, BoundTrace]:
-    """Classical-cut root only, then the same branch-and-cut."""
+    """Classical-cut root only, then the same branch-and-cut.
+
+    `workers` is validated (>= 1) but scenarios always run in order."""
     cfg = VariantConfig(variant="benders_only", time_limit=time_limit, workers=workers)
     res, trace, _ = solve_root_then_bc(inst, cfg, node_limit)
     return res, trace

@@ -23,7 +23,7 @@ with pi0 >= 0 throughout; V stacks reference coefficient vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

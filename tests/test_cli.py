@@ -99,6 +99,11 @@ def test_root_missing_file_exits_2(tmp_path, capsys):
     assert code == 2 and "error=" in err
 
 
+def test_root_nan_alpha_exits_2(tmp_path, t1_file, capsys):
+    code, _, err = run_cli(capsys, ["root", t1_file, "--alpha", "nan", "--out", str(tmp_path)])
+    assert code == 2 and "alpha" in err
+
+
 def test_solve_toy_both_modes(tmp_path, t1_file, capsys):
     for mode in ("lbc", "bbc"):
         code, kv, _ = run_cli(
@@ -194,3 +199,21 @@ def test_profile_bad_gamma_exits_2(tmp_path, capsys):
         capsys, ["profile", str(manifest), "--gamma", "0", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+def test_profile_trace_without_trace_columns_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,bound\n1.0,2.0\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"method,instance,path,baseline\na,p1,{bad},0.0\n")
+    code, _, err = run_cli(capsys, ["profile", str(manifest), "--out", str(tmp_path)])
+    assert code == 2
+    assert "lower_bound" in err and "Traceback" not in err
+
+
+def test_profile_manifest_row_with_missing_fields_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("method,instance,path,baseline\na,p1\n")
+    code, _, err = run_cli(capsys, ["profile", str(manifest), "--out", str(tmp_path)])
+    assert code == 2
+    assert "baseline" in err and "path" in err

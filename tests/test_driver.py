@@ -1,6 +1,7 @@
 """Root cutting-plane loop, branch-and-cut, and gap profiles."""
 
 import math
+import threading
 import time
 
 import numpy as np
@@ -10,7 +11,6 @@ from sipcuts import driver
 from sipcuts.benders import MasterModel
 from sipcuts.driver import (
     BoundTrace,
-    LazyCuts,
     TraceRecord,
     VariantConfig,
     gap_closed_profile,
@@ -68,10 +68,14 @@ def test_variant_config_validation():
         VariantConfig(k=0)
     with pytest.raises(ValueError):
         VariantConfig(alpha=0.0)
+    with pytest.raises(ValueError, match="alpha"):
+        VariantConfig(alpha=math.nan)
+    with pytest.raises(ValueError, match="time limit"):
+        VariantConfig(time_limit=math.nan)
+    with pytest.raises(ValueError, match="time limit"):
+        VariantConfig(time_limit=-1.0)
     with pytest.raises(ValueError):
         VariantConfig(workers=0)
-    with pytest.raises(ValueError):
-        VariantConfig(early_fraction=1.5)
 
 
 def test_trace_monotone_and_csv(tmp_path):
@@ -104,16 +108,6 @@ def test_trace_times_count_the_theta_bounds(monkeypatch):
     inst = toy_instance()
     _, trace = run_root_loop(inst, VariantConfig(variant="benders_only"))
     assert trace.records[0].time_s >= 0.05 * inst.nscen
-
-
-def test_trace_gap_closed_at():
-    tr = BoundTrace(baseline=10.0)
-    tr.records = [TraceRecord(1.0, 12.0, 1, 1, 0, 0), TraceRecord(2.0, 15.0, 2, 2, 0, 0)]
-    assert tr.gap_closed_at(0.5) == 0.0
-    assert tr.gap_closed_at(1.0) == pytest.approx(2.0)
-    assert tr.gap_closed_at(5.0) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        BoundTrace().gap_closed_at(1.0)
 
 
 # ------------------------------------------------------------- root loop
@@ -202,12 +196,11 @@ def test_root_time_limit_zero_stops_immediately():
     assert len(trace.records) == 1
 
 
-def test_root_early_stop_triggers_and_costs_bound():
+def test_root_early_stop_triggers_and_costs_bound(monkeypatch):
     inst = gen_sslp(SslpParams(5, 10, 5, seed=1))
-    cfg_fast = VariantConfig(
-        variant="span_weight", k=3, early_stop=True, early_window=1, early_fraction=0.99
-    )
-    _, t_fast = run_root_loop(inst, cfg_fast)
+    monkeypatch.setattr(driver, "EARLY_WINDOW", 1)
+    monkeypatch.setattr(driver, "EARLY_FRACTION", 0.99)
+    _, t_fast = run_root_loop(inst, VariantConfig(variant="span_weight", k=3, early_stop=True))
     _, t_full = run_root_loop(inst, VariantConfig(variant="span_weight", k=3, early_stop=False))
     assert t_fast.stop_reason == "early_stop"
     assert t_full.stop_reason == "saturated"
@@ -228,6 +221,16 @@ def test_root_worker_count_does_not_change_output():
         return cuts, tuple(r.lower_bound for r in trace.records)
 
     assert signature(1) == signature(4)
+
+
+def test_root_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("scenario work started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    inst = gen_sslp(SslpParams(3, 5, 3, seed=7))
+    _, trace = run_root_loop(inst, VariantConfig(variant="span_mip", workers=4))
+    assert trace.stop_reason
 
 
 # ------------------------------------------------------------- B&C
@@ -324,11 +327,7 @@ def test_bc_integer_lshaped_requires_binary_first_stage():
     )
     master = MasterModel(wide, np.zeros(wide.nscen))
     with pytest.raises(InstanceError, match="binary"):
-        run_branch_and_cut(wide, master, LazyCuts(benders=True, integer_lshaped=True))
-    # classical lazy cuts alone still solve it (no integrality gap at
-    # binary points of this toy)
-    res = run_branch_and_cut(wide, master, LazyCuts(benders=True, integer_lshaped=False))
-    assert res.status == "optimal" and res.objective == pytest.approx(1.0, abs=1e-9)
+        run_branch_and_cut(wide, master)
 
 
 def test_bc_deterministic():
