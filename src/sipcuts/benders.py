@@ -29,7 +29,7 @@ from .model import (
     joint_scenario_program,
     recourse_program,
 )
-from .optbase import GE, LinearProgram, SolveOutcome, lp_relaxation, solve_lp
+from .optbase import GE, LinearProgram, SolveOutcome, solve_lp
 from .sparse import CooMatrix
 
 #: relative violation needed before a classical cut enters the master
@@ -124,8 +124,7 @@ def compute_theta_lower_bound(inst: SipInstance, s: int) -> float:
     """Lower bound on Q_s over the first-stage feasible set: the LP
     relaxation of min q'y over the joint scenario set."""
     scen = inst.scenarios[s]
-    prog = lp_relaxation(joint_scenario_program(inst, s, np.zeros(inst.nx), scen.q))
-    out = solve_lp(prog)
+    out = solve_lp(joint_scenario_program(inst, s, np.zeros(inst.nx), scen.q))
     if out.status == optbase.OPTIMAL:
         return float(out.objective)
     if out.status == optbase.INFEASIBLE:
@@ -150,8 +149,7 @@ def solve_benders_subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> Su
     kappa = sum_j (d_j > 0 ? d_j * lo_j : d_j * up_j), so
     (mu'T) x + theta_s >= mu'h + kappa holds for every x."""
     scen = inst.scenarios[s]
-    prog = recourse_program(inst, s, x_hat)
-    out = solve_lp(lp_relaxation(prog))
+    out = solve_lp(recourse_program(inst, s, x_hat))
     if out.status == optbase.UNBOUNDED:
         raise InstanceError(f"scenario {s} recourse LP is unbounded at x={x_hat.tolist()}")
     if out.status == optbase.INFEASIBLE:

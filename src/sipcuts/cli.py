@@ -35,7 +35,7 @@ from .driver import (
 )
 from .instances import FormatError, Rng, SnipParams, SslpParams, gen_snip, gen_sslp, read_instance, write_instance
 from .model import InstanceError, build_extensive_form
-from .optbase import KernelError, OPTIMAL, lp_relaxation, solve_lp
+from .optbase import KernelError, OPTIMAL, solve_lp
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -131,7 +131,7 @@ def cmd_generate(args) -> int:
 
 
 def _baseline_lp(inst) -> float:
-    out = solve_lp(lp_relaxation(build_extensive_form(inst).program))
+    out = solve_lp(build_extensive_form(inst).program)
     return out.objective if out.status == OPTIMAL else math.nan
 
 

@@ -75,39 +75,28 @@ def _ascent_master(inst, pools, center, radius):
     sum_s p_s lam_s = 0, optional box |lam - center| <= radius."""
     n, S = inst.nx, inst.nscen
     probs = inst.probs
-    # columns: [t (S) | lam_0 (n) | ... | lam_{S-1} (n)]
-    ncols = S + S * n
-    rows, cols, vals, senses, rhs = [], [], [], [], []
-    r = 0
-    for s in range(S):
-        base = S + s * n
-        for x, cost in pools[s]:
-            rows += [r] * (1 + n)
-            cols += [s] + list(range(base, base + n))
-            vals += [1.0] + list(-x)
-            senses.append(LE)
-            rhs.append(float(inst.c @ x) + cost)
-            r += 1
-    for j in range(n):
-        rows += [r] * S
-        cols += [S + s * n + j for s in range(S)]
-        vals += list(probs)
-        senses.append(EQ)
-        rhs.append(0.0)
-        r += 1
-    c = np.zeros(ncols)
+    # columns: [t (S) | lam_0 (n) | ... | lam_{S-1} (n)]; rows: every
+    # scenario's pool points in order, then sum_s p_s lam_s = 0
+    points = [(s, x, cost) for s in range(S) for x, cost in pools[s]]
+    npts = len(points)
+    A = np.zeros((npts + n, S + S * n))
+    for r, (s, x, _) in enumerate(points):
+        A[r, s] = 1.0
+        A[r, S + s * n : S + (s + 1) * n] = -x
+    A[npts:, S:] = np.kron(probs, np.eye(n))
+    c = np.zeros(S + S * n)
     c[:S] = probs
-    lb = np.full(ncols, -np.inf)
-    ub = np.full(ncols, np.inf)
+    lb = np.full(c.size, -np.inf)
+    ub = np.full(c.size, np.inf)
     if radius is not None:
         flat = center.reshape(-1)
         lb[S:] = flat - radius
         ub[S:] = flat + radius
     prog = LinearProgram(
         c=c,
-        A=CooMatrix(r, ncols, np.array(rows), np.array(cols), np.array(vals)),
-        senses=np.array(senses, dtype=np.int8),
-        rhs=np.array(rhs),
+        A=CooMatrix.from_dense(A),
+        senses=np.array([LE] * npts + [EQ] * n, dtype=np.int8),
+        rhs=[float(inst.c @ x) + cost for _, x, cost in points] + [0.0] * n,
         lb=lb,
         ub=ub,
         maximize=True,
@@ -210,39 +199,28 @@ def convexified_primal_value(inst: SipInstance, cap: int = 100_000) -> float:
     sizes = [X.shape[0] for X, _ in point_sets]
     offs = np.concatenate([[0], np.cumsum(sizes)])
     nw = int(offs[-1])
-    # columns: [w (nw) | u (n)], u the common first-stage mean
+    # columns: [w (nw) | u (n)], u the common first-stage mean; rows per
+    # scenario: its weights sum to 1, then its weighted mean equals u
     ncols = nw + n
-    rows, cols, vals, senses, rhs = [], [], [], [], []
-    r = 0
-    for s in range(S):
-        X, _ = point_sets[s]
-        rows += [r] * sizes[s]
-        cols += list(range(offs[s], offs[s + 1]))
-        vals += [1.0] * sizes[s]
-        senses.append(EQ)
-        rhs.append(1.0)
-        r += 1
-        for j in range(n):
-            rows += [r] * (sizes[s] + 1)
-            cols += list(range(offs[s], offs[s + 1])) + [nw + j]
-            vals += list(X[:, j]) + [-1.0]
-            senses.append(EQ)
-            rhs.append(0.0)
-            r += 1
+    A = np.zeros((S * (1 + n), ncols))
+    rhs = np.zeros(S * (1 + n))
     c = np.zeros(ncols)
-    for s in range(S):
-        X, Q = point_sets[s]
-        c[offs[s] : offs[s + 1]] = inst.scenarios[s].prob * (X @ inst.c + Q)
+    for s, (X, Q) in enumerate(point_sets):
+        r, w = s * (1 + n), slice(offs[s], offs[s + 1])
+        A[r, w] = 1.0
+        A[r + 1 : r + 1 + n, w] = X.T
+        A[r + 1 : r + 1 + n, nw:] = -np.eye(n)
+        rhs[r] = 1.0
+        c[w] = inst.scenarios[s].prob * (X @ inst.c + Q)
     lb = np.zeros(ncols)
     lb[nw:] = -np.inf
-    ub = np.full(ncols, np.inf)
     prog = LinearProgram(
         c=c,
-        A=CooMatrix(r, ncols, np.array(rows), np.array(cols), np.array(vals)),
-        senses=np.array(senses, dtype=np.int8),
-        rhs=np.array(rhs),
+        A=CooMatrix.from_dense(A),
+        senses=np.full(A.shape[0], EQ, dtype=np.int8),
+        rhs=rhs,
         lb=lb,
-        ub=ub,
+        ub=np.full(ncols, np.inf),
     )
     out = solve_lp(prog)
     if out.status != optbase.OPTIMAL:

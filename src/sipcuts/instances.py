@@ -97,27 +97,20 @@ def gen_sslp(p: SslpParams) -> SipInstance:
     vt = np.concatenate([np.full(n * m, BIN, dtype=np.int8), np.full(m, CONT, dtype=np.int8)])
     ylb = np.zeros(ny)
     yub = np.concatenate([np.ones(n * m), np.full(m, np.inf)])
+    nrows = m + 2 * n
+    W = np.zeros((nrows, ny))
+    T = np.zeros((nrows, m))
     # capacity rows j: -sum_i d_ij y_ij + y_0j >= -u x_j
-    rows, cols, vals = [], [], []
     for j in range(m):
-        for i in range(n):
-            rows.append(j)
-            cols.append(i * m + j)
-            vals.append(-d[i, j])
-        rows.append(j)
-        cols.append(n * m + j)
-        vals.append(1.0)
+        W[j, j : n * m : m] = -d[:, j]
+        W[j, n * m + j] = 1.0
+        T[j, j] = u
     # assignment pair rows per client: sum_j y_ij >= h_i and <= h_i
     for i in range(n):
-        for sign, off in ((1.0, 0), (-1.0, 1)):
-            r = m + 2 * i + off
-            for j in range(m):
-                rows.append(r)
-                cols.append(i * m + j)
-                vals.append(sign)
-    nrows = m + 2 * n
-    W = CooMatrix(nrows, ny, rows, cols, vals)
-    T = CooMatrix(nrows, m, list(range(m)), list(range(m)), [u] * m)
+        W[m + 2 * i, i * m : (i + 1) * m] = 1.0
+        W[m + 2 * i + 1, i * m : (i + 1) * m] = -1.0
+    W = CooMatrix.from_dense(W)
+    T = CooMatrix.from_dense(T)
     scenarios = []
     for _ in range(S):
         h = np.zeros(nrows)
@@ -170,8 +163,8 @@ class SnipParams:
             raise ValueError("snip needs at least nodes-1 arcs for the spine")
         if not (0 < self.interdictable_count <= self.arcs):
             raise ValueError("interdictable_count must be in [1, arcs]")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not (np.isfinite(self.budget) and self.budget > 0):
+            raise ValueError("budget must be finite and positive")
         if not (0 < self.rho_pct[0] and self.rho_pct[1] < 100):
             raise ValueError("inspected/clean ratio must stay below 1")
 
@@ -235,32 +228,22 @@ def gen_snip(p: SnipParams) -> SipInstance:
     nx = len(D)
     dcol = {a: k for k, a in enumerate(D)}
     u = max_reliability(arcs, r, N, dest)
-    rows, cols, vals = [], [], []
-    trows, tcols, tvals = [], [], []
+    nrows = len(arcs) + len(D) + 2
+    W = np.zeros((nrows, N))
+    T = np.zeros((nrows, nx))
     rr = 0
     for a, (i, j) in enumerate(arcs):
-        rows += [rr, rr]
-        cols += [i, j]
-        vals += [1.0, -r[a]]
+        W[rr, [i, j]] = 1.0, -r[a]
         if a in dcol:
-            trows.append(rr)
-            tcols.append(dcol[a])
-            tvals.append((r[a] - q[a]) * u[j])
+            T[rr, dcol[a]] = (r[a] - q[a]) * u[j]
             rr += 1
-            rows += [rr, rr]
-            cols += [i, j]
-            vals += [1.0, -q[a]]
+            W[rr, [i, j]] = 1.0, -q[a]
         rr += 1
-    for sign in (1.0, -1.0):
-        rows.append(rr)
-        cols.append(dest)
-        vals.append(sign)
-        rr += 1
-    W = CooMatrix(rr, N, rows, cols, vals)
-    T = CooMatrix(rr, nx, trows, tcols, tvals)
-    h = np.zeros(rr)
-    h[rr - 2] = 1.0
-    h[rr - 1] = -1.0
+    W[-2:, dest] = 1.0, -1.0
+    W = CooMatrix.from_dense(W)
+    T = CooMatrix.from_dense(T)
+    h = np.zeros(nrows)
+    h[-2:] = 1.0, -1.0
     scenarios = []
     for s in range(p.n_scenarios):
         qobj = np.zeros(N)
@@ -280,7 +263,7 @@ def gen_snip(p: SnipParams) -> SipInstance:
     return SipInstance(
         name=f"snip-{N}-{len(arcs)}-{p.n_scenarios}-b{p.budget:g}",
         c=np.zeros(nx),
-        A=CooMatrix(1, nx, [0] * nx, list(range(nx)), list(-cost)),
+        A=CooMatrix.from_dense(-cost[None, :]),
         b=np.array([-float(p.budget)]),
         vtype=np.full(nx, BIN, dtype=np.int8),
         lb=np.zeros(nx),
@@ -305,8 +288,8 @@ def _fmt_vec(v: np.ndarray) -> str:
 def _fmt_coo(m: CooMatrix) -> list[str]:
     c = m.canonical()
     lines = [f"{c.nrows} {c.ncols} {c.nnz}"]
-    for r, cc, v in c.triplets():
-        lines.append(f"{r} {cc} {v!r}")
+    for r, cc, v in zip(c.rows, c.cols, c.vals):
+        lines.append(f"{int(r)} {int(cc)} {float(v)!r}")
     return lines
 
 

@@ -52,9 +52,17 @@ def vtype_to_string(v: np.ndarray) -> str:
     return "".join(_VTYPE_LETTER[int(code)] for code in v)
 
 
+def _check_finite(prefix, **data):
+    for name, v in data.items():
+        if not np.all(np.isfinite(v)):
+            raise InstanceError(f"{prefix}: {name} has a non-finite entry")
+
+
 def _check_vectors(prefix, n, vtype, lb, ub):
     if vtype.size != n or lb.size != n or ub.size != n:
         raise InstanceError(f"{prefix}: type/bound arrays do not match {n} variables")
+    if np.any(np.isnan(lb)) or np.any(np.isnan(ub)):
+        raise InstanceError(f"{prefix}: NaN bound")
     if np.any(lb > ub):
         j = int(np.argmax(lb > ub))
         raise InstanceError(f"{prefix}: empty bound interval on variable {j}")
@@ -112,11 +120,15 @@ class SipInstance:
             raise InstanceError("first stage: constraint columns do not match objective length")
         if self.b.size != self.A.nrows:
             raise InstanceError("first stage: rhs length does not match row count")
+        _check_finite("first stage", c=self.c, b=self.b, A=self.A.vals)
         _check_vectors("first stage", n, self.vtype, self.lb, self.ub)
         if not self.scenarios:
             raise InstanceError("instance has no scenarios")
         total = 0.0
         for s, scen in enumerate(self.scenarios):
+            _check_finite(
+                f"scenario {s}", prob=scen.prob, q=scen.q, h=scen.h, W=scen.W.vals, T=scen.T.vals
+            )
             if scen.prob <= 0.0:
                 raise InstanceError(f"scenario {s}: probability must be positive")
             total += scen.prob
@@ -155,9 +167,9 @@ def toy_instance() -> SipInstance:
             Scenario(
                 prob=0.5,
                 q=np.array([cost]),
-                W=CooMatrix(1, 1, [0], [0], [1.0]),
+                W=CooMatrix.from_dense([[1.0]]),
                 h=np.array([1.0]),
-                T=CooMatrix(1, 1, [0], [0], [1.0]),
+                T=CooMatrix.from_dense([[1.0]]),
                 vtype=np.array([INT], dtype=np.int8),
                 lb=np.array([0.0]),
                 ub=np.array([np.inf]),
@@ -205,6 +217,30 @@ def eval_recourse(inst: SipInstance, s: int, x: np.ndarray) -> float:
     raise optbase.KernelError(f"recourse solve hit a limit in scenario {s}")
 
 
+def _stacked_program(inst: SipInstance, scens: list[Scenario], obj: np.ndarray) -> MipProgram:
+    """MIP with rows [A 0 ... 0; T_1 W_1 0 ...; T_2 0 W_2 ...; ...] over
+    (x, y_1, y_2, ...): the first-stage rows, then each scenario's rows."""
+    n, mA = inst.nx, inst.A.nrows
+    nrows = mA + sum(scen.nrows for scen in scens)
+    A = np.zeros((nrows, n + sum(scen.ny for scen in scens)))
+    A[:mA, :n] = inst.A.to_dense()
+    r, col = mA, n
+    for scen in scens:
+        A[r : r + scen.nrows, :n] = scen.T.to_dense()
+        A[r : r + scen.nrows, col : col + scen.ny] = scen.W.to_dense()
+        r += scen.nrows
+        col += scen.ny
+    return MipProgram(
+        c=obj,
+        A=CooMatrix.from_dense(A),
+        senses=np.full(nrows, GE, dtype=np.int8),
+        rhs=np.concatenate([inst.b] + [scen.h for scen in scens]),
+        lb=np.concatenate([inst.lb] + [scen.lb for scen in scens]),
+        ub=np.concatenate([inst.ub] + [scen.ub for scen in scens]),
+        is_int=np.concatenate([inst.vtype] + [scen.vtype for scen in scens]) != CONT,
+    )
+
+
 def joint_scenario_program(
     inst: SipInstance,
     s: int,
@@ -213,78 +249,21 @@ def joint_scenario_program(
 ) -> MipProgram:
     """MIP over one scenario's joint feasible set
     K_s = {(x, y) : A x >= b, T_s x + W_s y >= h_s, bounds, integrality}."""
-    scen = inst.scenarios[s]
-    n, ny = inst.nx, scen.ny
-    mA, mW = inst.A.nrows, scen.W.nrows
-    rows = np.concatenate([inst.A.rows, scen.T.rows + mA, scen.W.rows + mA])
-    cols = np.concatenate([inst.A.cols, scen.T.cols, scen.W.cols + n])
-    vals = np.concatenate([inst.A.vals, scen.T.vals, scen.W.vals])
-    A = CooMatrix(mA + mW, n + ny, rows, cols, vals)
-    return MipProgram(
-        c=np.concatenate([obj_x, obj_y]),
-        A=A,
-        senses=np.full(mA + mW, GE, dtype=np.int8),
-        rhs=np.concatenate([inst.b, scen.h]),
-        lb=np.concatenate([inst.lb, scen.lb]),
-        ub=np.concatenate([inst.ub, scen.ub]),
-        is_int=np.concatenate([inst.vtype != CONT, scen.vtype != CONT]),
-    )
+    return _stacked_program(inst, [inst.scenarios[s]], np.concatenate([obj_x, obj_y]))
 
 
 @dataclass
 class ExtensiveForm:
     program: MipProgram
     x_cols: np.ndarray
-    y_cols: list[np.ndarray]
 
 
 def build_extensive_form(inst: SipInstance) -> ExtensiveForm:
     """Single MIP over (x, y_1, ..., y_S) whose optimal value is the
     instance optimum and whose LP relaxation value is the LP bound."""
-    n = inst.nx
-    col_off = n
-    row_off = inst.A.nrows
-    rows = [inst.A.rows]
-    cols = [inst.A.cols]
-    vals = [inst.A.vals]
-    obj = [inst.c]
-    rhs = [inst.b]
-    lb = [inst.lb]
-    ub = [inst.ub]
-    is_int = [inst.vtype != CONT]
-    y_cols = []
-    for scen in inst.scenarios:
-        rows.append(scen.T.rows + row_off)
-        cols.append(scen.T.cols)
-        vals.append(scen.T.vals)
-        rows.append(scen.W.rows + row_off)
-        cols.append(scen.W.cols + col_off)
-        vals.append(scen.W.vals)
-        obj.append(scen.prob * scen.q)
-        rhs.append(scen.h)
-        lb.append(scen.lb)
-        ub.append(scen.ub)
-        is_int.append(scen.vtype != CONT)
-        y_cols.append(np.arange(col_off, col_off + scen.ny))
-        col_off += scen.ny
-        row_off += scen.W.nrows
-    A = CooMatrix(
-        row_off,
-        col_off,
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(vals),
-    )
-    prog = MipProgram(
-        c=np.concatenate(obj),
-        A=A,
-        senses=np.full(row_off, GE, dtype=np.int8),
-        rhs=np.concatenate(rhs),
-        lb=np.concatenate(lb),
-        ub=np.concatenate(ub),
-        is_int=np.concatenate(is_int),
-    )
-    return ExtensiveForm(program=prog, x_cols=np.arange(n), y_cols=y_cols)
+    obj = np.concatenate([inst.c] + [scen.prob * scen.q for scen in inst.scenarios])
+    prog = _stacked_program(inst, inst.scenarios, obj)
+    return ExtensiveForm(program=prog, x_cols=np.arange(inst.nx))
 
 
 def enumerate_first_stage(inst: SipInstance, cap: int = 100_000) -> np.ndarray:

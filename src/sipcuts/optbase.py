@@ -1,7 +1,7 @@
 """Self-contained LP and MIP solving on top of the dense simplex kernel.
 
-`LinearProgram` / `MipProgram` hold the problem data (sparse rows, senses,
-bounds). `solve_lp` returns primal and dual vectors plus certificates.
+`LinearProgram` / `MipProgram` hold the problem data (constraint matrix,
+senses, bounds). `solve_lp` returns primal and dual vectors plus certificates.
 `best_bound_search` is the one tree search of the package: `solve_mip`
 runs it on the kernel and records every improving incumbent, so a
 caller can harvest sub-optimal feasible points as well, and the
@@ -125,9 +125,10 @@ def _solve_dense(c, A, senses, rhs, lb, ub, itmax=0):
 
 
 def solve_lp(prog: LinearProgram, itmax: int = 0) -> SolveOutcome:
-    """Solve an LP. Optimal outcomes carry row duals satisfying strong
-    duality; infeasible ones carry Farkas row multipliers in `ray`;
-    unbounded ones carry an improving primal direction."""
+    """Solve an LP; a `MipProgram` is solved as its LP relaxation.
+    Optimal outcomes carry row duals satisfying strong duality;
+    infeasible ones carry Farkas row multipliers in `ray`; unbounded
+    ones carry an improving primal direction."""
     sign = -1.0 if prog.maximize else 1.0
     dense = prog.A.to_dense()
     status, x, obj, y, ray, _ = _solve_dense(
@@ -218,7 +219,6 @@ def solve_mip(
     prog: MipProgram,
     node_limit: int = 2_000_000,
     time_limit: float = math.inf,
-    itmax: int = 0,
 ) -> SolveOutcome:
     """`best_bound_search` on the simplex kernel.
 
@@ -236,7 +236,7 @@ def solve_mip(
     pool = []
 
     def relax(lb, ub):
-        status, x, obj, _, _, _ = _solve_dense(c, dense, senses, rhs, lb, ub, itmax)
+        status, x, obj, _, _, _ = _solve_dense(c, dense, senses, rhs, lb, ub)
         if status == _simplex.NUMERIC or status == _simplex.ITER_LIMIT:
             raise KernelError("simplex failure inside branch and bound")
         return (OPTIMAL, INFEASIBLE, UNBOUNDED)[status], obj, x

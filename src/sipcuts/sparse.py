@@ -1,6 +1,8 @@
 """Coordinate-format sparse matrices with a canonical triplet order.
 
-Matrices are stored as (row, col, value) triplets. ``canonical`` sorts
+Matrices are stored as (row, col, value) triplets, the layout of the
+instance file format; the package assembles every program as one dense
+array and converts it with ``from_dense``. ``canonical`` sorts
 triplets by (row, col), sums duplicates and drops explicit zeros, so two
 matrices with the same entries serialize identically.
 """
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class CooMatrix:
     nrows: int
     ncols: int
@@ -45,8 +47,8 @@ class CooMatrix:
         mat = np.asarray(mat, dtype=np.float64)
         if mat.ndim != 2:
             raise ValueError("expected a 2-d array")
-        r, c = np.nonzero(mat)
-        return cls(mat.shape[0], mat.shape[1], r, c, mat[r, c]).canonical()
+        r, c = np.nonzero(mat)  # row-major order, zeros dropped: already canonical
+        return cls(mat.shape[0], mat.shape[1], r, c, mat[r, c])
 
     @classmethod
     def empty(cls, nrows: int, ncols: int) -> "CooMatrix":
@@ -89,20 +91,3 @@ class CooMatrix:
         out = np.zeros(self.ncols)
         np.add.at(out, self.cols, self.vals * y[self.rows])
         return out
-
-    def triplets(self):
-        """Iterate (row, col, value) in canonical order."""
-        canon = self.canonical()
-        for r, c, v in zip(canon.rows, canon.cols, canon.vals):
-            yield int(r), int(c), float(v)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CooMatrix):
-            return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return (
-            a.shape == b.shape
-            and np.array_equal(a.rows, b.rows)
-            and np.array_equal(a.cols, b.cols)
-            and np.array_equal(a.vals, b.vals)
-        )

@@ -7,7 +7,7 @@ import pytest
 
 from sipcuts.cli import main
 from sipcuts.driver import BoundTrace, TraceRecord
-from sipcuts.instances import write_instance
+from sipcuts.instances import to_text, write_instance
 from sipcuts.model import toy_instance
 
 
@@ -62,6 +62,28 @@ def test_generate_bad_params_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["generate", "sslp", "--m", "0", "--out", str(tmp_path)])
     assert code == 2
     assert "error=" in err
+
+
+def test_generate_snip_nan_budget_exits_2(tmp_path, capsys):
+    out = tmp_path / "inst"
+    code, _, err = run_cli(
+        capsys,
+        [
+            "generate", "snip", "--nodes", "8", "--arcs", "14", "--interdictable", "5",
+            "--budgets", "nan", "--scenarios", "2", "--out", str(out),
+        ],
+    )
+    assert code == 2
+    assert "budget" in err
+    assert not list(out.iterdir())
+
+
+def test_root_nan_rhs_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.sip"
+    path.write_text(to_text(toy_instance()).replace("\nh 1.0\n", "\nh nan\n", 1))
+    code, _, err = run_cli(capsys, ["root", str(path), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert "non-finite" in err
 
 
 def test_root_toy_exact_reports_closure(tmp_path, t1_file, capsys):

@@ -19,7 +19,14 @@ from sipcuts.instances import (
     to_text,
     write_instance,
 )
-from sipcuts.model import BIN, CONT, build_extensive_form, eval_recourse, toy_instance
+from sipcuts.model import (
+    BIN,
+    CONT,
+    InstanceError,
+    build_extensive_form,
+    eval_recourse,
+    toy_instance,
+)
 from sipcuts.optbase import solve_mip
 
 from _oracles import milp_reference
@@ -263,8 +270,9 @@ def test_snip_param_validation():
         SnipParams(8, 5, 1, 1.0, 1)  # fewer arcs than the spine needs
     with pytest.raises(ValueError):
         SnipParams(8, 14, 0, 1.0, 1)
-    with pytest.raises(ValueError):
-        SnipParams(8, 14, 5, 0.0, 1)
+    for budget in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="budget"):
+            SnipParams(8, 14, 5, budget, 1)
     with pytest.raises(ValueError, match="forward arcs"):
         gen_snip(SnipParams(8, 200, 5, 1.0, 1))  # more arcs than forward pairs fit
     with pytest.raises(ValueError):
@@ -325,3 +333,32 @@ def test_format_rejects_bad_matrix_header():
     lines[wi + 1] = "1 1"
     with pytest.raises(FormatError, match="nrows ncols nnz"):
         from_text("\n".join(lines) + "\n")
+
+
+def _poison(text, key, token):
+    """`text` with the first value of the first `key` line, or of the first
+    entry of matrix `key`, replaced by `token`."""
+    lines = text.splitlines()
+    i = next(k for k, line in enumerate(lines) if line == key or line.startswith(key + " "))
+    if lines[i] == key:  # matrix: header line, then 'row col value' entries
+        i += 2
+        toks = lines[i].split()
+        toks[2] = token
+    else:
+        toks = lines[i].split()
+        toks[1] = token
+    lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "key,token",
+    [(key, "nan") for key in ("c", "b", "A", "lb", "ub", "prob", "q", "h", "W", "T")]
+    + [(key, tok) for key in ("c", "b", "A", "q", "h", "W", "T") for tok in ("inf", "-inf")],
+)
+def test_from_text_rejects_non_finite_data(key, token):
+    text = to_text(gen_snip(DESK_SNIP))
+    bad = _poison(text, key, token)
+    assert bad != text
+    with pytest.raises(InstanceError, match="non-finite|NaN"):
+        from_text(bad)

@@ -11,6 +11,7 @@ from _oracles import (
     z_ip_enum,
 )
 from conftest import make_tiny
+from sipcuts.instances import SnipParams, gen_snip
 from sipcuts.model import (
     BIN,
     EnumerationCapError,
@@ -186,6 +187,46 @@ def test_joint_scenario_program_value(t1):
     prog = joint_scenario_program(t1, 0, np.array([-1.0]), t1.scenarios[0].q)
     out = solve_mip(prog)
     assert out.status == OPTIMAL and abs(out.objective + 1.0) < 1e-9
+
+
+BLOCK_CASES = {
+    "tiny-card-row": lambda: make_tiny(3, card_row=True),
+    "snip-desk": lambda: gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_joint_scenario_program_block_layout(case):
+    inst = BLOCK_CASES[case]()
+    assert inst.A.nrows > 0
+    for s, scen in enumerate(inst.scenarios):
+        prog = joint_scenario_program(inst, s, inst.c, scen.q)
+        want = np.block(
+            [
+                [inst.A.to_dense(), np.zeros((inst.A.nrows, scen.ny))],
+                [scen.T.to_dense(), scen.W.to_dense()],
+            ]
+        )
+        assert np.array_equal(prog.A.to_dense(), want)
+        assert np.array_equal(prog.rhs, np.concatenate([inst.b, scen.h]))
+        assert np.array_equal(prog.c, np.concatenate([inst.c, scen.q]))
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_extensive_form_block_layout(case):
+    inst = BLOCK_CASES[case]()
+    ny = [scen.ny for scen in inst.scenarios]
+    blocks = [[inst.A.to_dense()] + [np.zeros((inst.A.nrows, k)) for k in ny]]
+    for s, scen in enumerate(inst.scenarios):
+        row = [scen.T.to_dense()]
+        for t, k in enumerate(ny):
+            row.append(scen.W.to_dense() if t == s else np.zeros((scen.nrows, k)))
+        blocks.append(row)
+    prog = build_extensive_form(inst).program
+    assert np.array_equal(prog.A.to_dense(), np.block(blocks))
+    assert np.array_equal(prog.rhs, np.concatenate([inst.b] + [scen.h for scen in inst.scenarios]))
+    want_c = np.concatenate([inst.c] + [scen.prob * scen.q for scen in inst.scenarios])
+    assert np.array_equal(prog.c, want_c)
 
 
 def test_recourse_program_rhs_shift(t1):
