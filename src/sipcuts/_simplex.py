@@ -1,13 +1,30 @@
-"""Dense bounded-variable primal simplex kernel.
+"""Dense bounded-variable simplex kernel.
 
 Solves   min c'x   s.t.  A x {<=,>=,==} b,  lb <= x <= ub
-with a two-phase method: slack columns absorb row senses, artificial
-columns give a feasible start, phase 1 minimizes the artificial sum.
-The basis inverse is kept explicitly and refactorized every 64 pivots.
-Entering variable: Dantzig rule, switching to Bland's rule after
-2*(rows+cols) consecutive degenerate steps. Leaving variable: minimum
-ratio, ties broken by largest pivot magnitude then lowest index, so
-runs are deterministic.
+over columns [structural | slack | artificial]: slack columns absorb
+row senses, artificial columns give a feasible start. The basis inverse
+is kept explicitly and refactorized every 64 pivots.
+
+Cold start: two-phase primal simplex from the slack/artificial basis;
+phase 1 minimizes the artificial sum. Entering variable: Dantzig rule,
+switching to Bland's rule after 2*(rows+cols) consecutive degenerate
+steps. Leaving variable: minimum ratio, ties broken by largest pivot
+magnitude then lowest index, so runs are deterministic.
+
+Warm start: a (basis, vstat) pair returned by an earlier solve of the
+same columns, over the same leading rows. Rows the start lacks (cuts
+added since) enter with their slack basic, and nonbasic columns sit at
+their current bounds. If that basis is dual feasible, a bounded dual
+simplex runs: the basic variable with the largest bound violation
+leaves, and the entering column minimizes |d_j / alpha_rj| over the
+columns that move it toward its bound, ties to the largest |alpha_rj|.
+When no column qualifies, the signed row of the basis inverse is a
+Farkas certificate. Once the basis is primal feasible, primal phase 2
+confirms optimality. This is dual re-optimization after a bound change
+or a new row, as in branch and bound and cutting-plane loops. A start
+that is not dual feasible, is singular, or ends in numerical trouble
+makes the attempt report status 4. `solve_dense` then runs the cold
+attempts, so a warm start never changes which problems are solved.
 
 The core loop is written in the numpy subset numba can compile. By
 default it is jitted (cache=True, nogil=True); setting the environment
@@ -15,9 +32,9 @@ variable SIPCUTS_PURE_NUMPY=1 before import selects the identical
 uncompiled path. `benchmarks/bench_simplex.py` times both.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 iteration limit,
-4 numerical trouble. For status 1 the returned ray holds the phase-1 row
-multipliers (a Farkas certificate); for status 2 it holds an improving
-primal direction in the structural variables.
+4 numerical trouble. For status 1 the returned ray holds row multipliers
+(a Farkas certificate); for status 2 it holds an improving primal
+direction in the structural variables.
 """
 
 from __future__ import annotations
@@ -35,92 +52,177 @@ NUMERIC = 4
 FEASTOL = 1e-7
 _TOL_D = 1e-9
 _TOL_PIV = 1e-9
+_TOL_DFEAS = 1e-7  # reduced-cost slack a warm start may carry
 _REFACTOR_EVERY = 64
 
 
-def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every):
+def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
     m, n = A.shape
-    ncol = n + 2 * m
+    nb = n + m  # structural and slack columns; a returned basis indexes these
+    ncol = nb + m
     inf = np.inf
+    warm = basis0.size > 0
 
     # columns: [structural | slack | artificial]; WT[j] is column j of the
     # equality system  A x + slack = b
     WT = np.zeros((ncol, m))
-    for j in range(n):
-        WT[j] = A[:, j]
-    lo = np.empty(ncol)
-    hi = np.empty(ncol)
+    WT[:n] = A.T
+    WT[n:nb] = np.eye(m)
+    lo = np.zeros(ncol)
+    hi = np.zeros(ncol)
     lo[:n] = lb
     hi[:n] = ub
-    for i in range(m):
-        WT[n + i, i] = 1.0
-        if sense[i] == 0:  # <=
-            lo[n + i], hi[n + i] = 0.0, inf
-        elif sense[i] == 1:  # >=
-            lo[n + i], hi[n + i] = -inf, 0.0
-        else:  # ==
-            lo[n + i], hi[n + i] = 0.0, 0.0
-        lo[n + m + i], hi[n + m + i] = 0.0, 0.0
+    # slack ranges: [0, inf) on <= rows, (-inf, 0] on >= rows, [0, 0] on == rows
+    lo[n:nb] = np.where(sense == 1, -inf, 0.0)
+    hi[n:nb] = np.where(sense == 0, inf, 0.0)
 
-    # nonbasic start: structural at the finite bound nearest zero, free at 0
+    # nonbasic start: structural at its finite lower bound, else at its
+    # finite upper bound, free at 0
     x = np.zeros(ncol)
     vstat = np.zeros(ncol, dtype=np.int8)  # 0 basic, 1 at lb, 2 at ub, 3 free
-    for j in range(n):
-        if np.isfinite(lo[j]):
-            x[j], vstat[j] = lo[j], 1
-        elif np.isfinite(hi[j]):
-            x[j], vstat[j] = hi[j], 2
-        else:
-            x[j], vstat[j] = 0.0, 3
-    for i in range(m):
-        vstat[n + i] = 2 if sense[i] == 1 else 1
-        vstat[n + m + i] = 1
-
-    r = b - x[:n] @ WT[:n]  # residuals with slacks at zero
-    basis = np.empty(m, dtype=np.int64)
-    Binv = np.eye(m)
-    for i in range(m):
-        ri = r[i]
-        slack_ok = (
-            (sense[i] == 0 and ri >= 0.0)
-            or (sense[i] == 1 and ri <= 0.0)
-            or (sense[i] == 2 and ri == 0.0)
-        )
-        if slack_ok:
-            basis[i] = n + i
-            x[n + i] = ri
-            vstat[n + i] = 0
-            WT[n + m + i, i] = 1.0  # unused artificial, stays fixed at 0
-        else:
-            sig = 1.0 if ri >= 0.0 else -1.0
-            WT[n + m + i, i] = sig
-            basis[i] = n + m + i
-            x[n + m + i] = sig * ri
-            vstat[n + m + i] = 0
-            hi[n + m + i] = inf
-            Binv[i, i] = sig
+    flo = np.isfinite(lo[:n])
+    fhi = np.isfinite(hi[:n])
+    vstat[:n] = np.where(flo, 1, np.where(fhi, 2, 3))
+    x[:n] = np.where(flo, lo[:n], np.where(fhi, hi[:n], 0.0))
+    vstat[n:nb] = np.where(sense == 1, 2, 1)
+    vstat[nb:] = 1
 
     cost = np.zeros(ncol)
-    cost[n + m :] = 1.0  # phase 1: minimize artificial sum
+    y = np.zeros(m)
+    ray = np.zeros(nb)
+    it = 0
+    status = -1
+    if not warm:
+        # slack basis where the residual fits the row sense, an artificial
+        # carrying the residual elsewhere
+        r = b - x[:n] @ WT[:n]  # residuals with slacks at zero
+        ok = ((sense == 0) & (r >= 0.0)) | ((sense == 1) & (r <= 0.0)) | ((sense == 2) & (r == 0.0))
+        sig = np.where(ok | (r >= 0.0), 1.0, -1.0)
+        rows = np.arange(m)
+        basis = np.where(ok, n + rows, nb + rows)
+        x[n:nb] = np.where(ok, r, 0.0)
+        x[nb:] = np.where(ok, 0.0, sig * r)
+        vstat[n:nb] = np.where(ok, 0, vstat[n:nb])
+        vstat[nb:] = np.where(ok, 1, 0)
+        hi[nb:] = np.where(ok, 0.0, inf)  # used artificials may rise, unused stay at 0
+        WT[nb:] = np.diag(sig)
+        Binv = np.diag(sig)
+        cost[nb:] = 1.0  # phase 1: minimize artificial sum
+        phase = 1
+    else:
+        # the start's basis, with the slacks of rows it lacks basic;
+        # artificials stay nonbasic at 0
+        m0 = basis0.size
+        basis = np.empty(m, dtype=np.int64)
+        basis[:m0] = basis0
+        basis[m0:] = n + np.arange(m0, m)
+        vstat[: n + m0] = vstat0
+        vstat[n + m0 : nb] = 0
+        WT[nb:] = np.eye(m)
+        vs = vstat[:nb]
+        fl = np.isfinite(lo[:nb])
+        fh = np.isfinite(hi[:nb])
+        inbasis = np.zeros(nb, dtype=np.bool_)
+        inbasis[basis] = True
+        # every nonbasic status must name a bound this program has
+        bad = ((vs == 1) & ~fl) | ((vs == 2) & ~fh) | ((vs == 3) & (fl | fh))
+        if np.any(bad | (inbasis != (vs == 0))):
+            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy()
+        x[:nb] = np.where(vs == 1, lo[:nb], np.where(vs == 2, hi[:nb], 0.0))
+        Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
+        x[basis] = 0.0
+        x[basis] = Binv @ (b - x @ WT)
+        if np.abs(x @ WT - b).max() > 1e-6 * (1.0 + np.abs(b).max()):  # near singular
+            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy()
+        cost[:n] = c
+        phase = 2
 
-    phase = 1
     bland = False
     bland_after = 2 * (m + ncol)
     degen_streak = 0
     since_refactor = 0
-    it = 0
-    status = -1
-    y = np.zeros(m)
-    ray = np.zeros(n + m)
     scale_b = 1.0 + np.abs(b).max() if m > 0 else 1.0
     rng_ok = (hi - lo) > 1e-12
 
-    while True:
+    if warm:
+        y = cost[basis] @ Binv
+        d = cost - WT @ y
+        dual_bad = (
+            ((vstat == 1) & (d < -_TOL_DFEAS))
+            | ((vstat == 2) & (d > _TOL_DFEAS))
+            | ((vstat == 3) & (np.abs(d) > _TOL_DFEAS))
+        ) & rng_ok
+        if dual_bad.any():
+            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy()
+        # bounded dual simplex until the basic values fit their bounds;
+        # primal phase 2 below then confirms optimality
+        while True:
+            if since_refactor >= refactor_every:
+                Binv = np.empty((0, 0))  # free the old inverse first
+                Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
+                xt = x.copy()
+                xt[basis] = 0.0
+                x[basis] = Binv @ (b - xt @ WT)
+                since_refactor = 0
+            xb = x[basis]
+            below = lo[basis] - xb
+            above = xb - hi[basis]
+            viol = np.maximum(below, above)
+            leave = np.argmax(viol)
+            if viol[leave] <= FEASTOL:
+                break
+            it += 1
+            if it > itmax:
+                status = ITER_LIMIT
+                break
+            up = below[leave] > above[leave]  # the leaving variable must rise to its lb
+            y = cost[basis] @ Binv
+            d = cost - WT @ y
+            alpha = WT @ Binv[leave]
+            if up:
+                elig = ((vstat == 1) & (alpha < -_TOL_PIV)) | ((vstat == 2) & (alpha > _TOL_PIV))
+            else:
+                elig = ((vstat == 1) & (alpha > _TOL_PIV)) | ((vstat == 2) & (alpha < -_TOL_PIV))
+            elig = (elig | ((vstat == 3) & (np.abs(alpha) > _TOL_PIV))) & rng_ok
+            if not elig.any():
+                # no column can move the row toward its bound: the row of
+                # Binv, signed, is a Farkas certificate
+                status = INFEASIBLE
+                ray[n:nb] = -Binv[leave] if up else Binv[leave]
+                break
+            dd = np.where(
+                vstat == 1, np.maximum(d, 0.0), np.where(vstat == 2, np.maximum(-d, 0.0), np.abs(d))
+            )
+            absa = np.abs(alpha)
+            ratio = np.where(elig, dd / np.where(elig, absa, 1.0), inf)
+            tmin = ratio.min()
+            e = np.argmax(np.where(elig & (ratio <= tmin + 1e-9), absa, -1.0))
+            u = Binv @ WT[e]
+            piv = u[leave]
+            if abs(piv) <= _TOL_PIV:
+                status = NUMERIC
+                break
+            lv = basis[leave]
+            bound = lo[lv] if up else hi[lv]
+            t = (x[lv] - bound) / piv
+            x[basis] = xb - t * u
+            x[e] = x[e] + t
+            x[lv] = bound
+            vstat[lv] = 1 if up else 2
+            basis[leave] = e
+            vstat[e] = 0
+            rowl = Binv[leave] / piv
+            Binv -= np.outer(u, rowl)
+            Binv[leave] = rowl
+            since_refactor += 1
+
+    while status < 0:
         it += 1
         if it > itmax:
             status = ITER_LIMIT
             break
         if since_refactor >= refactor_every:
+            Binv = np.empty((0, 0))  # free the old inverse first
             Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
             xt = x.copy()
             xt[basis] = 0.0
@@ -250,6 +352,7 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every):
         since_refactor += 1
 
     if status == OPTIMAL and m > 0:
+        Binv = np.empty((0, 0))  # free the old inverse first
         Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
         xt = x.copy()
         xt[basis] = 0.0
@@ -268,7 +371,7 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every):
             status = NUMERIC
 
     obj = float(c @ x[:n])
-    return status, x[:n].copy(), obj, y, ray, it
+    return status, x[:n].copy(), obj, y, ray, it, basis.copy(), vstat[:nb].copy()
 
 
 _PURE = os.environ.get("SIPCUTS_PURE_NUMPY", "") not in ("", "0")
@@ -363,15 +466,41 @@ def _farkas_certifies(A, b, sense, lb, ub, ray):
     return float(y @ b) - bound > FEASTOL * (1.0 + abs(bound))
 
 
-def solve_dense(A, b, sense, c, lb, ub, itmax=0):
+def _warm_start(warm, n, m):
+    """`warm` as (basis, vstat) arrays the core accepts, or None when it
+    is absent or does not describe a start for an n-column program with
+    at least as many rows."""
+    if warm is None:
+        return None
+    basis0 = np.ascontiguousarray(warm[0], dtype=np.int64)
+    vstat0 = np.ascontiguousarray(warm[1], dtype=np.int8)
+    m0 = basis0.size
+    if basis0.ndim != 1 or not 0 < m0 <= m or vstat0.shape != (n + m0,):
+        return None
+    if basis0.min() < 0 or basis0.max() >= n + m0:
+        return None
+    return basis0, vstat0
+
+
+_COLD = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
+
+
+def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None):
     """Run the kernel on dense float64 data. Handles the no-row case that
     the compiled core does not.
 
-    A run that ends in numerical trouble is retried on an equilibrated
-    copy of the data with more frequent basis refactorization; solutions,
-    duals, and rays are mapped back to the original scaling. Infeasible
-    and unbounded exits are only accepted when their certificates check
-    out against the original data."""
+    `warm` is an optional (basis, vstat) pair returned by an earlier solve
+    of the same columns with the same or fewer leading rows. It is tried
+    first; if it is not dual feasible or the attempt fails, the cold
+    attempts follow. A run that ends in numerical trouble is retried on an
+    equilibrated copy of the data with more frequent basis
+    refactorization; solutions, duals, and rays are mapped back to the
+    original scaling. Infeasible and unbounded exits are only accepted
+    when their certificates check out against the original data.
+
+    Returns (status, x, obj, y, ray, iterations, basis); `basis` is the
+    final (basis, vstat) pair when the solve is optimal with no
+    artificial basic, else None."""
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     sense = np.ascontiguousarray(sense, dtype=np.int8)
@@ -386,27 +515,32 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0):
         ray = np.zeros(n)
         for j in range(n):
             if lb[j] > ub[j]:
-                return INFEASIBLE, x, 0.0, b.copy(), ray, 0
+                return INFEASIBLE, x, 0.0, b.copy(), ray, 0, None
             if c[j] > 0.0:
                 if not np.isfinite(lb[j]):
                     ray[j] = -1.0
-                    return UNBOUNDED, x, 0.0, b.copy(), ray, 0
+                    return UNBOUNDED, x, 0.0, b.copy(), ray, 0, None
                 x[j] = lb[j]
             elif c[j] < 0.0:
                 if not np.isfinite(ub[j]):
                     ray[j] = 1.0
-                    return UNBOUNDED, x, 0.0, b.copy(), ray, 0
+                    return UNBOUNDED, x, 0.0, b.copy(), ray, 0, None
                 x[j] = ub[j]
             else:
                 x[j] = lb[j] if np.isfinite(lb[j]) else (ub[j] if np.isfinite(ub[j]) else 0.0)
-        return OPTIMAL, x, float(c @ x), b.copy(), ray, 0
+        return OPTIMAL, x, float(c @ x), b.copy(), ray, 0, None
     status = NUMERIC
     x = np.zeros(n)
     obj = 0.0
     y = np.zeros(m)
     ray = np.zeros(n)
     it = 0
-    for scaled, refactor_every in _ATTEMPTS:
+    basis = vstat = None
+    start = _warm_start(warm, n, m)
+    attempts = [(scaled, every, _COLD) for scaled, every in _ATTEMPTS]
+    if start is not None:
+        attempts.insert(0, (False, _REFACTOR_EVERY, start))
+    for scaled, refactor_every, (basis0, vstat0) in attempts:
         if scaled:
             R, C = _pow2_scales(A)
             As = A * np.outer(R, C)
@@ -417,8 +551,8 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0):
             R = C = None
             As, bs, cs, lbs, ubs = A, b, c, lb, ub
         try:
-            status, x, obj, y, rayfull, it = _lp_core(
-                As, bs, sense, cs, lbs, ubs, itmax, refactor_every
+            status, x, obj, y, rayfull, it, basis, vstat = _lp_core(
+                As, bs, sense, cs, lbs, ubs, itmax, refactor_every, basis0, vstat0
             )
         except np.linalg.LinAlgError:
             status = NUMERIC
@@ -444,4 +578,7 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0):
                 status = NUMERIC
                 continue
         break
-    return status, x, obj, y, ray, it
+    final = None
+    if status == OPTIMAL and basis.max() < n + m:
+        final = (basis, vstat)
+    return status, x, obj, y, ray, it, final

@@ -110,10 +110,11 @@ class MasterModel:
         )
 
     def solve(
-        self, lb: np.ndarray | None = None, ub: np.ndarray | None = None
+        self, lb: np.ndarray | None = None, ub: np.ndarray | None = None, warm=None
     ) -> tuple[SolveOutcome, np.ndarray, np.ndarray]:
-        """Solve the master LP; returns (outcome, x, theta)."""
-        out = solve_lp(self.build_program(lb, ub))
+        """Solve the master LP, from the `basis` of an earlier outcome
+        when `warm` is given; returns (outcome, x, theta)."""
+        out = solve_lp(self.build_program(lb, ub), warm=warm)
         if out.status != optbase.OPTIMAL:
             return out, np.zeros(self.inst.nx), np.zeros(self.inst.nscen)
         n = self.inst.nx

@@ -175,11 +175,11 @@ def _latest_classical(cuts: list[Cut], s: int) -> Cut | None:
     return None
 
 
-def _solve_master(master: MasterModel):
-    out, x, theta = master.solve()
+def _solve_master(master: MasterModel, warm):
+    out, x, theta = master.solve(warm=warm)
     if out.status != optbase.OPTIMAL:
         raise InstanceError(f"cut master is {out.status}; cannot run the root loop")
-    return out.objective, x, theta
+    return out.objective, x, theta, out.basis
 
 
 def run_root_loop(
@@ -196,14 +196,15 @@ def run_root_loop(
     master = MasterModel(inst, theta_lb)
     pools = [ScenarioPool() for _ in range(inst.nscen)]
     iteration = 0
+    basis = None  # the last master basis; cuts only append rows
 
     def out_of_time() -> bool:
         return time.monotonic() - start >= cfg.time_limit
 
     def resolve() -> tuple[float, np.ndarray, np.ndarray]:
-        nonlocal iteration
+        nonlocal iteration, basis
         iteration += 1
-        bound, x, theta = _solve_master(master)
+        bound, x, theta, basis = _solve_master(master, basis)
         trace.record(bound, iteration, master.counts())
         return bound, x, theta
 
@@ -353,11 +354,11 @@ def run_branch_and_cut(
             memo[key] = got
         return got
 
-    def relax(lb, ub):
-        out, _, _ = root.solve(lb, ub)
+    def relax(lb, ub, warm):
+        out, _, _ = root.solve(lb, ub, warm)
         if out.status not in (optbase.OPTIMAL, optbase.INFEASIBLE):
             raise optbase.KernelError(f"node relaxation came back {out.status}")
-        return out.status, out.objective, out.x
+        return out.status, out.objective, out.x, out.basis
 
     def closed(bound, upper):
         return upper < math.inf and relative_gap(upper, bound) <= BC_GAP_TOL

@@ -7,8 +7,11 @@ runs it on the kernel and records every improving incumbent, so a
 caller can harvest sub-optimal feasible points as well, and the
 driver's branch-and-cut runs it on the cut master with lazy cuts.
 
-Everything is deterministic: identical inputs give identical outputs,
-including the incumbent pool order and node counts.
+Every node after the root starts the kernel from its parent's final
+basis (dual simplex after the bound change), and a branch-and-cut node
+solved again after lazy cuts starts from its own basis. This stays
+deterministic: identical inputs give identical outputs, including the
+incumbent pool order and node counts.
 """
 
 from __future__ import annotations
@@ -118,26 +121,31 @@ class SolveOutcome:
     bound: float | None = None
     incumbent_pool: list = field(default_factory=list)
     node_count: int = 0
+    basis: tuple | None = None  # final (basis, vstat) of an optimal LP, a warm start
 
 
-def _solve_dense(c, A, senses, rhs, lb, ub, itmax=0):
-    return _simplex.solve_dense(A, rhs, senses, c, lb, ub, itmax=itmax)
+def _solve_dense(c, A, senses, rhs, lb, ub, itmax=0, warm=None):
+    return _simplex.solve_dense(A, rhs, senses, c, lb, ub, itmax=itmax, warm=warm)
 
 
-def solve_lp(prog: LinearProgram, itmax: int = 0) -> SolveOutcome:
+def solve_lp(prog: LinearProgram, itmax: int = 0, warm=None) -> SolveOutcome:
     """Solve an LP; a `MipProgram` is solved as its LP relaxation.
-    Optimal outcomes carry row duals satisfying strong duality;
-    infeasible ones carry Farkas row multipliers in `ray`; unbounded
-    ones carry an improving primal direction."""
+    Optimal outcomes carry row duals satisfying strong duality and the
+    final basis; infeasible ones carry Farkas row multipliers in `ray`;
+    unbounded ones carry an improving primal direction. `warm` is the
+    `basis` of an earlier outcome on the same columns and the same
+    leading rows; rows added since then start with their slack basic."""
     sign = -1.0 if prog.maximize else 1.0
     dense = prog.A.to_dense()
-    status, x, obj, y, ray, _ = _solve_dense(
-        sign * prog.c, dense, prog.senses, prog.rhs, prog.lb, prog.ub, itmax
+    status, x, obj, y, ray, _, basis = _solve_dense(
+        sign * prog.c, dense, prog.senses, prog.rhs, prog.lb, prog.ub, itmax, warm=warm
     )
     if status == _simplex.NUMERIC:
         raise KernelError("simplex reported numerical trouble")
     if status == _simplex.OPTIMAL:
-        return SolveOutcome(status=OPTIMAL, x=x, objective=sign * obj + prog.c0, duals=sign * y)
+        return SolveOutcome(
+            status=OPTIMAL, x=x, objective=sign * obj + prog.c0, duals=sign * y, basis=basis
+        )
     if status == _simplex.INFEASIBLE:
         return SolveOutcome(status=INFEASIBLE, x=x, ray=ray)
     if status == _simplex.UNBOUNDED:
@@ -164,8 +172,10 @@ def best_bound_search(
     """Deterministic best-bound branch and bound, minimizing.
 
     Nodes are (lb, ub) boxes, taken lowest bound first with FIFO ties;
-    the root box goes first. `relax(lb, ub)` returns (status, value, x)
-    with status OPTIMAL, INFEASIBLE or UNBOUNDED. `closed(bound, inc)`
+    the root box goes first. `relax(lb, ub, warm)` returns (status,
+    value, x, basis) with status OPTIMAL, INFEASIBLE or UNBOUNDED; `warm`
+    is None at the root, the node's own basis when it is solved again,
+    and its parent's basis otherwise. `closed(bound, inc)`
     says a node of that bound cannot improve the incumbent value `inc`;
     when the best open node is closed the search is done. At a node
     whose `x[int_idx]` is integral `on_integral(x, value, lb, ub, inc)`
@@ -178,7 +188,7 @@ def best_bound_search(
     (inf when none is left).
     """
     t0 = time.monotonic()
-    heap = [(-math.inf, 0, lb, ub)]
+    heap = [(-math.inf, 0, lb, ub, None)]
     seq = 1
     inc, inc_val, nodes = None, math.inf, 0
     while heap:
@@ -187,10 +197,10 @@ def best_bound_search(
             return OPTIMAL, inc, inc_val, top, nodes
         if nodes >= node_limit or time.monotonic() - t0 >= time_limit:
             return LIMIT, inc, inc_val, top, nodes
-        _, _, nlb, nub = heapq.heappop(heap)
+        _, _, nlb, nub, warm = heapq.heappop(heap)
         nodes += 1
         while True:
-            status, val, x = relax(nlb, nub)
+            status, val, x, warm = relax(nlb, nub, warm)
             if status == UNBOUNDED:
                 return UNBOUNDED, None, math.inf, -math.inf, nodes
             if status == INFEASIBLE or closed(val, inc_val):
@@ -208,8 +218,8 @@ def best_bound_search(
             ub_dn[j] = np.floor(x[j])
             lb_up = nlb.copy()
             lb_up[j] = np.ceil(x[j])
-            heapq.heappush(heap, (val, seq, nlb, ub_dn))
-            heapq.heappush(heap, (val, seq + 1, lb_up, nub))
+            heapq.heappush(heap, (val, seq, nlb, ub_dn, warm))
+            heapq.heappush(heap, (val, seq + 1, lb_up, nub, warm))
             seq += 2
             break
     return (INFEASIBLE if inc is None else OPTIMAL), inc, inc_val, math.inf, nodes
@@ -235,11 +245,11 @@ def solve_mip(
     lb0, ub0 = _round_in_integer_bounds(prog.lb, prog.ub, prog.is_int)
     pool = []
 
-    def relax(lb, ub):
-        status, x, obj, _, _, _ = _solve_dense(c, dense, senses, rhs, lb, ub)
+    def relax(lb, ub, warm):
+        status, x, obj, _, _, _, basis = _solve_dense(c, dense, senses, rhs, lb, ub, warm=warm)
         if status == _simplex.NUMERIC or status == _simplex.ITER_LIMIT:
             raise KernelError("simplex failure inside branch and bound")
-        return (OPTIMAL, INFEASIBLE, UNBOUNDED)[status], obj, x
+        return (OPTIMAL, INFEASIBLE, UNBOUNDED)[status], obj, x, basis
 
     def closed(bound, inc_val):
         return bound >= inc_val - 1e-9 * (1.0 + abs(inc_val))

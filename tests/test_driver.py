@@ -270,6 +270,61 @@ def test_bc_desk_sslp_modes_agree_and_lagrangian_root_saves_nodes():
     assert rl.node_count == 1  # the multiplier root closes the gap here
 
 
+def test_qbar_oracle_lps_warm_start_to_few_pivots(monkeypatch):
+    from sipcuts import lagrangian, optbase
+
+    inside = []
+    lps, pivots = [], []
+    kernel, oracle = optbase._solve_dense, lagrangian.eval_qbar
+
+    def counting(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        if inside:
+            lps.append(1)
+            pivots.append(out[5])
+        return out
+
+    def marked(*args, **kwargs):
+        inside.append(1)
+        try:
+            return oracle(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(optbase, "_solve_dense", counting)
+    monkeypatch.setattr(lagrangian, "eval_qbar", marked)
+    res, _ = solve_lbc(gen_sslp(SslpParams(3, 5, 3, seed=7)))
+    assert res.status == "optimal" and len(lps) > 50
+    assert sum(pivots) / len(lps) <= 8.0
+
+
+def test_bc_resolve_after_lazy_cuts_warm_starts_from_shorter_basis(monkeypatch):
+    calls = []
+    solve = MasterModel.solve
+
+    def recording(self, lb=None, ub=None, warm=None):
+        out = solve(self, lb, ub, warm)
+        if lb is not None:  # a branch-and-cut node
+            rows = self.inst.A.nrows + len(self.cuts)
+            calls.append((lb.copy(), ub.copy(), warm, out[0].basis, rows))
+        return out
+
+    monkeypatch.setattr(MasterModel, "solve", recording)
+    res, _ = solve_bbc(gen_sslp(SslpParams(3, 5, 3, seed=7)))
+    assert res.status == "optimal" and res.node_count > 1
+    assert calls[0][2] is None
+    resolves = [
+        k
+        for k in range(1, len(calls))
+        if np.array_equal(calls[k][0], calls[k - 1][0])
+        and np.array_equal(calls[k][1], calls[k - 1][1])
+        and calls[k][2] is calls[k - 1][3]
+        and calls[k][2][0].size < calls[k][4]
+    ]
+    assert resolves, "a node solved again after lazy cuts starts from its own shorter basis"
+    assert all(w is None or w[0].size <= rows for _, _, w, _, rows in calls)
+
+
 def test_lbc_survives_wide_coefficient_ranges():
     # These instances once drove the separation masters into bases the
     # simplex could not hold together at its default refactorization

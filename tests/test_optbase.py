@@ -453,3 +453,185 @@ def test_lp_relaxation_drops_integrality():
     assert out.status == ref_status
     if ref_status == OPTIMAL:
         assert abs(out.objective - ref_obj) <= 1e-6 * (1 + abs(ref_obj))
+
+
+# ------------------------------------------------------------ warm starts
+
+
+def _bounded_lp(seed):
+    """Seeded feasible LP on a finite box: every row holds at an anchor
+    point inside the box, with slack on the inequalities."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(4, 9)), int(rng.integers(6, 13))
+    dense = np.round(rng.uniform(-5.0, 5.0, (m, n)))
+    ub = rng.integers(2, 8, n).astype(float)
+    anchor = rng.uniform(0.1, 0.9, n) * ub
+    senses = rng.choice(np.array([LE, GE, EQ], dtype=np.int8), m, p=[0.45, 0.45, 0.1])
+    gap = rng.uniform(0.5, 3.0, m)
+    rhs = dense @ anchor + np.where(senses == LE, gap, np.where(senses == GE, -gap, 0.0))
+    c = np.round(rng.uniform(-5.0, 5.0, n))
+    return _lp(c, dense, senses, rhs, np.zeros(n), ub), anchor
+
+
+def _kernel(lp, warm=None):
+    from sipcuts import _simplex
+
+    return _simplex.solve_dense(lp.A.to_dense(), lp.rhs, lp.senses, lp.c, lp.lb, lp.ub, warm=warm)
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """Counts `_simplex._lp_core` attempts; each solve makes one per attempt."""
+    from sipcuts import _simplex
+
+    calls = []
+    core = _simplex._lp_core
+
+    def counting(*args):
+        calls.append(1)
+        return core(*args)
+
+    monkeypatch.setattr(_simplex, "_lp_core", counting)
+    return calls
+
+
+def _assert_matches_cold_and_reference(lp, warm_out):
+    cold = _kernel(lp)
+    ref_status, ref_obj = linprog_reference(lp)
+    status = (OPTIMAL, INFEASIBLE, UNBOUNDED)[warm_out[0]]
+    assert cold[0] == warm_out[0] and status == ref_status
+    if ref_status == OPTIMAL:
+        for z in (cold[2], ref_obj):
+            assert abs(warm_out[2] - z) <= 1e-9 * (1.0 + abs(z))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_warm_bound_change_matches_cold_and_reference(seed, core_calls):
+    lp, _ = _bounded_lp(seed)
+    parent = _kernel(lp)
+    assert parent[0] == 0 and parent[6] is not None
+    basis = parent[6][0]
+    x = parent[1]
+    frac = [j for j in basis if j < lp.nvars and abs(x[j] - np.round(x[j])) > 1e-6]
+    assert frac, "every seeded parent has a fractional basic column"
+    j = int(frac[0])
+    for side in ("down", "up"):
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        if side == "down":
+            ub[j] = np.floor(x[j])
+        else:
+            lb[j] = np.ceil(x[j])
+        child = _lp(lp.c, lp.A.to_dense(), lp.senses, lp.rhs, lb, ub)
+        del core_calls[:]
+        out = _kernel(child, warm=parent[6])
+        assert len(core_calls) == 1, "the warm attempt was accepted"
+        _assert_matches_cold_and_reference(child, out)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_warm_appended_rows_match_cold_and_reference(seed, core_calls):
+    lp, anchor = _bounded_lp(seed)
+    parent = _kernel(lp)
+    x = parent[1]
+    # rows through the segment from x* to the anchor cut x* off and keep the anchor
+    rng = np.random.default_rng(100 + seed)
+    rows, rhs = [], []
+    for _ in range(3):
+        a = np.round((anchor - x) * 4.0 + rng.uniform(-0.5, 0.5, x.size))
+        if a @ anchor > a @ x + 1e-3:
+            rows.append(a)
+            rhs.append(a @ x + 0.5 * (a @ anchor - a @ x))
+    assert rows
+    child = _lp(
+        lp.c,
+        np.vstack([lp.A.to_dense(), rows]),
+        np.concatenate([lp.senses, np.full(len(rows), GE, dtype=np.int8)]),
+        np.concatenate([lp.rhs, rhs]),
+        lp.lb,
+        lp.ub,
+    )
+    del core_calls[:]
+    out = _kernel(child, warm=parent[6])
+    assert len(core_calls) == 1
+    assert out[6] is not None and out[6][0].size == child.nrows
+    _assert_matches_cold_and_reference(child, out)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_warm_infeasible_child_returns_certified_ray(seed, core_calls):
+    from sipcuts import _simplex
+
+    lp, _ = _bounded_lp(seed)
+    parent = _kernel(lp)
+    # sum x >= sum ub + 1 cannot hold inside the box
+    dense = np.vstack([lp.A.to_dense(), np.ones(lp.nvars)])
+    senses = np.concatenate([lp.senses, [GE]]).astype(np.int8)
+    rhs = np.concatenate([lp.rhs, [lp.ub.sum() + 1.0]])
+    del core_calls[:]
+    out = _simplex.solve_dense(dense, rhs, senses, lp.c, lp.lb, lp.ub, warm=parent[6])
+    assert len(core_calls) == 1
+    assert out[0] == _simplex.INFEASIBLE and out[6] is None
+    assert _simplex._farkas_certifies(dense, rhs, senses, lp.lb, lp.ub, out[4])
+
+
+def _same_output(a, b):
+    assert a[0] == b[0] and a[2] == b[2] and a[5] == b[5]
+    for u, v in zip(a[1:2] + a[3:5], b[1:2] + b[3:5]):
+        assert u.tobytes() == v.tobytes()
+
+
+def test_warm_start_not_dual_feasible_falls_back_to_cold(core_calls):
+    lp, _ = _bounded_lp(3)
+    parent = _kernel(lp)
+    flipped = _lp(-lp.c, lp.A.to_dense(), lp.senses, lp.rhs, lp.lb, lp.ub)
+    del core_calls[:]
+    cold = _kernel(flipped)
+    assert len(core_calls) == 1
+    del core_calls[:]
+    warm = _kernel(flipped, warm=parent[6])
+    assert len(core_calls) == 2
+    _same_output(warm, cold)
+
+
+def test_warm_start_singular_basis_falls_back_to_cold(core_calls):
+    # column 1 is twice column 0, so a basis holding both is singular
+    lp = _lp([-1.0, -1.0, -1.0], [[1.0, 2.0, 1.0], [1.0, 2.0, -1.0]], [LE, LE], [4.0, 2.0], [0, 0, 0], [3, 3, 3])
+    singular = (np.array([0, 1]), np.array([0, 0, 1, 1, 1], dtype=np.int8))
+    del core_calls[:]
+    cold = _kernel(lp)
+    del core_calls[:]
+    warm = _kernel(lp, warm=singular)
+    assert len(core_calls) == 2
+    _same_output(warm, cold)
+    assert warm[0] == 0
+
+
+def test_mip_children_start_from_the_parent_basis(monkeypatch):
+    calls = []
+    kernel = optbase._solve_dense
+
+    def recording(c, A, senses, rhs, lb, ub, *args, warm=None, **kwargs):
+        out = kernel(c, A, senses, rhs, lb, ub, *args, warm=warm, **kwargs)
+        calls.append((lb.copy(), ub.copy(), warm, out[6]))
+        return out
+
+    monkeypatch.setattr(optbase, "_solve_dense", recording)
+    warm_children = 0
+    for seed in range(40):
+        del calls[:]
+        out = solve_mip(_random_mip(seed))
+        assert out.node_count == len(calls)
+        assert calls[0][2] is None
+        for k in range(1, len(calls)):
+            lb, ub, warm, _ = calls[k]
+            # the parent box is the child box with one bound loosened
+            parents = [
+                p
+                for p in range(k)
+                if np.all(lb >= calls[p][0])
+                and np.all(ub <= calls[p][1])
+                and np.count_nonzero(lb != calls[p][0]) + np.count_nonzero(ub != calls[p][1]) == 1
+            ]
+            assert len(parents) == 1 and warm is calls[parents[0]][3]
+            warm_children += warm is not None
+    assert warm_children > 10
