@@ -3,10 +3,12 @@
 
 The kernel backend is chosen at import time from SIPCUTS_PURE_NUMPY, so
 the script re-executes itself in a subprocess per mode and prints one
-timing table at the end.  Workloads cover the three layers that lean on
-the kernel: raw dense LP solves, branch-and-bound MIP solves, and a full
-branch-and-cut run on a generated server-location instance. Modes whose
-backend is not installed (numba) are skipped and named in the output.
+timing table at the end.  Workloads cover the layers that lean on the
+kernel: raw dense LP solves, warm re-solves of tall, mostly-slack LPs
+shaped like a cut master (after a bound change and after appended rows),
+branch-and-bound MIP solves, and a full branch-and-cut run on a
+generated server-location instance. Modes whose backend is not installed
+(numba) are skipped and named in the output.
 
 Usage:
     python3 benchmarks/bench_simplex.py [--repeat N] [--modes numba,numpy]
@@ -48,6 +50,55 @@ def _random_lp(rng, m, n):
     )
 
 
+def _tall_lp(rng, m, n):
+    """Feasible LP shaped like a cut master: m >= rows on n columns in
+    [0, 10], each row slack at the anchor x0; returns (lp, x0)."""
+    import numpy as np
+
+    from sipcuts.optbase import GE, LinearProgram
+    from sipcuts.sparse import CooMatrix
+
+    A = rng.uniform(-1.0, 1.0, (m, n))
+    x0 = rng.uniform(0.0, 10.0, n)
+    lp = LinearProgram(
+        c=rng.uniform(-1.0, 1.0, n),
+        A=CooMatrix.from_dense(A),
+        senses=np.full(m, GE, dtype=np.int8),
+        rhs=A @ x0 - rng.uniform(0.1, 1.0, m),
+        lb=np.zeros(n),
+        ub=np.full(n, 10.0),
+    )
+    return lp, x0
+
+
+def _warm_children(rng, lp, x0, parent):
+    """The parent LP with one bound moved, and with rows appended; both
+    cut the parent optimum off and keep x0 feasible."""
+    import dataclasses
+
+    import numpy as np
+
+    from sipcuts.optbase import GE
+    from sipcuts.sparse import CooMatrix
+
+    x = parent.x
+    j = int(np.argmax(np.abs(x - x0)))
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    if x[j] > x0[j]:
+        ub[j] = 0.5 * (x[j] + x0[j])
+    else:
+        lb[j] = 0.5 * (x[j] + x0[j])
+    rows = (x0 - x) + rng.uniform(-0.1, 0.1, (5, x.size))
+    rows = rows[rows @ x0 > rows @ x]
+    cut = dataclasses.replace(
+        lp,
+        A=CooMatrix.from_dense(np.vstack([lp.A.to_dense(), rows])),
+        senses=np.concatenate([lp.senses, np.full(len(rows), GE, dtype=np.int8)]),
+        rhs=np.concatenate([lp.rhs, 0.5 * (rows @ x + rows @ x0)]),
+    )
+    return [dataclasses.replace(lp, lb=lb, ub=ub), cut]
+
+
 def _random_mip(rng, m, n):
     """Feasible all-integer program: an integer point anchors the rows."""
     import numpy as np
@@ -80,6 +131,11 @@ def run_workloads(repeat: int) -> dict:
     rng = np.random.default_rng(7)
     lps = [_random_lp(rng, 40, 60) for _ in range(25 * repeat)]
     mips = [_random_mip(rng, 8, 12) for _ in range(5 * repeat)]
+    warm_jobs = []
+    for _ in range(5 * repeat):
+        lp, x0 = _tall_lp(rng, 400, 20)
+        parent = solve_lp(lp)
+        warm_jobs += [(child, parent.basis) for child in _warm_children(rng, lp, x0, parent)]
     inst = gen_sslp(SslpParams(5, 10, 5, seed=1))
 
     # Warm-up pass so jit compilation is not billed to the first workload.
@@ -93,6 +149,12 @@ def run_workloads(repeat: int) -> dict:
         out = solve_lp(lp)
         assert out.status == OPTIMAL
     timings[f"dense LP 40x60 ({len(lps)} solves)"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    for lp, basis in warm_jobs:
+        out = solve_lp(lp, warm=basis)
+        assert out.status == OPTIMAL
+    timings[f"warm re-solve 400x20 ({len(warm_jobs)} solves)"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for mip in mips:

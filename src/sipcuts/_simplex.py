@@ -2,14 +2,28 @@
 
 Solves   min c'x   s.t.  A x {<=,>=,==} b,  lb <= x <= ub
 over columns [structural | slack | artificial]: slack columns absorb
-row senses, artificial columns give a feasible start. The basis inverse
-is kept explicitly and refactorized every 64 pivots.
+row senses, artificial columns give a cold start a feasible basis.
+
+The basis inverse is kept explicitly. Each pivot updates it in place;
+it is computed afresh at a warm start and every 64 pivots. Slack and
+artificial columns are signed unit vectors, so for a basis of m >= 32
+rows with k structural columns `_basis_inverse` inverts only the k x k
+block those columns have on the rows no basic unit column covers, and
+fills the unit rows by substitution: O(k^3 + (m-k) k^2) instead of
+O(m^3). A cut master with a few dozen columns under hundreds of cut
+rows has almost only slacks basic. Below 32 rows numpy's fixed cost per
+call outweighs the saving, and the dense inverse is used. The last
+inverse of an optimal solve, from which the returned x and y are
+computed, is dense at every size: the cut loops take their cuts from
+these duals, and on the SSLP(5,10,5) Lagrangian root the block form's
+different last digits changed which cuts entered and slowed the loop.
 
 Cold start: two-phase primal simplex from the slack/artificial basis;
 phase 1 minimizes the artificial sum. Entering variable: Dantzig rule,
-switching to Bland's rule after 2*(rows+cols) consecutive degenerate
-steps. Leaving variable: minimum ratio, ties broken by largest pivot
-magnitude then lowest index, so runs are deterministic.
+switching to Bland's rule after 2*(n + 3m) consecutive degenerate
+steps, n columns and m rows. Leaving variable: minimum ratio, ties
+broken by largest pivot magnitude then lowest index, so runs are
+deterministic.
 
 Warm start: a (basis, vstat) pair returned by an earlier solve of the
 same columns, over the same leading rows. Rows the start lacks (cuts
@@ -24,12 +38,18 @@ confirms optimality. This is dual re-optimization after a bound change
 or a new row, as in branch and bound and cutting-plane loops. A start
 that is not dual feasible, is singular, or ends in numerical trouble
 makes the attempt report status 4. `solve_dense` then runs the cold
-attempts, so a warm start never changes which problems are solved.
+attempts, so a warm start never changes which problems are solved. A
+warm start carries no artificial columns: they would sit at 0 and never
+be priced, and leaving them out halves the column matrix and every
+pricing product on a tall master.
 
-The core loop is written in the numpy subset numba can compile. By
-default it is jitted (cache=True, nogil=True); setting the environment
-variable SIPCUTS_PURE_NUMPY=1 before import selects the identical
-uncompiled path. `benchmarks/bench_simplex.py` times both.
+The core loop and `_basis_inverse` are written in the numpy subset
+numba can compile (one advanced index per expression). By default both
+are jitted (cache=True, nogil=True); setting the environment variable
+SIPCUTS_PURE_NUMPY=1 before import selects the identical uncompiled
+path. Compiling the current code with numba is unverified: only the
+pure-numpy path has been run since `_basis_inverse` was added.
+`benchmarks/bench_simplex.py` times both.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 iteration limit,
 4 numerical trouble. For status 1 the returned ray holds row multipliers
@@ -54,14 +74,59 @@ _TOL_D = 1e-9
 _TOL_PIV = 1e-9
 _TOL_DFEAS = 1e-7  # reduced-cost slack a warm start may carry
 _REFACTOR_EVERY = 64
+#: bases with fewer rows are inverted densely: below about 32 rows the
+#: dense inverse is faster than the block form's fixed numpy overhead
+_BLOCK_MIN_ROWS = 32
+
+
+def _basis_inverse(WT, basis, n):
+    """Inverse of the basis matrix WT[basis].T.
+
+    Every column from index n on is a slack or artificial column, which
+    WT holds as a signed unit vector (for row r at n + r, and at
+    n + m + r when present). With k structural columns basic, only the
+    k x k block they have on the rows no basic unit column covers is
+    inverted; the unit rows follow by substitution. That costs
+    O(k^3 + (m - k) k^2) instead of O(m^3). Bases of fewer than
+    _BLOCK_MIN_ROWS rows take the dense inverse. Raises LinAlgError when
+    two basic unit columns cover one row or the block is singular."""
+    m = basis.size
+    if m < _BLOCK_MIN_ROWS:
+        return np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
+    unit = basis >= n
+    pu = np.nonzero(unit)[0]  # basis positions of unit columns
+    ps = np.nonzero(~unit)[0]  # basis positions of structural columns
+    ru = (basis[pu] - n) % m  # the row each unit column covers
+    open_row = np.ones(m, dtype=np.bool_)
+    open_row[ru] = False
+    rs = np.nonzero(open_row)[0]
+    if rs.size != ps.size:
+        raise np.linalg.LinAlgError("two basic unit columns cover one row")
+    S = WT[basis[ps]]  # row i is structural basic column ps[i]
+    sig = WT.reshape(-1)[basis[pu] * m + ru]  # the +-1 of each unit column
+    # structural positions: inv(S[:, rs].T) on the open rows, 0 elsewhere;
+    # unit position p on row r: sig_p (e_r - S[:, r]' inv(S[:, rs].T))
+    Ainv = np.linalg.inv(np.ascontiguousarray(S[:, rs].T))
+    C = np.empty((m, ps.size))
+    C[ps] = Ainv
+    # column by column: a matrix product makes BLAS touch its level-3
+    # buffers, which added about 0.2 MB to the peak memory of runs that
+    # make no other level-3 call
+    T = S[:, ru] * -sig
+    for j in range(ps.size):
+        C[pu, j] = Ainv[:, j] @ T
+    Binv = np.zeros((m, m))
+    Binv[:, rs] = C
+    Binv.reshape(-1)[pu * m + ru] = sig
+    return Binv
 
 
 def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
     m, n = A.shape
     nb = n + m  # structural and slack columns; a returned basis indexes these
-    ncol = nb + m
-    inf = np.inf
     warm = basis0.size > 0
+    ncol = nb if warm else nb + m  # a warm start carries no artificial columns
+    inf = np.inf
 
     # columns: [structural | slack | artificial]; WT[j] is column j of the
     # equality system  A x + slack = b
@@ -110,15 +175,13 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
         cost[nb:] = 1.0  # phase 1: minimize artificial sum
         phase = 1
     else:
-        # the start's basis, with the slacks of rows it lacks basic;
-        # artificials stay nonbasic at 0
+        # the start's basis, with the slacks of rows it lacks basic
         m0 = basis0.size
         basis = np.empty(m, dtype=np.int64)
         basis[:m0] = basis0
         basis[m0:] = n + np.arange(m0, m)
         vstat[: n + m0] = vstat0
         vstat[n + m0 : nb] = 0
-        WT[nb:] = np.eye(m)
         vs = vstat[:nb]
         fl = np.isfinite(lo[:nb])
         fh = np.isfinite(hi[:nb])
@@ -129,7 +192,7 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
         if np.any(bad | (inbasis != (vs == 0))):
             return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy()
         x[:nb] = np.where(vs == 1, lo[:nb], np.where(vs == 2, hi[:nb], 0.0))
-        Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
+        Binv = _basis_inverse(WT, basis, n)
         x[basis] = 0.0
         x[basis] = Binv @ (b - x @ WT)
         if np.abs(x @ WT - b).max() > 1e-6 * (1.0 + np.abs(b).max()):  # near singular
@@ -138,7 +201,7 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
         phase = 2
 
     bland = False
-    bland_after = 2 * (m + ncol)
+    bland_after = 2 * (n + 3 * m)  # as if the artificials were there
     degen_streak = 0
     since_refactor = 0
     scale_b = 1.0 + np.abs(b).max() if m > 0 else 1.0
@@ -159,7 +222,7 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
         while True:
             if since_refactor >= refactor_every:
                 Binv = np.empty((0, 0))  # free the old inverse first
-                Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
+                Binv = _basis_inverse(WT, basis, n)
                 xt = x.copy()
                 xt[basis] = 0.0
                 x[basis] = Binv @ (b - xt @ WT)
@@ -223,7 +286,7 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
             break
         if since_refactor >= refactor_every:
             Binv = np.empty((0, 0))  # free the old inverse first
-            Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
+            Binv = _basis_inverse(WT, basis, n)
             xt = x.copy()
             xt[basis] = 0.0
             x[basis] = Binv @ (b - xt @ WT)
@@ -380,6 +443,7 @@ if not _PURE:
     try:
         from numba import njit
 
+        _basis_inverse = njit(cache=True, nogil=True)(_basis_inverse)
         _lp_core = njit(cache=True, nogil=True)(_lp_core)
         HAS_NUMBA = True
     except ImportError:
@@ -473,13 +537,15 @@ def _warm_start(warm, n, m):
     if warm is None:
         return None
     basis0 = np.ascontiguousarray(warm[0], dtype=np.int64)
-    vstat0 = np.ascontiguousarray(warm[1], dtype=np.int8)
+    vstat0 = np.asarray(warm[1])
     m0 = basis0.size
     if basis0.ndim != 1 or not 0 < m0 <= m or vstat0.shape != (n + m0,):
         return None
     if basis0.min() < 0 or basis0.max() >= n + m0:
         return None
-    return basis0, vstat0
+    if vstat0.min() < 0 or vstat0.max() > 3:  # 0 basic, 1 at lb, 2 at ub, 3 free
+        return None
+    return basis0, np.ascontiguousarray(vstat0, dtype=np.int8)
 
 
 _COLD = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))

@@ -71,6 +71,9 @@ class MasterModel:
     theta_lb: np.ndarray
     cuts: list[Cut] = field(default_factory=list)
     _seen: set = field(default_factory=set)
+    #: final (basis, vstat) of the root loop's last master solve; cuts
+    #: only append rows, so it still starts the branch-and-cut root
+    basis: tuple | None = field(default=None, init=False)
 
     def add_cut(self, cut: Cut) -> bool:
         """Append the cut unless an identical one is already present."""

@@ -196,15 +196,14 @@ def run_root_loop(
     master = MasterModel(inst, theta_lb)
     pools = [ScenarioPool() for _ in range(inst.nscen)]
     iteration = 0
-    basis = None  # the last master basis; cuts only append rows
 
     def out_of_time() -> bool:
         return time.monotonic() - start >= cfg.time_limit
 
     def resolve() -> tuple[float, np.ndarray, np.ndarray]:
-        nonlocal iteration, basis
+        nonlocal iteration
         iteration += 1
-        bound, x, theta, basis = _solve_master(master, basis)
+        bound, x, theta, master.basis = _solve_master(master, master.basis)
         trace.record(bound, iteration, master.counts())
         return bound, x, theta
 
@@ -335,7 +334,8 @@ def run_branch_and_cut(
     node_limit: int = 100_000,
     time_limit: float = math.inf,
 ) -> BcResult:
-    """Best-bound search on the cut master with lazy cuts.
+    """Best-bound search on the cut master with lazy cuts, its root node
+    started from the root loop's last master basis.
 
     Integer-feasible candidates are re-cut (classical cuts at the LP
     value, integer optimality cuts at the exact value) and re-solved
@@ -388,7 +388,7 @@ def run_branch_and_cut(
 
     int_idx = np.nonzero(inst.vtype != 0)[0]
     status, best_x, upper, bound, nodes = optbase.best_bound_search(
-        inst.lb, inst.ub, int_idx, relax, closed, on_integral, node_limit, time_limit
+        inst.lb, inst.ub, int_idx, relax, closed, on_integral, node_limit, time_limit, root.basis
     )
     if status == optbase.INFEASIBLE:
         return BcResult("infeasible", None, math.inf, math.inf, nodes, 0.0)

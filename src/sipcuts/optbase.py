@@ -7,11 +7,12 @@ runs it on the kernel and records every improving incumbent, so a
 caller can harvest sub-optimal feasible points as well, and the
 driver's branch-and-cut runs it on the cut master with lazy cuts.
 
-Every node after the root starts the kernel from its parent's final
-basis (dual simplex after the bound change), and a branch-and-cut node
-solved again after lazy cuts starts from its own basis. This stays
-deterministic: identical inputs give identical outputs, including the
-incumbent pool order and node counts.
+The root starts the kernel from the caller's basis when one is given
+(branch-and-cut passes the root loop's last master basis). Every later
+node starts from its parent's final basis (dual simplex after the bound
+change), and a branch-and-cut node solved again after lazy cuts starts
+from its own basis. This stays deterministic: identical inputs give
+identical outputs, including the incumbent pool order and node counts.
 """
 
 from __future__ import annotations
@@ -167,15 +168,24 @@ RESOLVE = "resolve"
 
 
 def best_bound_search(
-    lb, ub, int_idx, relax, closed, on_integral, node_limit=2_000_000, time_limit=math.inf
+    lb,
+    ub,
+    int_idx,
+    relax,
+    closed,
+    on_integral,
+    node_limit=2_000_000,
+    time_limit=math.inf,
+    warm=None,
 ):
     """Deterministic best-bound branch and bound, minimizing.
 
     Nodes are (lb, ub) boxes, taken lowest bound first with FIFO ties;
     the root box goes first. `relax(lb, ub, warm)` returns (status,
     value, x, basis) with status OPTIMAL, INFEASIBLE or UNBOUNDED; `warm`
-    is None at the root, the node's own basis when it is solved again,
-    and its parent's basis otherwise. `closed(bound, inc)`
+    is this function's `warm` at the root (None: a cold start), the
+    node's own basis when it is solved again, and its parent's basis
+    otherwise. `closed(bound, inc)`
     says a node of that bound cannot improve the incumbent value `inc`;
     when the best open node is closed the search is done. At a node
     whose `x[int_idx]` is integral `on_integral(x, value, lb, ub, inc)`
@@ -188,7 +198,7 @@ def best_bound_search(
     (inf when none is left).
     """
     t0 = time.monotonic()
-    heap = [(-math.inf, 0, lb, ub, None)]
+    heap = [(-math.inf, 0, lb, ub, warm)]
     seq = 1
     inc, inc_val, nodes = None, math.inf, 0
     while heap:

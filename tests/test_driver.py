@@ -312,7 +312,6 @@ def test_bc_resolve_after_lazy_cuts_warm_starts_from_shorter_basis(monkeypatch):
     monkeypatch.setattr(MasterModel, "solve", recording)
     res, _ = solve_bbc(gen_sslp(SslpParams(3, 5, 3, seed=7)))
     assert res.status == "optimal" and res.node_count > 1
-    assert calls[0][2] is None
     resolves = [
         k
         for k in range(1, len(calls))
@@ -323,6 +322,31 @@ def test_bc_resolve_after_lazy_cuts_warm_starts_from_shorter_basis(monkeypatch):
     ]
     assert resolves, "a node solved again after lazy cuts starts from its own shorter basis"
     assert all(w is None or w[0].size <= rows for _, _, w, _, rows in calls)
+
+
+def test_bc_root_starts_from_the_root_loop_basis(monkeypatch):
+    from sipcuts import driver, optbase
+
+    starts, lps = [], []
+    kernel, bc = optbase._solve_dense, driver.run_branch_and_cut
+
+    def recording(*args, warm=None, **kwargs):
+        out = kernel(*args, warm=warm, **kwargs)
+        if starts:
+            lps.append((warm, out[5]))
+        return out
+
+    def marked(inst, root, *args, **kwargs):
+        starts.append(root.basis)
+        return bc(inst, root, *args, **kwargs)
+
+    monkeypatch.setattr(optbase, "_solve_dense", recording)
+    monkeypatch.setattr(driver, "run_branch_and_cut", marked)
+    res, _ = solve_bbc(gen_sslp(SslpParams(3, 5, 3, seed=7)))
+    assert res.status == "optimal" and len(lps) > 1
+    warm, iterations = lps[0]  # the B&C root LP
+    assert warm is not None and warm is starts[0]
+    assert iterations <= 1, "no pivot: the one pass is the pricing that proves the start optimal"
 
 
 def test_lbc_survives_wide_coefficient_ranges():

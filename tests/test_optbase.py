@@ -458,15 +458,22 @@ def test_lp_relaxation_drops_integrality():
 # ------------------------------------------------------------ warm starts
 
 
-def _bounded_lp(seed):
+def _bounded_lp(seed, tall=False):
     """Seeded feasible LP on a finite box: every row holds at an anchor
-    point inside the box, with slack on the inequalities."""
+    point inside the box, with slack on the inequalities. A tall one is
+    shaped like a cut master, 64 to 96 rows on 8 to 20 columns, so its
+    bases are mostly slack and take the kernel's block inverse."""
     rng = np.random.default_rng(seed)
-    m, n = int(rng.integers(4, 9)), int(rng.integers(6, 13))
+    if tall:
+        m, n = int(rng.integers(64, 97)), int(rng.integers(8, 21))
+    else:
+        m, n = int(rng.integers(4, 9)), int(rng.integers(6, 13))
     dense = np.round(rng.uniform(-5.0, 5.0, (m, n)))
     ub = rng.integers(2, 8, n).astype(float)
     anchor = rng.uniform(0.1, 0.9, n) * ub
     senses = rng.choice(np.array([LE, GE, EQ], dtype=np.int8), m, p=[0.45, 0.45, 0.1])
+    if tall:
+        senses[:] = GE  # cut rows; equalities would pin x* to the anchor
     gap = rng.uniform(0.5, 3.0, m)
     rhs = dense @ anchor + np.where(senses == LE, gap, np.where(senses == GE, -gap, 0.0))
     c = np.round(rng.uniform(-5.0, 5.0, n))
@@ -505,9 +512,7 @@ def _assert_matches_cold_and_reference(lp, warm_out):
             assert abs(warm_out[2] - z) <= 1e-9 * (1.0 + abs(z))
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_warm_bound_change_matches_cold_and_reference(seed, core_calls):
-    lp, _ = _bounded_lp(seed)
+def _check_warm_bound_change(lp, core_calls):
     parent = _kernel(lp)
     assert parent[0] == 0 and parent[6] is not None
     basis = parent[6][0]
@@ -529,8 +534,16 @@ def test_warm_bound_change_matches_cold_and_reference(seed, core_calls):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_warm_appended_rows_match_cold_and_reference(seed, core_calls):
-    lp, anchor = _bounded_lp(seed)
+def test_warm_bound_change_matches_cold_and_reference(seed, core_calls):
+    _check_warm_bound_change(_bounded_lp(seed)[0], core_calls)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tall_warm_bound_change_matches_cold_and_reference(seed, core_calls):
+    _check_warm_bound_change(_bounded_lp(seed, tall=True)[0], core_calls)
+
+
+def _check_warm_appended_rows(lp, anchor, seed, core_calls):
     parent = _kernel(lp)
     x = parent[1]
     # rows through the segment from x* to the anchor cut x* off and keep the anchor
@@ -555,6 +568,16 @@ def test_warm_appended_rows_match_cold_and_reference(seed, core_calls):
     assert len(core_calls) == 1
     assert out[6] is not None and out[6][0].size == child.nrows
     _assert_matches_cold_and_reference(child, out)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_warm_appended_rows_match_cold_and_reference(seed, core_calls):
+    _check_warm_appended_rows(*_bounded_lp(seed), seed, core_calls)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tall_warm_appended_rows_match_cold_and_reference(seed, core_calls):
+    _check_warm_appended_rows(*_bounded_lp(seed, tall=True), seed, core_calls)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -606,6 +629,20 @@ def test_warm_start_singular_basis_falls_back_to_cold(core_calls):
     assert warm[0] == 0
 
 
+@pytest.mark.parametrize("status", [4, -1])
+def test_warm_start_with_unknown_status_runs_cold(status, core_calls):
+    # min x0 + x1  s.t.  x0 + x1 <= 10,  2 <= x0 <= 5,  3 <= x1 <= 6
+    lp = _lp([1.0, 1.0], [[1.0, 1.0]], [LE], [10.0], [2.0, 3.0], [5.0, 6.0])
+    basis, vstat = _kernel(lp)[6]
+    vstat = vstat.copy()
+    vstat[0] = status
+    del core_calls[:]
+    out = _kernel(lp, warm=(basis, vstat))
+    assert len(core_calls) == 1, "only the cold attempt ran"
+    assert out[0] == 0 and out[2] == 5.0
+    assert np.all(out[1] >= lp.lb) and np.all(out[1] <= lp.ub)
+
+
 def test_mip_children_start_from_the_parent_basis(monkeypatch):
     calls = []
     kernel = optbase._solve_dense
@@ -635,3 +672,58 @@ def test_mip_children_start_from_the_parent_basis(monkeypatch):
             assert len(parents) == 1 and warm is calls[parents[0]][3]
             warm_children += warm is not None
     assert warm_children > 10
+
+
+# ------------------------------------------------------- basis inverse
+
+
+def _unit_basis_system(m, share, seed):
+    """The kernel's column matrix WT = [A | I | diag(+-1)]' for m rows and
+    a random nonsingular basis with round(share * m) structural columns;
+    every other row is covered by its slack or its artificial."""
+    rng = np.random.default_rng(seed)
+    k = int(round(share * m))
+    n = k + 5
+    WT = np.vstack([rng.uniform(-1.0, 1.0, (n, m)), np.eye(m), np.diag(rng.choice([-1.0, 1.0], m))])
+    rows = rng.permutation(m)[: m - k]
+    units = np.where(rng.random(m - k) < 0.5, n + rows, n + m + rows)
+    basis = rng.permutation(np.concatenate([rng.choice(n, k, replace=False), units]))
+    return WT, basis, n
+
+
+@pytest.mark.parametrize("m", [32, 40, 100, 300])
+@pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_basis_inverse_matches_dense_inverse(m, share):
+    from sipcuts import _simplex
+
+    WT, basis, n = _unit_basis_system(m, share, seed=m)
+    ref = np.linalg.inv(WT[basis].T)
+    got = _simplex._basis_inverse(WT, basis, n)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [1, 5, 12, 25, 31])
+def test_basis_inverse_below_block_rows_is_the_dense_inverse(m):
+    from sipcuts import _simplex
+
+    WT, basis, n = _unit_basis_system(m, 0.5, seed=m)
+    got = _simplex._basis_inverse(WT, basis, n)
+    assert got.tobytes() == np.linalg.inv(np.ascontiguousarray(WT[basis].T)).tobytes()
+
+
+def test_basis_inverse_rejects_singular_bases():
+    from sipcuts import _simplex
+
+    m, n = 40, 12
+    rng = np.random.default_rng(0)
+    A = rng.uniform(-1.0, 1.0, (m, n))
+    A[:10, 0] = 0.0  # column 0 vanishes on rows 0-9
+    WT = np.vstack([A.T, np.eye(m), -np.eye(m)])
+    # the slack and the artificial of row 11 both basic
+    twice = np.concatenate([np.arange(10), n + np.arange(11, m), [n + m + 11]])
+    # slacks cover rows 10-39; the block of columns 0-9 on rows 0-9 has a zero column
+    singular = np.concatenate([np.arange(10), n + np.arange(10, m)])
+    for basis in (twice, singular):
+        assert basis.size == m
+        with pytest.raises(np.linalg.LinAlgError):
+            _simplex._basis_inverse(WT, basis, n)
