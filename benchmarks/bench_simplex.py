@@ -10,13 +10,19 @@ branch-and-bound MIP solves, and a full branch-and-cut run on a
 generated server-location instance. Modes whose backend is not installed
 (numba) are skipped and named in the output.
 
+With --digest every kernel output (status, x, obj, y, ray, iterations,
+basis, vstat) feeds one SHA-256 in call order, and the script prints that
+digest per mode instead of the timings: equal digests from two checkouts
+mean their kernels computed the same bits on these instances.
+
 Usage:
-    python3 benchmarks/bench_simplex.py [--repeat N] [--modes numba,numpy]
+    python3 benchmarks/bench_simplex.py [--repeat N] [--modes numba,numpy] [--digest]
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -120,13 +126,40 @@ def _random_mip(rng, m, n):
     )
 
 
-def run_workloads(repeat: int) -> dict:
+def _hash_kernel_outputs(simplex) -> tuple:
+    """Wrap `simplex._lp_core` so that every output it returns feeds one
+    SHA-256; returns the hash and a one-element list counting the calls."""
+    import numpy as np
+
+    digest = hashlib.sha256()
+    calls = [0]
+    core = simplex._lp_core
+
+    def hashing(*args):
+        out = core(*args)
+        calls[0] += 1
+        for v in out:
+            if isinstance(v, np.ndarray):
+                digest.update(f"{v.dtype}{v.shape}".encode())
+                digest.update(np.ascontiguousarray(v).tobytes())
+            else:
+                digest.update(repr(v).encode())
+        return out
+
+    simplex._lp_core = hashing
+    return digest, calls
+
+
+def run_workloads(repeat: int, digest: bool = False) -> dict:
     import numpy as np
 
     from sipcuts import _simplex
     from sipcuts.driver import solve_lbc
     from sipcuts.instances import SslpParams, gen_sslp
     from sipcuts.optbase import OPTIMAL, solve_lp, solve_mip
+
+    if digest:
+        hashed, calls = _hash_kernel_outputs(_simplex)
 
     rng = np.random.default_rng(7)
     lps = [_random_lp(rng, 40, 60) for _ in range(25 * repeat)]
@@ -167,15 +200,21 @@ def run_workloads(repeat: int) -> dict:
     assert res.status == "optimal"
     timings["branch-and-cut SSLP(5,10,5)"] = time.perf_counter() - t0
 
-    return {"mode": _simplex.KERNEL_MODE, "timings": timings}
+    out = {"mode": _simplex.KERNEL_MODE, "timings": timings}
+    if digest:
+        out.update(digest=hashed.hexdigest(), calls=calls[0])
+    return out
 
 
-def _spawn(mode: str, repeat: int) -> dict:
+def _spawn(mode: str, repeat: int, digest: bool) -> dict:
     env = dict(os.environ)
     env["SIPCUTS_PURE_NUMPY"] = "1" if mode == "numpy" else "0"
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    if digest:  # one BLAS thread, so the summation order is the same on every run
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--repeat", str(repeat)]
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker", "--repeat", str(repeat)],
+        cmd + ["--digest"] * digest,
         env=env,
         capture_output=True,
         text=True,
@@ -196,11 +235,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--modes", default="numba,numpy", help="comma-separated kernel modes to time"
     )
+    parser.add_argument(
+        "--digest", action="store_true", help="print a SHA-256 of every kernel output, no timings"
+    )
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.worker:
-        print(RESULT_MARK + json.dumps(run_workloads(args.repeat)))
+        print(RESULT_MARK + json.dumps(run_workloads(args.repeat, args.digest)))
         return 0
 
     requested = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
@@ -210,7 +252,11 @@ def main(argv=None) -> int:
             print(f"skipped mode {mode}: backend not installed")
     if not modes:
         return 1
-    results = {mode: _spawn(mode, args.repeat) for mode in modes}
+    results = {mode: _spawn(mode, args.repeat, args.digest) for mode in modes}
+    if args.digest:
+        for mode, out in results.items():
+            print(f"digest {mode} {out['digest']} ({out['calls']} kernel calls)")
+        return 0
 
     names = list(next(iter(results.values()))["timings"])
     width = max(len(name) for name in names) + 2

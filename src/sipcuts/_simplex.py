@@ -20,10 +20,20 @@ different last digits changed which cuts entered and slowed the loop.
 
 Cold start: two-phase primal simplex from the slack/artificial basis;
 phase 1 minimizes the artificial sum. Entering variable: Dantzig rule,
-switching to Bland's rule after 2*(n + 3m) consecutive degenerate
-steps, n columns and m rows. Leaving variable: minimum ratio, ties
-broken by largest pivot magnitude then lowest index, so runs are
-deterministic.
+switching to Bland's rule after _BLAND_AFTER * (n + 3m) consecutive
+degenerate steps, n columns and m rows. Leaving variable: minimum ratio,
+ties broken by largest pivot magnitude then lowest index (Bland: lowest
+basic index), so runs are deterministic.
+
+A pivot makes few numpy calls, since each costs a microsecond or more
+at these sizes. Each column's bound sign (+1 at its lower bound, -1 at
+its upper, 0 when basic, free or fixed) and the bounds of the basic
+variables are kept in arrays that a pivot updates by scalar stores, so
+pricing is one product sgn * d and one argmin. The ratio tests run on
+the eligible entries only. That changes no arithmetic: each reduced
+cost, ratio and tie is the same floating-point operation on the same
+operands as in a test over all entries with the ineligible ones masked
+out, so the choices and every returned bit are the same as there.
 
 Warm start: a (basis, vstat) pair returned by an earlier solve of the
 same columns, over the same leading rows. Rows the start lacks (cuts
@@ -74,6 +84,9 @@ _TOL_D = 1e-9
 _TOL_PIV = 1e-9
 _TOL_DFEAS = 1e-7  # reduced-cost slack a warm start may carry
 _REFACTOR_EVERY = 64
+#: Bland's rule takes over after _BLAND_AFTER * (n + 3m) consecutive
+#: degenerate pivots, n columns and m rows
+_BLAND_AFTER = 2
 #: bases with fewer rows are inverted densely: below about 32 rows the
 #: dense inverse is faster than the block form's fixed numpy overhead
 _BLOCK_MIN_ROWS = 32
@@ -201,21 +214,24 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
         phase = 2
 
     bland = False
-    bland_after = 2 * (n + 3 * m)  # as if the artificials were there
+    bland_after = _BLAND_AFTER * (n + 3 * m)  # as if the artificials were there
     degen_streak = 0
     since_refactor = 0
     scale_b = 1.0 + np.abs(b).max() if m > 0 else 1.0
     rng_ok = (hi - lo) > 1e-12
+    # bound sign: +1 nonbasic at lb, -1 nonbasic at ub, 0 when basic, free
+    # or fixed; a column prices in when sgn * d < 0. Nonbasic free columns
+    # are kept apart: none ever becomes nonbasic again once it enters.
+    sgn = np.where(rng_ok & (vstat == 1), 1.0, np.where(rng_ok & (vstat == 2), -1.0, 0.0))
+    free = vstat == 3
+    nfree = np.count_nonzero(free)
+    lob = lo[basis]  # bounds of the basic variables, by basis position
+    hib = hi[basis]
 
     if warm:
         y = cost[basis] @ Binv
         d = cost - WT @ y
-        dual_bad = (
-            ((vstat == 1) & (d < -_TOL_DFEAS))
-            | ((vstat == 2) & (d > _TOL_DFEAS))
-            | ((vstat == 3) & (np.abs(d) > _TOL_DFEAS))
-        ) & rng_ok
-        if dual_bad.any():
+        if (sgn * d < -_TOL_DFEAS).any() or (nfree > 0 and (np.abs(d[free]) > _TOL_DFEAS).any()):
             return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy()
         # bounded dual simplex until the basic values fit their bounds;
         # primal phase 2 below then confirms optimality
@@ -228,38 +244,39 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
                 x[basis] = Binv @ (b - xt @ WT)
                 since_refactor = 0
             xb = x[basis]
-            below = lo[basis] - xb
-            above = xb - hi[basis]
-            viol = np.maximum(below, above)
-            leave = np.argmax(viol)
+            viol = np.maximum(lob - xb, xb - hib)
+            leave = viol.argmax()
             if viol[leave] <= FEASTOL:
                 break
             it += 1
             if it > itmax:
                 status = ITER_LIMIT
                 break
-            up = below[leave] > above[leave]  # the leaving variable must rise to its lb
+            # the leaving variable must rise to its lb
+            up = lob[leave] - xb[leave] > xb[leave] - hib[leave]
             y = cost[basis] @ Binv
             d = cost - WT @ y
             alpha = WT @ Binv[leave]
-            if up:
-                elig = ((vstat == 1) & (alpha < -_TOL_PIV)) | ((vstat == 2) & (alpha > _TOL_PIV))
-            else:
-                elig = ((vstat == 1) & (alpha > _TOL_PIV)) | ((vstat == 2) & (alpha < -_TOL_PIV))
-            elig = (elig | ((vstat == 3) & (np.abs(alpha) > _TOL_PIV))) & rng_ok
-            if not elig.any():
+            sa = sgn * alpha
+            elig = sa < -_TOL_PIV if up else sa > _TOL_PIV
+            if nfree > 0:
+                elig |= free & (np.abs(alpha) > _TOL_PIV)
+            k = elig.nonzero()[0]
+            if k.size == 0:
                 # no column can move the row toward its bound: the row of
                 # Binv, signed, is a Farkas certificate
                 status = INFEASIBLE
                 ray[n:nb] = -Binv[leave] if up else Binv[leave]
                 break
-            dd = np.where(
-                vstat == 1, np.maximum(d, 0.0), np.where(vstat == 2, np.maximum(-d, 0.0), np.abs(d))
-            )
-            absa = np.abs(alpha)
-            ratio = np.where(elig, dd / np.where(elig, absa, 1.0), inf)
-            tmin = ratio.min()
-            e = np.argmax(np.where(elig & (ratio <= tmin + 1e-9), absa, -1.0))
+            # ratio test over the eligible columns: min |d_j / alpha_rj|,
+            # ties to the largest |alpha_rj|, then the lowest index
+            dd = np.maximum((sgn * d)[k], 0.0)
+            if nfree > 0:
+                dd = np.where(free[k], np.abs(d[k]), dd)
+            absa = np.abs(alpha[k])
+            ratio = dd / absa
+            tmin = ratio[ratio.argmin()]
+            e = k[((ratio <= tmin + 1e-9) * absa).argmax()]
             u = Binv @ WT[e]
             piv = u[leave]
             if abs(piv) <= _TOL_PIV:
@@ -272,10 +289,17 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
             x[e] = x[e] + t
             x[lv] = bound
             vstat[lv] = 1 if up else 2
+            sgn[lv] = (1.0 if up else -1.0) if rng_ok[lv] else 0.0
             basis[leave] = e
             vstat[e] = 0
+            sgn[e] = 0.0
+            lob[leave] = lo[e]
+            hib[leave] = hi[e]
+            if free[e]:
+                free[e] = False
+                nfree -= 1
             rowl = Binv[leave] / piv
-            Binv -= np.outer(u, rowl)
+            Binv -= u[:, None] * rowl
             Binv[leave] = rowl
             since_refactor += 1
 
@@ -294,45 +318,52 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
 
         y = cost[basis] @ Binv
         d = cost - WT @ y
-        elig = (
-            ((vstat == 1) & (d < -_TOL_D))
-            | ((vstat == 2) & (d > _TOL_D))
-            | ((vstat == 3) & (np.abs(d) > _TOL_D))
-        ) & rng_ok
-        if phase == 2 and m > 0:
-            elig[n + m :] = False
+        # pricing: sd < 0 where the column improves the objective, at -|d_j|
+        # so that the Dantzig choice is the first minimum; artificials
+        # are never priced, being basic or fixed at 0 once they leave
+        sd = sgn * d
+        if nfree > 0:
+            sd = np.where(free, -np.abs(d), sd)
+        if bland:
+            e = (sd < -_TOL_D).argmax()
+        else:
+            e = sd.argmin()
 
-        if not elig.any():
+        if not sd[e] < -_TOL_D:
             if phase == 1:
                 p1 = x[n + m :].sum()
                 if p1 > FEASTOL * scale_b:
                     status = INFEASIBLE
                     ray[n : n + m] = y  # Farkas multipliers for the rows
                     break
-                # drive basic artificials out on nonzero pivots; rows whose
+                # drive basic artificials out on nonzero pivots, each on the
+                # first column that can take its place; rows whose
                 # artificial cannot leave are redundant and keep it at 0
-                for p in range(m):
-                    if basis[p] >= n + m:
-                        alpha = WT[: n + m] @ Binv[p]
-                        pick = -1
-                        for j in range(n + m):
-                            if vstat[j] != 0 and abs(alpha[j]) > 1e-7:
-                                pick = j
-                                break
-                        if pick >= 0:
-                            u = Binv @ WT[pick]
-                            lv = basis[p]
-                            vstat[lv] = 1
-                            x[lv] = 0.0
-                            hi[lv] = 0.0
-                            rng_ok[lv] = False
-                            basis[p] = pick
-                            vstat[pick] = 0
-                            rowl = Binv[p] / u[p]
-                            Binv -= np.outer(u, rowl)
-                            Binv[p] = rowl
-                            since_refactor += 1
+                for p in (basis >= n + m).nonzero()[0]:
+                    alpha = WT[: n + m] @ Binv[p]
+                    q = ((vstat[: n + m] != 0) & (np.abs(alpha) > 1e-7)).nonzero()[0]
+                    if q.size > 0:
+                        pick = q[0]
+                        u = Binv @ WT[pick]
+                        lv = basis[p]
+                        vstat[lv] = 1
+                        x[lv] = 0.0
+                        hi[lv] = 0.0
+                        rng_ok[lv] = False
+                        basis[p] = pick
+                        vstat[pick] = 0
+                        sgn[pick] = 0.0
+                        lob[p] = lo[pick]
+                        hib[p] = hi[pick]
+                        if free[pick]:
+                            free[pick] = False
+                            nfree -= 1
+                        rowl = Binv[p] / u[p]
+                        Binv -= u[:, None] * rowl
+                        Binv[p] = rowl
+                        since_refactor += 1
                 hi[n + m :] = 0.0
+                hib = hi[basis]
                 cost = np.zeros(ncol)
                 cost[:n] = c
                 phase = 2
@@ -342,37 +373,29 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
             status = OPTIMAL
             break
 
-        if bland:
-            e = np.argmax(elig.astype(np.int8))
-        else:
-            e = np.argmax(np.where(elig, np.abs(d), -1.0))
         dirn = 1.0 if (vstat[e] == 1 or (vstat[e] == 3 and d[e] < 0.0)) else -1.0
 
         u = Binv @ WT[e]
         du = dirn * u
         xb = x[basis]
-        lbb = lo[basis]
-        ubb = hi[basis]
-        posm = du > _TOL_PIV
-        negm = du < -_TOL_PIV
-        dus = np.where(posm | negm, du, 1.0)
-        tall = np.where(
-            posm, (xb - lbb) / dus, np.where(negm, (xb - ubb) / dus, inf)
-        )
-        tall = np.where(tall < 0.0, 0.0, tall)
-        tmin = tall.min() if m > 0 else inf
+        # ratio test over the basic rows the step moves: the first bound
+        # hit, ties to the largest |du|, then the lowest index
+        adu = np.abs(du)
+        k = (adu > _TOL_PIV).nonzero()[0]
+        tk = (xb - np.where(du > 0.0, lob, hib))[k] / du[k]
+        tk = np.where(tk < 0.0, 0.0, tk)
+        tmin = tk[tk.argmin()] if k.size > 0 else inf
         tb = hi[e] - lo[e]
         t = tb if tb < tmin else tmin
-        if not np.isfinite(t):
+        if not t < inf:  # no bound stops the step
             if phase == 1:
                 status = NUMERIC
             else:
                 status = UNBOUNDED
                 if e < n:
                     ray[e] = dirn
-                for p in range(m):
-                    if basis[p] < n:
-                        ray[basis[p]] = -du[p]
+                sb = basis < n
+                ray[basis[sb]] = -du[sb]
             break
 
         if t <= _TOL_PIV:
@@ -386,31 +409,42 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
             x[basis] = xb - tb * du
             x[e] = hi[e] if vstat[e] == 1 else lo[e]
             vstat[e] = 2 if vstat[e] == 1 else 1
+            sgn[e] = -sgn[e]
             continue
 
-        cand = tall <= tmin + 1e-9
+        cand = tk <= tmin + 1e-9
         if bland:
-            leave = np.argmax(np.where(cand, -basis.astype(np.float64), -inf))
+            j = np.where(cand, basis[k], ncol).argmin()  # lowest basic index
         else:
-            leave = np.argmax(np.where(cand, np.abs(du), -1.0))
-        t = tall[leave]
+            j = (cand * adu[k]).argmax()
+        leave = k[j]
+        t = tk[j]
         x[basis] = xb - t * du
         x[e] = x[e] + dirn * t
         lv = basis[leave]
         if du[leave] > 0.0:
             x[lv] = lo[lv]
             vstat[lv] = 1
+            s = 1.0
         else:
             x[lv] = hi[lv]
             vstat[lv] = 2
+            s = -1.0
         if lv >= n + m:
             hi[lv] = 0.0
             rng_ok[lv] = False
+        sgn[lv] = s if rng_ok[lv] else 0.0
         basis[leave] = e
         vstat[e] = 0
+        sgn[e] = 0.0
+        lob[leave] = lo[e]
+        hib[leave] = hi[e]
+        if free[e]:
+            free[e] = False
+            nfree -= 1
         piv = u[leave]
         rowl = Binv[leave] / piv
-        Binv -= np.outer(u, rowl)
+        Binv -= u[:, None] * rowl
         Binv[leave] = rowl
         since_refactor += 1
 
@@ -421,16 +455,8 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
         xt[basis] = 0.0
         x[basis] = Binv @ (b - xt @ WT)
         y = cost[basis] @ Binv
-        viol = 0.0
-        for p in range(m):
-            bp = basis[p]
-            v1 = lo[bp] - x[bp]
-            v2 = x[bp] - hi[bp]
-            if v1 > viol:
-                viol = v1
-            if v2 > viol:
-                viol = v2
-        if viol > 1e-5 * scale_b:
+        xb = x[basis]
+        if (np.maximum(lob - xb, xb - hib) > 1e-5 * scale_b).any():
             status = NUMERIC
 
     obj = float(c @ x[:n])

@@ -286,12 +286,10 @@ def test_farkas_validator_accepts_only_real_certificates():
     assert not _simplex._farkas_certifies(A, b, sense, lb, ub, np.zeros(2))
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_lp_against_reference(seed):
-    lp = _random_lp(seed, maximize=seed % 5 == 0)
+def _check_against_reference(lp):
     out = solve_lp(lp)
     ref_status, ref_obj = linprog_reference(lp)
-    assert out.status == ref_status, f"seed {seed}: {out.status} vs {ref_status}"
+    assert out.status == ref_status, f"{out.status} vs {ref_status}"
     if ref_status == OPTIMAL:
         assert abs(out.objective - ref_obj) <= 1e-6 * (1 + abs(ref_obj))
         _check_dual_certificate(lp, out)
@@ -301,6 +299,77 @@ def test_lp_against_reference(seed):
         _check_farkas(lp, out)
     else:
         _check_ray(lp, out)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_lp_against_reference(seed):
+    _check_against_reference(_random_lp(seed, maximize=seed % 5 == 0))
+
+
+def _beale():
+    """Beale's LP, on which Dantzig's rule with textbook tie-breaking
+    cycles; its start vertex is degenerate. Optimum -1.25 at x = (1, 0, 1, 0)."""
+    dense = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    return _lp([-0.75, 20.0, -0.5, 6.0], dense, [LE] * 3, [0.0, 0.0, 1.0], np.zeros(4), np.full(4, np.inf))
+
+
+def test_bland_rule_from_the_first_degenerate_pivot_matches_reference(monkeypatch):
+    from sipcuts import _simplex
+
+    if _simplex.HAS_NUMBA:
+        pytest.skip("the compiled kernel reads _BLAND_AFTER at compile time")
+    dantzig = _kernel(_beale())
+    monkeypatch.setattr(_simplex, "_BLAND_AFTER", 0)
+    bland = _kernel(_beale())
+    # Beale's LP is degenerate from its first pivot: Bland's rule, lowest
+    # index entering and leaving, takes its own pinned path there
+    assert (dantzig[5], bland[5]) == (4, 8)
+    assert bland[6][0].tolist() == [2, 4, 0]
+    for lp in [_beale()] + [_random_lp(seed, maximize=seed % 5 == 0) for seed in range(60)]:
+        _check_against_reference(lp)
+
+
+#: (parent, child) LPs with tied choices. The child is solved cold and warm
+#: from the parent's basis; each solve's x and basis are pinned, so a change
+#: in the Dantzig rule or in either ratio test's tie rule shows here.
+_TIES = {
+    # cold: x0 and x1 tie on |d| and the lower index enters; warm: the new
+    # row's ratio test ties on |d/alpha| and on |alpha|, the lower index enters
+    "dantzig": (
+        _lp([-1, -1], [[1, -1]], [LE], [5], [0, 0], [3, 3]),
+        _lp([-1, -1], [[1, -1], [1, 1]], [LE, LE], [5, 4], [0, 0], [3, 3]),
+        ([3.0, 1.0], [2, 1]),
+        ([1.0, 3.0], [2, 0]),
+    ),
+    # cold: three rows tie in the primal ratio test; the largest |du| leaves,
+    # the lower position among the two rows with |du| = 2
+    "primal_ratio": (
+        _lp([-1], [[1]], [LE], [2], [0], [10]),
+        _lp([-1], [[1], [2], [2]], [LE, LE, LE], [2, 4, 4], [0], [10]),
+        ([2.0], [1, 0, 3]),
+        ([2.0], [0, 2, 3]),
+    ),
+    # warm: x0 and x1 tie on |d/alpha| = 1; the larger |alpha| enters
+    "dual_ratio": (
+        _lp([1, 2], [[1, -1]], [LE], [5], [0, 0], [5, 5]),
+        _lp([1, 2], [[1, -1], [1, 2]], [LE, GE], [5, 2], [0, 0], [5, 5]),
+        ([0.0, 1.0], [2, 1]),
+        ([0.0, 1.0], [2, 1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIES))
+def test_tie_rules_pick_the_pinned_vertex(case, core_calls):
+    parent, child, cold_pin, warm_pin = _TIES[case]
+    cold = _kernel(child)
+    start = _kernel(parent)[6]
+    del core_calls[:]
+    warm = _kernel(child, warm=start)
+    assert len(core_calls) == 1, "the warm attempt was accepted"
+    for out, (x, basis) in ((cold, cold_pin), (warm, warm_pin)):
+        assert out[0] == 0
+        assert out[1].tolist() == x and out[6][0].tolist() == basis
 
 
 def test_lp_determinism():
@@ -578,6 +647,50 @@ def test_warm_appended_rows_match_cold_and_reference(seed, core_calls):
 @pytest.mark.parametrize("seed", range(10))
 def test_tall_warm_appended_rows_match_cold_and_reference(seed, core_calls):
     _check_warm_appended_rows(*_bounded_lp(seed, tall=True), seed, core_calls)
+
+
+def _free_lp(seed):
+    """`_bounded_lp(seed)` with every column free and its box written as
+    two rows, plus two cost-free free columns boxed in [-2, 2] by rows of
+    their own. Those two stay nonbasic and free at the optimum, so a warm
+    re-solve starts with free columns in the dual ratio test."""
+    lp, anchor = _bounded_lp(seed)
+    n, k = lp.nvars, 2
+    eye, zero = np.eye(n + k), np.zeros((lp.nrows, k))
+    dense = np.vstack([np.hstack([lp.A.to_dense(), zero]), eye, eye])
+    senses = np.concatenate([lp.senses, np.full(n + k, LE), np.full(n + k, GE)]).astype(np.int8)
+    rhs = np.concatenate([lp.rhs, lp.ub, np.full(k, 2.0), lp.lb, np.full(k, -2.0)])
+    c = np.concatenate([lp.c, np.zeros(k)])
+    free = np.full(n + k, np.inf)
+    anchor = np.concatenate([anchor, np.random.default_rng(1000 + seed).uniform(-1.5, 1.5, k)])
+    return _lp(c, dense, senses, rhs, -free, free), anchor
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_free_warm_bound_change_matches_cold_and_reference(seed, core_calls):
+    _check_warm_bound_change(_free_lp(seed)[0], core_calls)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_free_warm_appended_rows_match_cold_and_reference(seed, core_calls):
+    lp, anchor = _free_lp(seed)
+    parent = _kernel(lp)
+    _check_warm_appended_rows(lp, anchor, seed, core_calls)
+    # a row on the last, nonbasic free column alone: only that column can enter
+    j = lp.nvars - 1
+    assert parent[6][1][j] == 3
+    child = _lp(
+        lp.c,
+        np.vstack([lp.A.to_dense(), np.eye(lp.nvars)[j]]),
+        np.concatenate([lp.senses, [GE]]).astype(np.int8),
+        np.concatenate([lp.rhs, [1.0]]),
+        lp.lb,
+        lp.ub,
+    )
+    del core_calls[:]
+    out = _kernel(child, warm=parent[6])
+    assert len(core_calls) == 1, "the warm attempt was accepted"
+    _assert_matches_cold_and_reference(child, out)
 
 
 @pytest.mark.parametrize("seed", range(10))
