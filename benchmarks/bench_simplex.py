@@ -39,8 +39,7 @@ def _random_lp(rng, m, n):
     """Bounded, feasible LP: min c'x, Ax <= b, 0 <= x <= 10."""
     import numpy as np
 
-    from sipcuts.optbase import LE, LinearProgram
-    from sipcuts.sparse import CooMatrix
+    from sipcuts.optbase import LE, CooMatrix, LinearProgram
 
     A = rng.uniform(-1.0, 1.0, (m, n))
     x0 = rng.uniform(0.0, 10.0, n)
@@ -61,8 +60,7 @@ def _tall_lp(rng, m, n):
     [0, 10], each row slack at the anchor x0; returns (lp, x0)."""
     import numpy as np
 
-    from sipcuts.optbase import GE, LinearProgram
-    from sipcuts.sparse import CooMatrix
+    from sipcuts.optbase import GE, CooMatrix, LinearProgram
 
     A = rng.uniform(-1.0, 1.0, (m, n))
     x0 = rng.uniform(0.0, 10.0, n)
@@ -84,8 +82,7 @@ def _warm_children(rng, lp, x0, parent):
 
     import numpy as np
 
-    from sipcuts.optbase import GE
-    from sipcuts.sparse import CooMatrix
+    from sipcuts.optbase import GE, CooMatrix
 
     x = parent.x
     j = int(np.argmax(np.abs(x - x0)))
@@ -109,8 +106,7 @@ def _random_mip(rng, m, n):
     """Feasible all-integer program: an integer point anchors the rows."""
     import numpy as np
 
-    from sipcuts.optbase import LE, MipProgram
-    from sipcuts.sparse import CooMatrix
+    from sipcuts.optbase import LE, CooMatrix, MipProgram
 
     A = rng.uniform(-1.0, 1.0, (m, n))
     x0 = rng.integers(0, 7, n).astype(float)

@@ -54,11 +54,12 @@ be priced, and leaving them out halves the column matrix and every
 pricing product on a tall master.
 
 The core loop and `_basis_inverse` are written in the numpy subset
-numba can compile (one advanced index per expression). By default both
-are jitted (cache=True, nogil=True); setting the environment variable
-SIPCUTS_PURE_NUMPY=1 before import selects the identical uncompiled
-path. Compiling the current code with numba is unverified: only the
-pure-numpy path has been run since `_basis_inverse` was added.
+numba can compile (one advanced index per expression). numba is not a
+dependency; where it imports, both are jitted (cache=True, nogil=True),
+and setting the environment variable SIPCUTS_PURE_NUMPY=1 before import
+selects the identical uncompiled path. Compiling the current code with
+numba is unverified: only the pure-numpy path has been run since
+`_basis_inverse` was added.
 `benchmarks/bench_simplex.py` times both.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 iteration limit,

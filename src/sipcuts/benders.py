@@ -29,8 +29,7 @@ from .model import (
     joint_scenario_program,
     recourse_program,
 )
-from .optbase import GE, LinearProgram, SolveOutcome, solve_lp
-from .sparse import CooMatrix
+from .optbase import GE, CooMatrix, LinearProgram, SolveOutcome, solve_lp
 
 #: relative violation needed before a classical cut enters the master
 BENDERS_VIOL_TOL = 1e-4
@@ -95,9 +94,9 @@ class MasterModel:
     ) -> LinearProgram:
         """Master LP over (x, theta); optional first-stage bound overrides."""
         inst = self.inst
-        n, m = inst.nx, inst.A.nrows
+        n, m = inst.nx, inst.A.shape[0]
         A = np.zeros((m + len(self.cuts), n + inst.nscen))
-        A[:m, :n] = inst.A.to_dense()
+        A[:m, :n] = inst.A
         for i, cut in enumerate(self.cuts, start=m):
             A[i, :n] = cut.coef_x
             A[i, n + cut.scenario] = cut.coef_theta
@@ -158,7 +157,7 @@ def solve_benders_subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> Su
         raise InstanceError(f"scenario {s} recourse LP is unbounded at x={x_hat.tolist()}")
     if out.status == optbase.INFEASIBLE:
         y = np.asarray(out.ray)
-        w = scen.W.rmatvec(y)
+        w = y @ scen.W
         cap = 0.0
         for j in range(w.size):
             if w[j] > 1e-12:
@@ -170,7 +169,7 @@ def solve_benders_subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> Su
         cut = Cut(
             family="feasibility",
             scenario=s,
-            coef_x=scen.T.rmatvec(y),
+            coef_x=y @ scen.T,
             coef_theta=0.0,
             rhs=float(y @ scen.h) - cap,
         )
@@ -178,7 +177,7 @@ def solve_benders_subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> Su
     if out.status != optbase.OPTIMAL:
         raise optbase.KernelError(f"scenario {s} LP hit a limit at x={x_hat.tolist()}")
     mu = np.asarray(out.duals)
-    d = scen.q - scen.W.rmatvec(mu)
+    d = scen.q - mu @ scen.W
     kappa = 0.0
     for j in range(d.size):
         if d[j] > 1e-12:
@@ -188,7 +187,7 @@ def solve_benders_subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> Su
     cut = Cut(
         family="benders",
         scenario=s,
-        coef_x=scen.T.rmatvec(mu),
+        coef_x=mu @ scen.T,
         coef_theta=1.0,
         rhs=float(mu @ scen.h) + kappa,
     )

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import optbase
 from .model import InstanceError, SipInstance, brute_force_epigraph, joint_scenario_program
-from .optbase import EQ, LE, LinearProgram, solve_lp, solve_mip
-from .sparse import CooMatrix
+from .optbase import EQ, LE, CooMatrix, LinearProgram, solve_lp, solve_mip
 
 #: relative gap at which the ascent declares the dual maximized
 DUAL_GAP_TOL = 1e-7

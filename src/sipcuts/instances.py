@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BIN, CONT, Scenario, SipInstance, vtype_from_string, vtype_to_string
-from .sparse import CooMatrix
 
 _MASK = (1 << 64) - 1
 
@@ -109,8 +108,6 @@ def gen_sslp(p: SslpParams) -> SipInstance:
     for i in range(n):
         W[m + 2 * i, i * m : (i + 1) * m] = 1.0
         W[m + 2 * i + 1, i * m : (i + 1) * m] = -1.0
-    W = CooMatrix.from_dense(W)
-    T = CooMatrix.from_dense(T)
     scenarios = []
     for _ in range(S):
         h = np.zeros(nrows)
@@ -133,7 +130,7 @@ def gen_sslp(p: SslpParams) -> SipInstance:
     return SipInstance(
         name=f"sslp{p.k}-{m}-{n}-{S}",
         c=c,
-        A=CooMatrix.empty(0, m),
+        A=np.zeros((0, m)),
         b=np.zeros(0),
         vtype=np.full(m, BIN, dtype=np.int8),
         lb=np.zeros(m),
@@ -240,8 +237,6 @@ def gen_snip(p: SnipParams) -> SipInstance:
             W[rr, [i, j]] = 1.0, -q[a]
         rr += 1
     W[-2:, dest] = 1.0, -1.0
-    W = CooMatrix.from_dense(W)
-    T = CooMatrix.from_dense(T)
     h = np.zeros(nrows)
     h[-2:] = 1.0, -1.0
     scenarios = []
@@ -263,7 +258,7 @@ def gen_snip(p: SnipParams) -> SipInstance:
     return SipInstance(
         name=f"snip-{N}-{len(arcs)}-{p.n_scenarios}-b{p.budget:g}",
         c=np.zeros(nx),
-        A=CooMatrix.from_dense(-cost[None, :]),
+        A=-cost[None, :],
         b=np.array([-float(p.budget)]),
         vtype=np.full(nx, BIN, dtype=np.int8),
         lb=np.zeros(nx),
@@ -285,11 +280,13 @@ def _fmt_vec(v: np.ndarray) -> str:
     return " ".join(repr(float(x)) for x in v)
 
 
-def _fmt_coo(m: CooMatrix) -> list[str]:
-    c = m.canonical()
-    lines = [f"{c.nrows} {c.ncols} {c.nnz}"]
-    for r, cc, v in zip(c.rows, c.cols, c.vals):
-        lines.append(f"{int(r)} {int(cc)} {float(v)!r}")
+def _fmt_coo(m: np.ndarray) -> list[str]:
+    """Header 'nrows ncols nnz', then one 'row col value' line per
+    nonzero in row-major order."""
+    rows, cols = np.nonzero(m)
+    lines = [f"{m.shape[0]} {m.shape[1]} {rows.size}"]
+    for r, c in zip(rows, cols):
+        lines.append(f"{r} {c} {float(m[r, c])!r}")
     return lines
 
 
@@ -348,7 +345,9 @@ def _parse_vec(reader: _Reader, key: str) -> np.ndarray:
         reader.fail(f"bad float in {key!r} vector")
 
 
-def _parse_coo(reader: _Reader, key: str) -> CooMatrix:
+def _parse_coo(reader: _Reader, key: str) -> np.ndarray:
+    """Dense matrix from `_fmt_coo` lines; entries at the same position
+    are summed in file order."""
     reader.next(key)
     head = reader.next().split()
     if len(head) != 3:
@@ -357,21 +356,21 @@ def _parse_coo(reader: _Reader, key: str) -> CooMatrix:
         nrows, ncols, nnz = (int(t) for t in head)
     except ValueError:
         reader.fail(f"bad integer in {key} header")
-    rows, cols, vals = [], [], []
+    if min(nrows, ncols, nnz) < 0:
+        reader.fail(f"negative number in {key} header")
+    out = np.zeros((nrows, ncols))
     for _ in range(nnz):
         toks = reader.next().split()
         if len(toks) != 3:
             reader.fail(f"{key} entry needs 'row col value'")
         try:
-            rows.append(int(toks[0]))
-            cols.append(int(toks[1]))
-            vals.append(float(toks[2]))
+            r, c, v = int(toks[0]), int(toks[1]), float(toks[2])
         except ValueError:
             reader.fail(f"bad number in {key} entry")
-    try:
-        return CooMatrix(nrows, ncols, rows, cols, vals)
-    except ValueError as exc:
-        reader.fail(str(exc))
+        if not (0 <= r < nrows and 0 <= c < ncols):
+            reader.fail(f"{key} entry ({r}, {c}) outside its {nrows}x{ncols} shape")
+        out[r, c] += v
+    return out
 
 
 def from_text(text: str) -> SipInstance:

@@ -30,8 +30,7 @@ import numpy as np
 from . import optbase
 from .benders import Cut
 from .model import CONT, InstanceError, SipInstance, eval_recourse, joint_scenario_program
-from .optbase import GE, LE, LinearProgram, solve_lp, solve_mip
-from .sparse import CooMatrix
+from .optbase import GE, LE, CooMatrix, LinearProgram, solve_lp, solve_mip
 
 #: relative violation a multiplier cut must reach to enter the master
 LAGR_VIOL_TOL = 1e-6

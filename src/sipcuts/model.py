@@ -7,6 +7,7 @@ with recourse
     Q_s(x) = min { q_s'y : W_s y >= h_s - T_s x, bounds, integrality on y }
 mapping to +inf when the subproblem is infeasible. All constraint rows
 are stored in >= form; writers that need equalities emit paired rows.
+The blocks A, W_s and T_s are dense 2-d float arrays.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optbase
-from .optbase import GE, MipProgram, solve_mip
-from .sparse import CooMatrix
+from .optbase import GE, CooMatrix, MipProgram, solve_mip
 
 CONT, INT, BIN = 0, 1, 2
 _VTYPE_LETTER = {CONT: "C", INT: "I", BIN: "B"}
@@ -52,6 +52,13 @@ def vtype_to_string(v: np.ndarray) -> str:
     return "".join(_VTYPE_LETTER[int(code)] for code in v)
 
 
+def _matrix(prefix, name, m) -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise InstanceError(f"{prefix}: {name} must be a 2-d array")
+    return m
+
+
 def _check_finite(prefix, **data):
     for name, v in data.items():
         if not np.all(np.isfinite(v)):
@@ -75,16 +82,18 @@ def _check_vectors(prefix, n, vtype, lb, ub):
 class Scenario:
     prob: float
     q: np.ndarray
-    W: CooMatrix
+    W: np.ndarray
     h: np.ndarray
-    T: CooMatrix
+    T: np.ndarray
     vtype: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
+        self.W = _matrix("scenario", "W", self.W)
         self.h = np.asarray(self.h, dtype=np.float64)
+        self.T = _matrix("scenario", "T", self.T)
         self.vtype = np.asarray(self.vtype, dtype=np.int8)
         self.lb = np.asarray(self.lb, dtype=np.float64)
         self.ub = np.asarray(self.ub, dtype=np.float64)
@@ -95,14 +104,14 @@ class Scenario:
 
     @property
     def nrows(self) -> int:
-        return int(self.W.nrows)
+        return int(self.W.shape[0])
 
 
 @dataclass
 class SipInstance:
     name: str
     c: np.ndarray
-    A: CooMatrix
+    A: np.ndarray
     b: np.ndarray
     vtype: np.ndarray
     lb: np.ndarray
@@ -111,34 +120,33 @@ class SipInstance:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
+        self.A = _matrix("first stage", "A", self.A)
         self.b = np.asarray(self.b, dtype=np.float64)
         self.vtype = np.asarray(self.vtype, dtype=np.int8)
         self.lb = np.asarray(self.lb, dtype=np.float64)
         self.ub = np.asarray(self.ub, dtype=np.float64)
         n = self.c.size
-        if self.A.ncols != n:
+        if self.A.shape[1] != n:
             raise InstanceError("first stage: constraint columns do not match objective length")
-        if self.b.size != self.A.nrows:
+        if self.b.size != self.A.shape[0]:
             raise InstanceError("first stage: rhs length does not match row count")
-        _check_finite("first stage", c=self.c, b=self.b, A=self.A.vals)
+        _check_finite("first stage", c=self.c, b=self.b, A=self.A)
         _check_vectors("first stage", n, self.vtype, self.lb, self.ub)
         if not self.scenarios:
             raise InstanceError("instance has no scenarios")
         total = 0.0
         for s, scen in enumerate(self.scenarios):
-            _check_finite(
-                f"scenario {s}", prob=scen.prob, q=scen.q, h=scen.h, W=scen.W.vals, T=scen.T.vals
-            )
+            _check_finite(f"scenario {s}", prob=scen.prob, q=scen.q, h=scen.h, W=scen.W, T=scen.T)
             if scen.prob <= 0.0:
                 raise InstanceError(f"scenario {s}: probability must be positive")
             total += scen.prob
-            if scen.W.nrows != scen.h.size:
+            if scen.nrows != scen.h.size:
                 raise InstanceError(f"scenario {s}: h length does not match W rows")
-            if scen.T.nrows != scen.W.nrows:
+            if scen.T.shape[0] != scen.nrows:
                 raise InstanceError(f"scenario {s}: T rows do not match W rows")
-            if scen.T.ncols != n:
+            if scen.T.shape[1] != n:
                 raise InstanceError(f"scenario {s}: T columns do not match first-stage variables")
-            if scen.W.ncols != scen.q.size:
+            if scen.W.shape[1] != scen.q.size:
                 raise InstanceError(f"scenario {s}: q length does not match W columns")
             _check_vectors(f"scenario {s}", scen.ny, scen.vtype, scen.lb, scen.ub)
         if abs(total - 1.0) > 1e-9:
@@ -167,9 +175,9 @@ def toy_instance() -> SipInstance:
             Scenario(
                 prob=0.5,
                 q=np.array([cost]),
-                W=CooMatrix.from_dense([[1.0]]),
+                W=np.array([[1.0]]),
                 h=np.array([1.0]),
-                T=CooMatrix.from_dense([[1.0]]),
+                T=np.array([[1.0]]),
                 vtype=np.array([INT], dtype=np.int8),
                 lb=np.array([0.0]),
                 ub=np.array([np.inf]),
@@ -178,7 +186,7 @@ def toy_instance() -> SipInstance:
     return SipInstance(
         name="toy2s",
         c=np.array([1.0]),
-        A=CooMatrix.empty(0, 1),
+        A=np.zeros((0, 1)),
         b=np.zeros(0),
         vtype=np.array([BIN], dtype=np.int8),
         lb=np.array([0.0]),
@@ -193,11 +201,11 @@ def recourse_program(inst: SipInstance, s: int, x: np.ndarray) -> MipProgram:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (inst.nx,):
         raise InstanceError(f"candidate x has shape {x.shape}, expected ({inst.nx},)")
-    rhs = scen.h - scen.T.matvec(x)
+    rhs = scen.h - scen.T @ x
     return MipProgram(
         c=scen.q.copy(),
-        A=scen.W,
-        senses=np.full(scen.W.nrows, GE, dtype=np.int8),
+        A=CooMatrix.from_dense(scen.W),
+        senses=np.full(scen.nrows, GE, dtype=np.int8),
         rhs=rhs,
         lb=scen.lb.copy(),
         ub=scen.ub.copy(),
@@ -220,14 +228,14 @@ def eval_recourse(inst: SipInstance, s: int, x: np.ndarray) -> float:
 def _stacked_program(inst: SipInstance, scens: list[Scenario], obj: np.ndarray) -> MipProgram:
     """MIP with rows [A 0 ... 0; T_1 W_1 0 ...; T_2 0 W_2 ...; ...] over
     (x, y_1, y_2, ...): the first-stage rows, then each scenario's rows."""
-    n, mA = inst.nx, inst.A.nrows
+    n, mA = inst.nx, inst.A.shape[0]
     nrows = mA + sum(scen.nrows for scen in scens)
     A = np.zeros((nrows, n + sum(scen.ny for scen in scens)))
-    A[:mA, :n] = inst.A.to_dense()
+    A[:mA, :n] = inst.A
     r, col = mA, n
     for scen in scens:
-        A[r : r + scen.nrows, :n] = scen.T.to_dense()
-        A[r : r + scen.nrows, col : col + scen.ny] = scen.W.to_dense()
+        A[r : r + scen.nrows, :n] = scen.T
+        A[r : r + scen.nrows, col : col + scen.ny] = scen.W
         r += scen.nrows
         col += scen.ny
     return MipProgram(
@@ -282,8 +290,8 @@ def enumerate_first_stage(inst: SipInstance, cap: int = 100_000) -> np.ndarray:
         raise EnumerationCapError(f"{total} first-stage points exceed cap {cap}", total)
     grids = np.meshgrid(*[np.arange(lo[j], hi[j] + 1) for j in range(n)], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1).astype(np.float64)
-    if inst.A.nrows:
-        ok = np.all(pts @ inst.A.to_dense().T >= inst.b - 1e-9, axis=1)
+    if inst.A.shape[0]:
+        ok = np.all(pts @ inst.A.T >= inst.b - 1e-9, axis=1)
         pts = pts[ok]
     return pts
 

@@ -1,7 +1,9 @@
 """Self-contained LP and MIP solving on top of the dense simplex kernel.
 
 `LinearProgram` / `MipProgram` hold the problem data (constraint matrix,
-senses, bounds). `solve_lp` returns primal and dual vectors plus certificates.
+senses, bounds); the matrix is a `CooMatrix`, the nonzero triplets of the
+dense array its builder filled, and the solvers expand it back with
+`to_dense`. `solve_lp` returns primal and dual vectors plus certificates.
 `best_bound_search` is the one tree search of the package: `solve_mip`
 runs it on the kernel and records every improving incumbent, so a
 caller can harvest sub-optimal feasible points as well, and the
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _simplex
-from .sparse import CooMatrix
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -40,6 +41,35 @@ LE, GE, EQ = 0, 1, 2
 
 class KernelError(RuntimeError):
     """Numerical failure inside the simplex kernel."""
+
+
+@dataclass(eq=False)
+class CooMatrix:
+    """The nonzero entries of a dense matrix as (row, col, value)
+    triplets in row-major order, each position at most once."""
+
+    nrows: int
+    ncols: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nrows, self.ncols)
+
+    @classmethod
+    def from_dense(cls, mat) -> "CooMatrix":
+        mat = np.asarray(mat, dtype=np.float64)
+        if mat.ndim != 2:
+            raise ValueError("expected a 2-d array")
+        r, c = np.nonzero(mat)
+        return cls(mat.shape[0], mat.shape[1], r, c, mat[r, c])
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
 
 
 @dataclass

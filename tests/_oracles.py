@@ -58,8 +58,8 @@ def recourse_enum(inst: SipInstance, s: int, x) -> float:
     """Q_s(x) by full enumeration; requires an all-integer finite y box."""
     scen = inst.scenarios[s]
     assert np.all(scen.vtype != CONT), "enumeration oracle needs integer recourse"
-    W = scen.W.to_dense()
-    rhs = scen.h - scen.T.to_dense() @ np.asarray(x, dtype=float)
+    W = scen.W
+    rhs = scen.h - scen.T @ np.asarray(x, dtype=float)
     best = math.inf
     for y in integer_box_points(scen.lb, scen.ub):
         if np.all(W @ y >= rhs - FEAS):
@@ -68,10 +68,10 @@ def recourse_enum(inst: SipInstance, s: int, x) -> float:
 
 
 def first_stage_points(inst: SipInstance) -> list[np.ndarray]:
-    A = inst.A.to_dense()
+    A = inst.A
     pts = []
     for x in integer_box_points(inst.lb, inst.ub):
-        if inst.A.nrows == 0 or np.all(A @ x >= inst.b - FEAS):
+        if inst.A.shape[0] == 0 or np.all(A @ x >= inst.b - FEAS):
             pts.append(x)
     return pts
 

@@ -15,16 +15,11 @@ import numpy as np
 import pytest
 
 from sipcuts.model import BIN, INT, Scenario, SipInstance, toy_instance
-from sipcuts.sparse import CooMatrix
 
 
 @pytest.fixture
 def t1():
     return toy_instance()
-
-
-def _coo_from_dense(mat):
-    return CooMatrix.from_dense(np.asarray(mat, dtype=np.float64))
 
 
 def make_tiny(
@@ -44,10 +39,10 @@ def make_tiny(
     c = np.array([float(rng.randint(1, 6)) for _ in range(nx)])
     if card_row:
         k = rng.randint(1, nx)
-        A = _coo_from_dense(-np.ones((1, nx)))
+        A = -np.ones((1, nx))
         b = np.array([-float(k)])
     else:
-        A = CooMatrix.empty(0, nx)
+        A = np.zeros((0, nx))
         b = np.zeros(0)
 
     ny = rng.randint(2, 3)
@@ -74,9 +69,9 @@ def make_tiny(
             Scenario(
                 prob=1.0 / nscen,
                 q=q,
-                W=_coo_from_dense(W),
+                W=W,
                 h=h,
-                T=_coo_from_dense(T),
+                T=T,
                 vtype=np.full(ny + 1, INT, dtype=np.int8),
                 lb=np.zeros(ny + 1),
                 ub=np.array([2.0] * ny + [max(1.0, math.ceil(worst))]),
@@ -129,9 +124,9 @@ def make_gap_tiny(seed: int) -> SipInstance:
             Scenario(
                 prob=1.0 / nscen,
                 q=q,
-                W=_coo_from_dense(W),
+                W=W,
                 h=h,
-                T=_coo_from_dense(T),
+                T=T,
                 vtype=np.full(ny + 1, INT, dtype=np.int8),
                 lb=np.zeros(ny + 1),
                 ub=np.array([3.0] * ny + [max(1.0, math.ceil(float(np.max(h))))]),
@@ -140,7 +135,7 @@ def make_gap_tiny(seed: int) -> SipInstance:
     return SipInstance(
         name=f"gaptiny{seed}",
         c=c,
-        A=CooMatrix.empty(0, nx),
+        A=np.zeros((0, nx)),
         b=np.zeros(0),
         vtype=np.full(nx, BIN, dtype=np.int8),
         scenarios=scenarios,

@@ -23,7 +23,6 @@ from sipcuts.model import (
     toy_instance,
 )
 from sipcuts.optbase import OPTIMAL, lp_relaxation
-from sipcuts.sparse import CooMatrix
 
 
 def q_lp_ref(inst, s, x):
@@ -63,7 +62,7 @@ def test_bound_term_constant_enters_rhs():
     inst = SipInstance(
         name="ub-case",
         c=np.array([0.0]),
-        A=CooMatrix.empty(0, 1),
+        A=np.zeros((0, 1)),
         b=np.zeros(0),
         vtype=np.array([BIN], dtype=np.int8),
         lb=np.zeros(1),
@@ -72,9 +71,9 @@ def test_bound_term_constant_enters_rhs():
             Scenario(
                 prob=1.0,
                 q=np.array([-1.0]),
-                W=CooMatrix(1, 1, [0], [0], [-1.0]),
+                W=np.array([[-1.0]]),
                 h=np.array([-9.0]),
-                T=CooMatrix.empty(1, 1),
+                T=np.zeros((1, 1)),
                 vtype=np.array([CONT], dtype=np.int8),
                 lb=np.zeros(1),
                 ub=np.array([2.0]),
@@ -158,7 +157,7 @@ def _incomplete_recourse():
     return SipInstance(
         name="gap-feas",
         c=np.array([0.0]),
-        A=CooMatrix.empty(0, 1),
+        A=np.zeros((0, 1)),
         b=np.zeros(0),
         vtype=np.array([BIN], dtype=np.int8),
         lb=np.zeros(1),
@@ -167,9 +166,9 @@ def _incomplete_recourse():
             Scenario(
                 prob=1.0,
                 q=np.array([1.0]),
-                W=CooMatrix(1, 1, [0], [0], [1.0]),
+                W=np.array([[1.0]]),
                 h=np.array([0.0]),
-                T=CooMatrix(1, 1, [0], [0], [-1.0]),
+                T=np.array([[-1.0]]),
                 vtype=np.array([CONT], dtype=np.int8),
                 lb=np.zeros(1),
                 ub=np.zeros(1),  # y pinned to 0: feasible only when x = 0

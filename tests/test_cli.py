@@ -86,6 +86,16 @@ def test_root_nan_rhs_file_exits_2(tmp_path, capsys):
     assert "non-finite" in err
 
 
+def test_root_overflowing_matrix_file_exits_2(tmp_path, capsys):
+    # two finite W entries at one position sum to inf
+    path = tmp_path / "inf.sip"
+    w_block = "\nW\n1 1 2\n0 0 1e308\n0 0 1e308\n"
+    path.write_text(to_text(toy_instance()).replace("\nW\n1 1 1\n0 0 1.0\n", w_block, 1))
+    code, _, err = run_cli(capsys, ["root", str(path), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert "W has a non-finite entry" in err
+
+
 def test_root_toy_exact_reports_closure(tmp_path, t1_file, capsys):
     code, kv, _ = run_cli(
         capsys,

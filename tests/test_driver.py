@@ -305,7 +305,7 @@ def test_bc_resolve_after_lazy_cuts_warm_starts_from_shorter_basis(monkeypatch):
     def recording(self, lb=None, ub=None, warm=None):
         out = solve(self, lb, ub, warm)
         if lb is not None:  # a branch-and-cut node
-            rows = self.inst.A.nrows + len(self.cuts)
+            rows = self.inst.A.shape[0] + len(self.cuts)
             calls.append((lb.copy(), ub.copy(), warm, out[0].basis, rows))
         return out
 
@@ -373,13 +373,11 @@ def test_bc_node_limit_reports_limit_status():
 
 
 def test_bc_infeasible_first_stage():
-    from sipcuts.sparse import CooMatrix
-
     t1 = toy_instance()
     bad = SipInstance(
         name="bad",
         c=t1.c,
-        A=CooMatrix(1, 1, [0], [0], [1.0]),
+        A=np.array([[1.0]]),
         b=np.array([2.0]),  # x >= 2 with ub 1
         vtype=t1.vtype,
         lb=t1.lb,

@@ -92,7 +92,7 @@ def test_sslp_structure_and_ranges():
     assert inst.name == "sslp1-3-5-3"
     assert inst.nx == m and inst.nscen == S
     assert np.all(inst.vtype == BIN)
-    assert inst.A.nrows == 0
+    assert inst.A.shape[0] == 0
     assert np.all((inst.c >= 40) & (inst.c <= 80))
     assert np.all(inst.c == np.round(inst.c))
     scen = inst.scenarios[0]
@@ -104,10 +104,10 @@ def test_sslp_structure_and_ranges():
     assert np.all(scen.q[n * m :] == 1000.0)
     # capacity u is the exact mean total weight per site
     u = d.sum() / m
-    T = scen.T.to_dense()
+    T = scen.T
     assert np.allclose(np.diag(T[:m, :m]), u) and np.count_nonzero(T) == m
     # capacity rows carry -d on assignments, +1 on shortage
-    W = scen.W.to_dense()
+    W = scen.W
     for j in range(m):
         for i in range(n):
             assert W[j, i * m + j] == -d[i, j]
@@ -207,7 +207,7 @@ def test_snip_invariants():
     assert np.all(q < r) and np.all(r <= 1.0)
     assert np.all(q > 0)
     # budget row: -cost'x >= -budget
-    A = inst.A.to_dense()
+    A = inst.A
     assert A.shape == (1, inst.nx)
     assert np.array_equal(A[0], -cost)
     assert inst.b[0] == -DESK_SNIP.budget
@@ -297,8 +297,8 @@ def test_round_trip_toy_and_generated(tmp_path):
             assert s0.prob == s1.prob
             assert np.array_equal(s0.q, s1.q)
             assert np.array_equal(s0.h, s1.h)
-            assert np.array_equal(s0.W.to_dense(), s1.W.to_dense())
-            assert np.array_equal(s0.T.to_dense(), s1.T.to_dense())
+            assert np.array_equal(s0.W, s1.W)
+            assert np.array_equal(s0.T, s1.T)
 
 
 def test_round_trip_preserves_inf_and_negative_zero():
@@ -333,6 +333,64 @@ def test_format_rejects_bad_matrix_header():
     lines[wi + 1] = "1 1"
     with pytest.raises(FormatError, match="nrows ncols nnz"):
         from_text("\n".join(lines) + "\n")
+
+
+def _with_block(text, key, block):
+    """`text` with the lines of matrix `key` (header and entries)
+    replaced by `block`."""
+    lines = text.splitlines()
+    i = lines.index(key)
+    nnz = int(lines[i + 1].split()[2])
+    lines[i + 1 : i + 2 + nnz] = block
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "key,block,message",
+    [
+        ("W", ["1 1 1", e], "W entry .* outside its 1x1 shape")
+        for e in ("1 0 1.0", "0 1 1.0", "-1 0 1.0", "0 -1 1.0")
+    ]
+    + [("T", [h], "negative number in T header") for h in ("-1 1 0", "1 -1 0", "1 1 -1")],
+    ids=["row-high", "col-high", "row-negative", "col-negative"]
+    + ["nrows-negative", "ncols-negative", "nnz-negative"],
+)
+def test_format_matrix_errors_name_the_line(key, block, message):
+    bad = _with_block(to_text(toy_instance()), key, block)
+    line = bad.splitlines().index(block[-1]) + 1
+    with pytest.raises(FormatError, match=f"line {line}: {message}"):
+        from_text(bad)
+
+
+def test_duplicate_entries_are_summed_and_written_merged():
+    inst = gen_snip(DESK_SNIP)
+    text = to_text(inst)
+    a = inst.A[0]
+    # a[0] split in two, a pair on a[1] that cancels, an explicit -0.0
+    entries = ["0 1 2.5", "0 0 1.0"]
+    entries += [f"0 {j} {float(v)!r}" for j, v in enumerate(a - np.eye(a.size)[0])]
+    entries += ["0 1 -2.5", "0 0 -0.0"]
+    back = from_text(_with_block(text, "A", [f"1 {a.size} {len(entries)}"] + entries))
+    assert np.array_equal(back.A, inst.A)
+    assert to_text(back) == text
+
+
+def test_negative_zero_entry_is_read_as_zero_and_not_written():
+    # an entry that sums to zero is a +0.0 and is not written back
+    toy = to_text(toy_instance())
+    back = from_text(_with_block(toy, "T", ["1 1 2", "0 0 -0.0", "0 0 0.0"]))
+    assert back.scenarios[0].T.tolist() == [[0.0]]
+    assert not np.signbit(back.scenarios[0].T[0, 0])
+    lines = to_text(back).splitlines()
+    i = lines.index("T")
+    assert lines[i + 1 : i + 3] == ["1 1 0", "scen 1"]
+
+
+def test_summed_entries_must_stay_finite():
+    # each entry is finite, their sum overflows to inf
+    bad = _with_block(to_text(toy_instance()), "W", ["1 1 2", "0 0 1e308", "0 0 1e308"])
+    with pytest.raises(InstanceError, match="scenario 0: W has a non-finite entry"):
+        from_text(bad)
 
 
 def _poison(text, key, token):

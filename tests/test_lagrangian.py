@@ -28,7 +28,6 @@ from sipcuts.lagrangian import (
     strengthen_benders,
 )
 from sipcuts.model import CONT, INT, BIN, Scenario, SipInstance
-from sipcuts.sparse import CooMatrix
 
 
 # ----------------------------------------------------------- value function
@@ -270,7 +269,7 @@ def test_strengthen_closes_integrality_gap():
     inst = SipInstance(
         name="gapcase",
         c=np.array([0.0]),
-        A=CooMatrix.empty(0, 1),
+        A=np.zeros((0, 1)),
         b=np.zeros(0),
         vtype=np.array([BIN], dtype=np.int8),
         lb=np.zeros(1),
@@ -279,9 +278,9 @@ def test_strengthen_closes_integrality_gap():
             Scenario(
                 prob=1.0,
                 q=np.array([1.0]),
-                W=CooMatrix(1, 1, [0], [0], [2.0]),
+                W=np.array([[2.0]]),
                 h=np.array([1.0]),
-                T=CooMatrix.empty(1, 1),
+                T=np.zeros((1, 1)),
                 vtype=np.array([INT], dtype=np.int8),
                 lb=np.zeros(1),
                 ub=np.array([3.0]),

@@ -29,7 +29,6 @@ from sipcuts.model import (
     vtype_to_string,
 )
 from sipcuts.optbase import OPTIMAL, lp_relaxation, solve_lp, solve_mip
-from sipcuts.sparse import CooMatrix
 
 
 # ------------------------------------------------------------- toy instance
@@ -72,9 +71,9 @@ def test_dimension_errors_name_the_scenario(t1):
     bad = Scenario(
         prob=0.5,
         q=np.array([2.0, 9.0]),  # two costs but W has one column
-        W=CooMatrix(1, 1, [0], [0], [1.0]),
+        W=np.array([[1.0]]),
         h=np.array([1.0]),
-        T=CooMatrix(1, 1, [0], [0], [1.0]),
+        T=np.array([[1.0]]),
         vtype=np.array([1], dtype=np.int8),
         lb=np.array([0.0]),
         ub=np.array([np.inf]),
@@ -161,8 +160,8 @@ def test_extensive_form_matches_enumeration(seed):
     assert abs(ref_obj - want) <= 1e-6 * (1 + abs(want))
     # first-stage block of the solution is feasible for stage one
     xs = out.x[ef.x_cols]
-    if inst.A.nrows:
-        assert np.all(inst.A.to_dense() @ xs >= inst.b - 1e-6)
+    if inst.A.shape[0]:
+        assert np.all(inst.A @ xs >= inst.b - 1e-6)
 
 
 @pytest.mark.parametrize("seed", [1, 6, 9])
@@ -198,13 +197,13 @@ BLOCK_CASES = {
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_joint_scenario_program_block_layout(case):
     inst = BLOCK_CASES[case]()
-    assert inst.A.nrows > 0
+    assert inst.A.shape[0] > 0
     for s, scen in enumerate(inst.scenarios):
         prog = joint_scenario_program(inst, s, inst.c, scen.q)
         want = np.block(
             [
-                [inst.A.to_dense(), np.zeros((inst.A.nrows, scen.ny))],
-                [scen.T.to_dense(), scen.W.to_dense()],
+                [inst.A, np.zeros((inst.A.shape[0], scen.ny))],
+                [scen.T, scen.W],
             ]
         )
         assert np.array_equal(prog.A.to_dense(), want)
@@ -216,11 +215,11 @@ def test_joint_scenario_program_block_layout(case):
 def test_extensive_form_block_layout(case):
     inst = BLOCK_CASES[case]()
     ny = [scen.ny for scen in inst.scenarios]
-    blocks = [[inst.A.to_dense()] + [np.zeros((inst.A.nrows, k)) for k in ny]]
+    blocks = [[inst.A] + [np.zeros((inst.A.shape[0], k)) for k in ny]]
     for s, scen in enumerate(inst.scenarios):
-        row = [scen.T.to_dense()]
+        row = [scen.T]
         for t, k in enumerate(ny):
-            row.append(scen.W.to_dense() if t == s else np.zeros((scen.nrows, k)))
+            row.append(scen.W if t == s else np.zeros((scen.nrows, k)))
         blocks.append(row)
     prog = build_extensive_form(inst).program
     assert np.array_equal(prog.A.to_dense(), np.block(blocks))

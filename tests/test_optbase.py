@@ -13,13 +13,13 @@ from sipcuts.optbase import (
     LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    CooMatrix,
     LinearProgram,
     MipProgram,
     lp_relaxation,
     solve_lp,
     solve_mip,
 )
-from sipcuts.sparse import CooMatrix
 
 TOL = 1e-7
 
@@ -103,7 +103,7 @@ def test_lp_infeasible_farkas_certificate():
 def test_lp_unbounded_ray():
     lp = LinearProgram(
         c=np.array([-1.0]),
-        A=CooMatrix.empty(0, 1),
+        A=CooMatrix.from_dense(np.zeros((0, 1))),
         senses=np.zeros(0, dtype=np.int8),
         rhs=np.zeros(0),
         lb=np.array([0.0]),
