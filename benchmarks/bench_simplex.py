@@ -12,8 +12,10 @@ generated server-location instance. Modes whose backend is not installed
 
 With --digest every kernel output (status, x, obj, y, ray, iterations,
 basis, vstat) feeds one SHA-256 in call order, and the script prints that
-digest per mode instead of the timings: equal digests from two checkouts
-mean their kernels computed the same bits on these instances.
+digest per mode instead of the timings, followed by one SHA-256 per
+workload group: equal digests from two checkouts mean their kernels
+computed the same bits on these instances, and the group digests show
+which workloads a kernel change moved.
 
 Usage:
     python3 benchmarks/bench_simplex.py [--repeat N] [--modes numba,numpy] [--digest]
@@ -122,28 +124,52 @@ def _random_mip(rng, m, n):
     )
 
 
-def _hash_kernel_outputs(simplex) -> tuple:
-    """Wrap `simplex._lp_core` so that every output it returns feeds one
-    SHA-256; returns the hash and a one-element list counting the calls."""
-    import numpy as np
+#: workload groups; --digest prints one SHA-256 per group
+GROUPS = DENSE, WARM, MIP, BC = (
+    "dense LP 40x60",
+    "warm re-solve 400x20",
+    "branch-and-bound MIP 8x12",
+    "branch-and-cut SSLP(5,10,5)",
+)
 
-    digest = hashlib.sha256()
-    calls = [0]
-    core = simplex._lp_core
 
-    def hashing(*args):
-        out = core(*args)
-        calls[0] += 1
-        for v in out:
-            if isinstance(v, np.ndarray):
-                digest.update(f"{v.dtype}{v.shape}".encode())
-                digest.update(np.ascontiguousarray(v).tobytes())
-            else:
-                digest.update(repr(v).encode())
-        return out
+class _KernelDigests:
+    """SHA-256s of kernel outputs: once `install`ed, every output that
+    `simplex._lp_core` returns feeds the overall digest and the digest of
+    the group named by `group`, in call order."""
 
-    simplex._lp_core = hashing
-    return digest, calls
+    def __init__(self):
+        self.group = None
+        self.total = hashlib.sha256()
+        self.groups = {name: [hashlib.sha256(), 0] for name in GROUPS}  # digest, calls
+
+    def install(self, simplex) -> None:
+        import numpy as np
+
+        core = simplex._lp_core
+
+        def hashing(*args):
+            out = core(*args)
+            entry = self.groups[self.group]
+            entry[1] += 1
+            for v in out:
+                if isinstance(v, np.ndarray):
+                    chunks = (f"{v.dtype}{v.shape}".encode(), np.ascontiguousarray(v).tobytes())
+                else:
+                    chunks = (repr(v).encode(),)
+                for chunk in chunks:
+                    self.total.update(chunk)
+                    entry[0].update(chunk)
+            return out
+
+        simplex._lp_core = hashing
+
+    def summary(self) -> dict:
+        return {
+            "digest": self.total.hexdigest(),
+            "calls": sum(calls for _, calls in self.groups.values()),
+            "groups": {name: [h.hexdigest(), calls] for name, (h, calls) in self.groups.items()},
+        }
 
 
 def run_workloads(repeat: int, digest: bool = False) -> dict:
@@ -154,13 +180,15 @@ def run_workloads(repeat: int, digest: bool = False) -> dict:
     from sipcuts.instances import SslpParams, gen_sslp
     from sipcuts.optbase import OPTIMAL, solve_lp, solve_mip
 
+    digests = _KernelDigests()
     if digest:
-        hashed, calls = _hash_kernel_outputs(_simplex)
+        digests.install(_simplex)
 
     rng = np.random.default_rng(7)
     lps = [_random_lp(rng, 40, 60) for _ in range(25 * repeat)]
     mips = [_random_mip(rng, 8, 12) for _ in range(5 * repeat)]
     warm_jobs = []
+    digests.group = WARM
     for _ in range(5 * repeat):
         lp, x0 = _tall_lp(rng, 400, 20)
         parent = solve_lp(lp)
@@ -168,37 +196,43 @@ def run_workloads(repeat: int, digest: bool = False) -> dict:
     inst = gen_sslp(SslpParams(5, 10, 5, seed=1))
 
     # Warm-up pass so jit compilation is not billed to the first workload.
+    digests.group = DENSE
     solve_lp(lps[0])
+    digests.group = MIP
     solve_mip(mips[0])
 
     timings: dict[str, float] = {}
 
+    digests.group = DENSE
     t0 = time.perf_counter()
     for lp in lps:
         out = solve_lp(lp)
         assert out.status == OPTIMAL
-    timings[f"dense LP 40x60 ({len(lps)} solves)"] = time.perf_counter() - t0
+    timings[f"{DENSE} ({len(lps)} solves)"] = time.perf_counter() - t0
 
+    digests.group = WARM
     t0 = time.perf_counter()
     for lp, basis in warm_jobs:
         out = solve_lp(lp, warm=basis)
         assert out.status == OPTIMAL
-    timings[f"warm re-solve 400x20 ({len(warm_jobs)} solves)"] = time.perf_counter() - t0
+    timings[f"{WARM} ({len(warm_jobs)} solves)"] = time.perf_counter() - t0
 
+    digests.group = MIP
     t0 = time.perf_counter()
     for mip in mips:
         out = solve_mip(mip)
         assert out.status == OPTIMAL
-    timings[f"branch-and-bound MIP 8x12 ({len(mips)} solves)"] = time.perf_counter() - t0
+    timings[f"{MIP} ({len(mips)} solves)"] = time.perf_counter() - t0
 
+    digests.group = BC
     t0 = time.perf_counter()
     res, _ = solve_lbc(inst)
     assert res.status == "optimal"
-    timings["branch-and-cut SSLP(5,10,5)"] = time.perf_counter() - t0
+    timings[BC] = time.perf_counter() - t0
 
     out = {"mode": _simplex.KERNEL_MODE, "timings": timings}
     if digest:
-        out.update(digest=hashed.hexdigest(), calls=calls[0])
+        out.update(digests.summary())
     return out
 
 
@@ -252,6 +286,8 @@ def main(argv=None) -> int:
     if args.digest:
         for mode, out in results.items():
             print(f"digest {mode} {out['digest']} ({out['calls']} kernel calls)")
+            for name, (group, calls) in out["groups"].items():
+                print(f"  {name:<28} {group} ({calls} kernel calls)")
         return 0
 
     names = list(next(iter(results.values()))["timings"])

@@ -12,11 +12,19 @@ block those columns have on the rows no basic unit column covers, and
 fills the unit rows by substitution: O(k^3 + (m-k) k^2) instead of
 O(m^3). A cut master with a few dozen columns under hundreds of cut
 rows has almost only slacks basic. Below 32 rows numpy's fixed cost per
-call outweighs the saving, and the dense inverse is used. The last
-inverse of an optimal solve, from which the returned x and y are
-computed, is dense at every size: the cut loops take their cuts from
-these duals, and on the SSLP(5,10,5) Lagrangian root the block form's
-different last digits changed which cuts entered and slowed the loop.
+call outweighs the saving, and the dense inverse is used. An entering
+slack's column of the inverse is read out of it, not multiplied out.
+
+The last inverse of an optimal solve, from which the returned x and y
+are computed, is dense below _BLOCK_FINAL_MIN_ROWS = 200 rows and in
+block form from there. The cutoff follows what the duals feed. The cut
+loops build their cuts from the root-loop master's duals, and on the
+SSLP(5,10,5) Lagrangian root the block form's different last digits
+changed which cuts entered and slowed the loop; no root-loop master of
+the benchmark workloads reaches 200 rows (the largest has 157).
+Branch-and-cut node LPs grow past it as lazy cuts pile up, on an SSLP
+master to 508 rows over 18 columns, and their duals feed no cut, so
+there the O(m^3) inverse is skipped.
 
 Cold start: two-phase primal simplex from the slack/artificial basis;
 phase 1 minimizes the artificial sum. Entering variable: Dantzig rule,
@@ -54,12 +62,12 @@ be priced, and leaving them out halves the column matrix and every
 pricing product on a tall master.
 
 The core loop and `_basis_inverse` are written in the numpy subset
-numba can compile (one advanced index per expression). numba is not a
-dependency; where it imports, both are jitted (cache=True, nogil=True),
-and setting the environment variable SIPCUTS_PURE_NUMPY=1 before import
-selects the identical uncompiled path. Compiling the current code with
-numba is unverified: only the pure-numpy path has been run since
-`_basis_inverse` was added.
+numba can compile (one advanced index per expression; a column read is a
+basic slice and a copy). numba is not a dependency; where it imports,
+both are jitted (cache=True, nogil=True), and setting the environment
+variable SIPCUTS_PURE_NUMPY=1 before import selects the identical
+uncompiled path. Compiling the current code with numba is unverified:
+only the pure-numpy path has been run since `_basis_inverse` was added.
 `benchmarks/bench_simplex.py` times both.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 iteration limit,
@@ -91,6 +99,10 @@ _BLAND_AFTER = 2
 #: bases with fewer rows are inverted densely: below about 32 rows the
 #: dense inverse is faster than the block form's fixed numpy overhead
 _BLOCK_MIN_ROWS = 32
+#: the final inverse of an optimal solve is dense below this many rows,
+#: which every root-loop master stays under, so the duals that cuts are
+#: built from keep the dense inverse's last digits
+_BLOCK_FINAL_MIN_ROWS = 200
 
 
 def _basis_inverse(WT, basis, n):
@@ -102,8 +114,11 @@ def _basis_inverse(WT, basis, n):
     k x k block they have on the rows no basic unit column covers is
     inverted; the unit rows follow by substitution. That costs
     O(k^3 + (m - k) k^2) instead of O(m^3). Bases of fewer than
-    _BLOCK_MIN_ROWS rows take the dense inverse. Raises LinAlgError when
-    two basic unit columns cover one row or the block is singular."""
+    _BLOCK_MIN_ROWS rows take the dense inverse. It serves the start
+    and refactorization inverses at every size, and the final inverse
+    of an optimal solve from _BLOCK_FINAL_MIN_ROWS rows. Raises
+    LinAlgError when two basic unit columns cover one row or the block
+    is singular."""
     m = basis.size
     if m < _BLOCK_MIN_ROWS:
         return np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
@@ -278,7 +293,10 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
             ratio = dd / absa
             tmin = ratio[ratio.argmin()]
             e = k[((ratio <= tmin + 1e-9) * absa).argmax()]
-            u = Binv @ WT[e]
+            if e >= n and e < nb:  # a slack: WT[e] is the unit vector of row e - n
+                u = Binv[:, e - n].copy()
+            else:
+                u = Binv @ WT[e]
             piv = u[leave]
             if abs(piv) <= _TOL_PIV:
                 status = NUMERIC
@@ -376,7 +394,10 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
 
         dirn = 1.0 if (vstat[e] == 1 or (vstat[e] == 3 and d[e] < 0.0)) else -1.0
 
-        u = Binv @ WT[e]
+        if e >= n and e < nb:  # a slack: WT[e] is the unit vector of row e - n
+            u = Binv[:, e - n].copy()
+        else:
+            u = Binv @ WT[e]
         du = dirn * u
         xb = x[basis]
         # ratio test over the basic rows the step moves: the first bound
@@ -451,7 +472,10 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
 
     if status == OPTIMAL and m > 0:
         Binv = np.empty((0, 0))  # free the old inverse first
-        Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
+        if m >= _BLOCK_FINAL_MIN_ROWS:
+            Binv = _basis_inverse(WT, basis, n)
+        else:
+            Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
         xt = x.copy()
         xt[basis] = 0.0
         x[basis] = Binv @ (b - xt @ WT)

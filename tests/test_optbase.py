@@ -527,14 +527,20 @@ def test_lp_relaxation_drops_integrality():
 # ------------------------------------------------------------ warm starts
 
 
-def _bounded_lp(seed, tall=False):
+#: row ranges of tall LPs: the block inverse at start and refactorization
+#: only, and a master tall enough for the block final inverse too
+TALL, MASTER = (64, 97), (200, 321)
+
+
+def _bounded_lp(seed, tall=None):
     """Seeded feasible LP on a finite box: every row holds at an anchor
     point inside the box, with slack on the inequalities. A tall one is
-    shaped like a cut master, 64 to 96 rows on 8 to 20 columns, so its
-    bases are mostly slack and take the kernel's block inverse."""
+    shaped like a cut master, `tall` = (low, high) rows of GE cuts on 8
+    to 20 columns, so its bases are mostly slack and take the kernel's
+    block inverse."""
     rng = np.random.default_rng(seed)
     if tall:
-        m, n = int(rng.integers(64, 97)), int(rng.integers(8, 21))
+        m, n = int(rng.integers(*tall)), int(rng.integers(8, 21))
     else:
         m, n = int(rng.integers(4, 9)), int(rng.integers(6, 13))
     dense = np.round(rng.uniform(-5.0, 5.0, (m, n)))
@@ -609,7 +615,12 @@ def test_warm_bound_change_matches_cold_and_reference(seed, core_calls):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_tall_warm_bound_change_matches_cold_and_reference(seed, core_calls):
-    _check_warm_bound_change(_bounded_lp(seed, tall=True)[0], core_calls)
+    _check_warm_bound_change(_bounded_lp(seed, TALL)[0], core_calls)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_master_warm_bound_change_matches_cold_and_reference(seed, core_calls):
+    _check_warm_bound_change(_bounded_lp(seed, MASTER)[0], core_calls)
 
 
 def _check_warm_appended_rows(lp, anchor, seed, core_calls):
@@ -646,7 +657,12 @@ def test_warm_appended_rows_match_cold_and_reference(seed, core_calls):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_tall_warm_appended_rows_match_cold_and_reference(seed, core_calls):
-    _check_warm_appended_rows(*_bounded_lp(seed, tall=True), seed, core_calls)
+    _check_warm_appended_rows(*_bounded_lp(seed, TALL), seed, core_calls)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_master_warm_appended_rows_match_cold_and_reference(seed, core_calls):
+    _check_warm_appended_rows(*_bounded_lp(seed, MASTER), seed, core_calls)
 
 
 def _free_lp(seed):
@@ -756,6 +772,32 @@ def test_warm_start_with_unknown_status_runs_cold(status, core_calls):
     assert np.all(out[1] >= lp.lb) and np.all(out[1] <= lp.ub)
 
 
+def test_entering_slack_in_dual_and_primal_loops(core_calls):
+    # cold: x0 + x1 >= 1 starts on its artificial, and phase 1 brings x0
+    # in at 1; phase 2's min -x0 enters that row's slack, and x0 rises
+    # until 2 x0 + x1 <= 5 binds, whose slack leaves
+    lp = _lp([-1.0, 0.0], [[1.0, 1.0], [2.0, 1.0]], [GE, LE], [1.0, 5.0], [0.0, 0.0], [3.0, 3.0])
+    out = _kernel(lp)
+    assert out[0] == 0 and out[2] == -2.5 and sorted(out[6][0]) == [0, 2]
+    _assert_matches_cold_and_reference(lp, out)
+    # warm: min -x0 + x1 ends with x0 basic at 2 on 2 x0 + x1 <= 4 and
+    # x0 + 3 x1 >= 1.5 slack. With x0 <= 1 the dual ratio test enters the
+    # first row's slack (ratio 1) over x1 (ratio 3), which leaves the
+    # second row violated by 0.5; x1 enters for it, and primal phase 2
+    # only prices. The basis inverse is not symmetric, so reading a row of
+    # it for the slack's column would leave that violation unseen.
+    c, dense, senses, rhs = [-1.0, 1.0], [[2.0, 1.0], [1.0, 3.0]], [LE, GE], [4.0, 1.5]
+    parent = _kernel(_lp(c, dense, senses, rhs, [0.0, 0.0], [3.0, 3.0]))
+    assert sorted(parent[6][0]) == [0, 3]
+    child = _lp(c, dense, senses, rhs, [0.0, 0.0], [1.0, 3.0])
+    del core_calls[:]
+    out = _kernel(child, warm=parent[6])
+    assert len(core_calls) == 1, "the warm attempt was accepted"
+    assert out[0] == 0 and sorted(out[6][0]) == [1, 2] and out[5] == 3
+    assert np.allclose(out[1], [1.0, 1.0 / 6.0], rtol=0.0, atol=1e-12)
+    _assert_matches_cold_and_reference(child, out)
+
+
 def test_mip_children_start_from_the_parent_basis(monkeypatch):
     calls = []
     kernel = optbase._solve_dense
@@ -840,3 +882,55 @@ def test_basis_inverse_rejects_singular_bases():
         assert basis.size == m
         with pytest.raises(np.linalg.LinAlgError):
             _simplex._basis_inverse(WT, basis, n)
+
+
+# ------------------------------------------------- block final inverse
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_final_inverse_matches_the_dense_one(seed, monkeypatch):
+    from sipcuts import _simplex
+
+    if _simplex.HAS_NUMBA:
+        pytest.skip("a compiled kernel reads the cutoff once, at compile time")
+    lp, _ = _bounded_lp(seed, MASTER)
+    assert lp.nrows >= _simplex._BLOCK_FINAL_MIN_ROWS
+    calls = []
+    inverse = _simplex._basis_inverse
+
+    def counting(*args):
+        calls.append(1)
+        return inverse(*args)
+
+    monkeypatch.setattr(_simplex, "_basis_inverse", counting)
+    block = _kernel(lp)
+    block_calls = len(calls)
+    del calls[:]
+    monkeypatch.setattr(_simplex, "_BLOCK_FINAL_MIN_ROWS", lp.nrows + 1)
+    dense = _kernel(lp)
+    assert block_calls == len(calls) + 1, "only the final inverse changed form"
+    assert block[0] == dense[0] == _simplex.OPTIMAL and block[5] == dense[5]
+    for u, v in zip(block[6], dense[6]):
+        assert np.array_equal(u, v)
+    for u, v in ((block[1], dense[1]), (block[3], dense[3]), (block[2], dense[2])):
+        assert np.all(np.abs(np.subtract(u, v)) <= 1e-9 * (1.0 + np.abs(v)))
+
+
+def test_final_inverse_below_the_cutoff_is_dense(monkeypatch, core_calls):
+    from sipcuts import _simplex
+
+    lp, anchor = _bounded_lp(0, (199, 200))
+    assert lp.nrows == _simplex._BLOCK_FINAL_MIN_ROWS - 1
+
+    def cold_and_warm():
+        parent = _kernel(lp)
+        child = _lp(lp.c, lp.A.to_dense(), lp.senses, lp.rhs, lp.lb, 0.5 * (parent[1] + anchor))
+        return parent, _kernel(child, warm=parent[6])
+
+    before = cold_and_warm()
+    assert len(core_calls) == 2, "the warm attempt was accepted"
+    monkeypatch.setattr(_simplex, "_BLOCK_FINAL_MIN_ROWS", 10**9)
+    for a, b in zip(before, cold_and_warm()):
+        _same_output(a, b)
+        for u, v in zip(a[6], b[6]):
+            assert u.tobytes() == v.tobytes()
