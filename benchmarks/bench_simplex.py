@@ -11,7 +11,8 @@ generated server-location instance. Modes whose backend is not installed
 (numba) are skipped and named in the output.
 
 With --digest every kernel output (status, x, obj, y, ray, iterations,
-basis, vstat) feeds one SHA-256 in call order, and the script prints that
+basis, vstat; not the final basis inverse that rides along after them)
+feeds one SHA-256 in call order, and the script prints that
 digest per mode instead of the timings, followed by one SHA-256 per
 workload group: equal digests from two checkouts mean their kernels
 computed the same bits on these instances, and the group digests show
@@ -134,9 +135,9 @@ GROUPS = DENSE, WARM, MIP, BC = (
 
 
 class _KernelDigests:
-    """SHA-256s of kernel outputs: once `install`ed, every output that
-    `simplex._lp_core` returns feeds the overall digest and the digest of
-    the group named by `group`, in call order."""
+    """SHA-256s of kernel outputs: once `install`ed, the first eight
+    outputs of every `simplex._lp_core` call feed the overall digest and
+    the digest of the group named by `group`, in call order."""
 
     def __init__(self):
         self.group = None
@@ -152,7 +153,7 @@ class _KernelDigests:
             out = core(*args)
             entry = self.groups[self.group]
             entry[1] += 1
-            for v in out:
+            for v in out[:8]:
                 if isinstance(v, np.ndarray):
                     chunks = (f"{v.dtype}{v.shape}".encode(), np.ascontiguousarray(v).tobytes())
                 else:

@@ -5,7 +5,8 @@ over columns [structural | slack | artificial]: slack columns absorb
 row senses, artificial columns give a cold start a feasible basis.
 
 The basis inverse is kept explicitly. Each pivot updates it in place;
-it is computed afresh at a warm start and every 64 pivots. Slack and
+it is computed afresh every 64 pivots, and at a warm start unless the
+start brings the inverse of its own basis (see below). Slack and
 artificial columns are signed unit vectors, so for a basis of m >= 32
 rows with k structural columns `_basis_inverse` inverts only the k x k
 block those columns have on the rows no basic unit column covers, and
@@ -61,13 +62,30 @@ warm start carries no artificial columns: they would sit at 0 and never
 be priced, and leaving them out halves the column matrix and every
 pricing product on a tall master.
 
+What depends on the program alone is built by `prepare`: A, b and sense
+as the core takes them, the column matrix WT = [A'; I] with m rows kept
+for a cold start's artificial columns, and the slack bounds. A one-shot
+`solve_dense` builds it per call, with the artificial rows only when a
+cold attempt runs; `optbase.solve_mip` builds it once per tree and hands
+it to every node. A warm call also skips the cold nonbasic start. When
+the caller passed that set-up, a basis of fewer than _BLOCK_MIN_ROWS rows
+from an optimal solve of the unscaled first attempt carries its final
+inverse as a third element. A child with all of its rows copies that
+inverse instead of inverting the basis, with the same bits: below that
+size the start inverse is the same dense inverse of the same rows of WT
+as the parent's final one. A start with fewer rows than the program, a
+basis of 32 rows or more and the outcome of a scaled attempt carry none.
+At 25 rows a carried inverse is 5 KB per open node.
+
 The core loop and `_basis_inverse` are written in the numpy subset
 numba can compile (one advanced index per expression; a column read is a
-basic slice and a copy). numba is not a dependency; where it imports,
-both are jitted (cache=True, nogil=True), and setting the environment
-variable SIPCUTS_PURE_NUMPY=1 before import selects the identical
-uncompiled path. Compiling the current code with numba is unverified:
-only the pure-numpy path has been run since `_basis_inverse` was added.
+basic slice and a copy; "no inverse" is a 0 x 0 array). numba is not a
+dependency; where it imports, both are jitted (cache=True, nogil=True),
+and setting the environment variable SIPCUTS_PURE_NUMPY=1 before import
+selects the identical uncompiled path. Compiling the current code with
+numba is unverified: only the pure-numpy path has been run since
+`_basis_inverse` was added, and since the core took the column matrix
+and a carried inverse.
 `benchmarks/bench_simplex.py` times both.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 iteration limit,
@@ -150,43 +168,40 @@ def _basis_inverse(WT, basis, n):
     return Binv
 
 
-def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
-    m, n = A.shape
+def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, basis0, vstat0, Binv0):
+    m = b.size
+    n = c.size
     nb = n + m  # structural and slack columns; a returned basis indexes these
     warm = basis0.size > 0
     ncol = nb if warm else nb + m  # a warm start carries no artificial columns
     inf = np.inf
 
     # columns: [structural | slack | artificial]; WT[j] is column j of the
-    # equality system  A x + slack = b
-    WT = np.zeros((ncol, m))
-    WT[:n] = A.T
-    WT[n:nb] = np.eye(m)
+    # equality system  A x + slack = b. A cold start fills the m
+    # artificial rows WT keeps for it; a warm start reads the first nb rows.
+    WT = WT[:ncol]
     lo = np.zeros(ncol)
     hi = np.zeros(ncol)
     lo[:n] = lb
     hi[:n] = ub
-    # slack ranges: [0, inf) on <= rows, (-inf, 0] on >= rows, [0, 0] on == rows
-    lo[n:nb] = np.where(sense == 1, -inf, 0.0)
-    hi[n:nb] = np.where(sense == 0, inf, 0.0)
-
-    # nonbasic start: structural at its finite lower bound, else at its
-    # finite upper bound, free at 0
+    lo[n:nb] = slo
+    hi[n:nb] = shi
     x = np.zeros(ncol)
     vstat = np.zeros(ncol, dtype=np.int8)  # 0 basic, 1 at lb, 2 at ub, 3 free
-    flo = np.isfinite(lo[:n])
-    fhi = np.isfinite(hi[:n])
-    vstat[:n] = np.where(flo, 1, np.where(fhi, 2, 3))
-    x[:n] = np.where(flo, lo[:n], np.where(fhi, hi[:n], 0.0))
-    vstat[n:nb] = np.where(sense == 1, 2, 1)
-    vstat[nb:] = 1
-
+    no_inverse = np.empty((0, 0))  # what an early exit returns as the inverse
     cost = np.zeros(ncol)
     y = np.zeros(m)
     ray = np.zeros(nb)
     it = 0
     status = -1
     if not warm:
+        # nonbasic start: structural at its finite lower bound, else at its
+        # finite upper bound, free at 0
+        flo = np.isfinite(lo[:n])
+        fhi = np.isfinite(hi[:n])
+        vstat[:n] = np.where(flo, 1, np.where(fhi, 2, 3))
+        x[:n] = np.where(flo, lo[:n], np.where(fhi, hi[:n], 0.0))
+        vstat[n:nb] = np.where(sense == 1, 2, 1)
         # slack basis where the residual fits the row sense, an artificial
         # carrying the residual elsewhere
         r = b - x[:n] @ WT[:n]  # residuals with slacks at zero
@@ -219,13 +234,18 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
         # every nonbasic status must name a bound this program has
         bad = ((vs == 1) & ~fl) | ((vs == 2) & ~fh) | ((vs == 3) & (fl | fh))
         if np.any(bad | (inbasis != (vs == 0))):
-            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy()
+            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), no_inverse
         x[:nb] = np.where(vs == 1, lo[:nb], np.where(vs == 2, hi[:nb], 0.0))
-        Binv = _basis_inverse(WT, basis, n)
+        if m0 == m and Binv0.shape[0] == m:
+            # the parent's final inverse of this very basis; a copy, since
+            # the pivots update it in place and a sibling starts from it too
+            Binv = Binv0.copy()
+        else:
+            Binv = _basis_inverse(WT, basis, n)
         x[basis] = 0.0
         x[basis] = Binv @ (b - x @ WT)
         if np.abs(x @ WT - b).max() > 1e-6 * (1.0 + np.abs(b).max()):  # near singular
-            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy()
+            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), no_inverse
         cost[:n] = c
         phase = 2
 
@@ -248,7 +268,7 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
         y = cost[basis] @ Binv
         d = cost - WT @ y
         if (sgn * d < -_TOL_DFEAS).any() or (nfree > 0 and (np.abs(d[free]) > _TOL_DFEAS).any()):
-            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy()
+            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), no_inverse
         # bounded dual simplex until the basic values fit their bounds;
         # primal phase 2 below then confirms optimality
         while True:
@@ -485,7 +505,7 @@ def _lp_core(A, b, sense, c, lb, ub, itmax, refactor_every, basis0, vstat0):
             status = NUMERIC
 
     obj = float(c @ x[:n])
-    return status, x[:n].copy(), obj, y, ray, it, basis.copy(), vstat[:nb].copy()
+    return status, x[:n].copy(), obj, y, ray, it, basis.copy(), vstat[:nb].copy(), Binv
 
 
 _PURE = os.environ.get("SIPCUTS_PURE_NUMPY", "") not in ("", "0")
@@ -581,10 +601,33 @@ def _farkas_certifies(A, b, sense, lb, ub, ray):
     return float(y @ b) - bound > FEASTOL * (1.0 + abs(bound))
 
 
+def prepare(A, b, sense, artificial=True):
+    """The kernel data that depends on the program alone, not on its
+    bounds or a start: A, b and sense as the core takes them, the column
+    matrix WT = [A'; I; 0] and the slack bounds ([0, inf) on <= rows,
+    (-inf, 0] on >= rows, [0, 0] on == rows). The m rows after the
+    slacks are kept for a cold start's signed artificial columns;
+    `artificial=False` leaves them out, for a warm start alone.
+
+    A caller that solves one program under many bounds, as a
+    branch-and-bound tree does, builds this once and hands it to every
+    `solve_dense` call."""
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    sense = np.ascontiguousarray(sense, dtype=np.int8)
+    m, n = A.shape
+    WT = np.zeros((n + 2 * m if artificial else n + m, m))
+    WT[:n] = A.T
+    WT[n : n + m] = np.eye(m)
+    return A, b, sense, WT, np.where(sense == 1, -np.inf, 0.0), np.where(sense == 0, np.inf, 0.0)
+
+
 def _warm_start(warm, n, m):
-    """`warm` as (basis, vstat) arrays the core accepts, or None when it
-    is absent or does not describe a start for an n-column program with
-    at least as many rows."""
+    """`warm` as (basis, vstat, inverse) arrays the core accepts, or None
+    when it is absent or does not describe a start for an n-column
+    program with at least as many rows. The inverse is the start's own
+    third element when it has one and the start has all m rows, else
+    empty."""
     if warm is None:
         return None
     basis0 = np.ascontiguousarray(warm[0], dtype=np.int64)
@@ -596,13 +639,17 @@ def _warm_start(warm, n, m):
         return None
     if vstat0.min() < 0 or vstat0.max() > 3:  # 0 basic, 1 at lb, 2 at ub, 3 free
         return None
-    return basis0, np.ascontiguousarray(vstat0, dtype=np.int8)
+    Binv0 = _NO_INVERSE
+    if len(warm) > 2 and m0 == m and np.shape(warm[2]) == (m, m):
+        Binv0 = np.ascontiguousarray(warm[2], dtype=np.float64)
+    return basis0, np.ascontiguousarray(vstat0, dtype=np.int8), Binv0
 
 
-_COLD = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
+_NO_INVERSE = np.empty((0, 0))
+_COLD = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), _NO_INVERSE)
 
 
-def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None):
+def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
     """Run the kernel on dense float64 data. Handles the no-row case that
     the compiled core does not.
 
@@ -615,12 +662,21 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None):
     original scaling. Infeasible and unbounded exits are only accepted
     when their certificates check out against the original data.
 
+    `prep` is `prepare(A, b, sense)`, built once by a caller that solves
+    the same program many times; A, b and sense are then not read.
+    Without it the set-up is built here, with the artificial rows only
+    when no warm start is given.
+
     Returns (status, x, obj, y, ray, iterations, basis); `basis` is the
     final (basis, vstat) pair when the solve is optimal with no
-    artificial basic, else None."""
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    sense = np.ascontiguousarray(sense, dtype=np.int8)
+    artificial basic, else None. When the caller passed `prep`, the
+    program has fewer than _BLOCK_MIN_ROWS rows and an unscaled attempt
+    solved it, the final basis inverse rides along as a third element,
+    for the children that start from this basis."""
+    carry = prep is not None
+    if prep is None:
+        prep = prepare(A, b, sense, artificial=warm is None)
+    A, b, sense, WT, slo, shi = prep
     c = np.ascontiguousarray(c, dtype=np.float64)
     lb = np.ascontiguousarray(lb, dtype=np.float64)
     ub = np.ascontiguousarray(ub, dtype=np.float64)
@@ -657,19 +713,23 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None):
     attempts = [(scaled, every, _COLD) for scaled, every in _ATTEMPTS]
     if start is not None:
         attempts.insert(0, (False, _REFACTOR_EVERY, start))
-    for scaled, refactor_every, (basis0, vstat0) in attempts:
+    for scaled, refactor_every, (basis0, vstat0, Binv0) in attempts:
         if scaled:
             R, C = _pow2_scales(A)
             As = A * np.outer(R, C)
             bs = b * R
             cs = c * C
             lbs, ubs = lb / C, ub / C
+            WTs = prepare(As, bs, sense)[3]
         else:
             R = C = None
-            As, bs, cs, lbs, ubs = A, b, c, lb, ub
+            bs, cs, lbs, ubs = b, c, lb, ub
+            if basis0.size == 0 and WT.shape[0] < n + 2 * m:  # cold after a warm attempt
+                WT = prepare(A, b, sense)[3]
+            WTs = WT
         try:
-            status, x, obj, y, rayfull, it, basis, vstat = _lp_core(
-                As, bs, sense, cs, lbs, ubs, itmax, refactor_every, basis0, vstat0
+            status, x, obj, y, rayfull, it, basis, vstat, Binv = _lp_core(
+                WTs, bs, sense, cs, lbs, ubs, slo, shi, itmax, refactor_every, basis0, vstat0, Binv0
             )
         except np.linalg.LinAlgError:
             status = NUMERIC
@@ -698,4 +758,6 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None):
     final = None
     if status == OPTIMAL and basis.max() < n + m:
         final = (basis, vstat)
+        if carry and not scaled and m < _BLOCK_MIN_ROWS:
+            final = (basis, vstat, Binv)
     return status, x, obj, y, ray, it, final

@@ -152,14 +152,14 @@ def cmd_root(args) -> int:
     t0 = time.monotonic()
     try:
         master, trace = run_root_loop(inst, cfg, trace=trace)
+        wall = time.monotonic() - t0
+        trace.to_csv(trace_path)  # before the baseline LP, which may fail too
+        trace.baseline = _baseline_lp(inst)
     except (KernelError, InstanceError) as exc:
         trace.to_csv(trace_path)
         print(f"error={exc}", file=sys.stderr)
         _emit(trace=trace_path, status="solver_failure")
         return 3
-    wall = time.monotonic() - t0
-    trace.baseline = _baseline_lp(inst)
-    trace.to_csv(trace_path)
     counts = master.counts()
     _emit(
         instance=inst.name,
@@ -175,7 +175,7 @@ def cmd_root(args) -> int:
         n_lagrangian=counts.get("lagrangian", 0),
         trace=trace_path,
     )
-    return 0
+    return 4 if trace.stop_reason == "time_limit" else 0
 
 
 def cmd_solve(args) -> int:

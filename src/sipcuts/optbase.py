@@ -15,6 +15,13 @@ node starts from its parent's final basis (dual simplex after the bound
 change), and a branch-and-cut node solved again after lazy cuts starts
 from its own basis. This stays deterministic: identical inputs give
 identical outputs, including the incumbent pool order and node counts.
+
+`solve_mip` builds the kernel's per-program set-up (`_simplex.prepare`:
+the column matrix and the slack bounds) once per tree instead of once
+per node. Below 32 rows a node's final basis inverse rides along with
+its basis, and its children start from a copy of it instead of
+inverting that basis again; the kernel computes the same bits either
+way.
 """
 
 from __future__ import annotations
@@ -152,11 +159,14 @@ class SolveOutcome:
     bound: float | None = None
     incumbent_pool: list = field(default_factory=list)
     node_count: int = 0
-    basis: tuple | None = None  # final (basis, vstat) of an optimal LP, a warm start
+    # final (basis, vstat) of an optimal LP, a warm start for a later solve;
+    # the basis inverse that `solve_mip`'s nodes hand their children as a
+    # third element stays inside the tree
+    basis: tuple | None = None
 
 
-def _solve_dense(c, A, senses, rhs, lb, ub, itmax=0, warm=None):
-    return _simplex.solve_dense(A, rhs, senses, c, lb, ub, itmax=itmax, warm=warm)
+def _solve_dense(c, A, senses, rhs, lb, ub, itmax=0, warm=None, prep=None):
+    return _simplex.solve_dense(A, rhs, senses, c, lb, ub, itmax=itmax, warm=warm, prep=prep)
 
 
 def solve_lp(prog: LinearProgram, itmax: int = 0, warm=None) -> SolveOutcome:
@@ -284,9 +294,12 @@ def solve_mip(
     int_idx = np.nonzero(prog.is_int)[0]
     lb0, ub0 = _round_in_integer_bounds(prog.lb, prog.ub, prog.is_int)
     pool = []
+    prep = _simplex.prepare(dense, rhs, senses)  # one kernel set-up for the whole tree
 
     def relax(lb, ub, warm):
-        status, x, obj, _, _, _, basis = _solve_dense(c, dense, senses, rhs, lb, ub, warm=warm)
+        status, x, obj, _, _, _, basis = _solve_dense(
+            c, dense, senses, rhs, lb, ub, warm=warm, prep=prep
+        )
         if status == _simplex.NUMERIC or status == _simplex.ITER_LIMIT:
             raise KernelError("simplex failure inside branch and bound")
         return (OPTIMAL, INFEASIBLE, UNBOUNDED)[status], obj, x, basis

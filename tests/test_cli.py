@@ -120,6 +120,34 @@ def test_root_output_is_key_value(tmp_path, t1_file, capsys):
         assert re.fullmatch(r"[a-z_]+=\S.*", line), line
 
 
+def test_root_time_limit_exits_4(tmp_path, t1_file, capsys):
+    code, kv, _ = run_cli(
+        capsys,
+        ["root", t1_file, "--variant", "exact", "--time-limit", "0.0", "--out", str(tmp_path)],
+    )
+    assert code == 4
+    assert kv["stop"] == ["time_limit"]
+    assert math.isfinite(float(kv["final_bound"][0]))
+
+
+def test_root_baseline_failure_still_writes_the_trace(tmp_path, t1_file, capsys, monkeypatch):
+    from sipcuts import cli
+    from sipcuts.optbase import KernelError
+
+    def failing(prog):
+        raise KernelError("simplex reported numerical trouble")
+
+    monkeypatch.setattr(cli, "solve_lp", failing)
+    code, kv, err = run_cli(
+        capsys, ["root", t1_file, "--variant", "benders_only", "--out", str(tmp_path)]
+    )
+    assert code == 3 and "error=" in err
+    assert kv["status"] == ["solver_failure"]
+    lines = open(kv["trace"][0]).read().strip().splitlines()
+    assert lines[0] == "time_s,lower_bound,iter,n_benders,n_lagrangian,n_intL"
+    assert len(lines) >= 2, "the root loop's records are kept"
+
+
 def test_root_unknown_variant_usage_error(t1_file):
     with pytest.raises(SystemExit) as exc:
         main(["root", t1_file, "--variant", "leveled"])

@@ -555,10 +555,14 @@ def _bounded_lp(seed, tall=None):
     return _lp(c, dense, senses, rhs, np.zeros(n), ub), anchor
 
 
-def _kernel(lp, warm=None):
+def _kernel(lp, warm=None, prepped=False):
+    """`solve_dense` on `lp`; `prepped` builds the program's set-up first,
+    as `solve_mip` does, so that a small optimal solve hands on its inverse."""
     from sipcuts import _simplex
 
-    return _simplex.solve_dense(lp.A.to_dense(), lp.rhs, lp.senses, lp.c, lp.lb, lp.ub, warm=warm)
+    dense = lp.A.to_dense()
+    prep = _simplex.prepare(dense, lp.rhs, lp.senses) if prepped else None
+    return _simplex.solve_dense(dense, lp.rhs, lp.senses, lp.c, lp.lb, lp.ub, warm=warm, prep=prep)
 
 
 @pytest.fixture
@@ -827,6 +831,123 @@ def test_mip_children_start_from_the_parent_basis(monkeypatch):
             assert len(parents) == 1 and warm is calls[parents[0]][3]
             warm_children += warm is not None
     assert warm_children > 10
+
+
+# ---------------------------------------------------- carried inverse
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """Counts `_simplex._basis_inverse` calls."""
+    from sipcuts import _simplex
+
+    if _simplex.HAS_NUMBA:
+        pytest.skip("a compiled kernel calls the compiled inverse directly")
+    calls = []
+    inverse = _simplex._basis_inverse
+
+    def counting(*args):
+        calls.append(1)
+        return inverse(*args)
+
+    monkeypatch.setattr(_simplex, "_basis_inverse", counting)
+    return calls
+
+
+def _record_mip_nodes(monkeypatch, seeds):
+    """Every kernel call of `solve_mip` on `_random_mip(seed)`: the
+    program, the box, the start and the output."""
+    calls = []
+    kernel = optbase._solve_dense
+
+    def recording(c, A, senses, rhs, lb, ub, *args, warm=None, **kwargs):
+        out = kernel(c, A, senses, rhs, lb, ub, *args, warm=warm, **kwargs)
+        calls.append(((c, A, senses, rhs, lb.copy(), ub.copy()), warm, out))
+        return out
+
+    monkeypatch.setattr(optbase, "_solve_dense", recording)
+    for seed in seeds:
+        solve_mip(_random_mip(seed))
+    return calls
+
+
+def test_mip_nodes_match_children_solved_from_the_basis_pair(monkeypatch):
+    from sipcuts import _simplex
+
+    carried = 0
+    for (c, A, senses, rhs, lb, ub), warm, out in _record_mip_nodes(monkeypatch, range(40)):
+        carried += warm is not None and len(warm) == 3
+        pair = None if warm is None else warm[:2]
+        ref = _simplex.solve_dense(A, rhs, senses, c, lb, ub, warm=pair)
+        _same_output(out, ref)
+        assert (out[6] is None) == (ref[6] is None)
+        if ref[6] is not None:
+            assert len(ref[6]) == 2, "a one-shot solve hands on no inverse"
+            for u, v in zip(out[6], ref[6]):
+                assert u.tobytes() == v.tobytes()
+    assert carried > 10
+
+
+def test_mip_warm_children_below_block_rows_make_no_start_inverse(monkeypatch, inverse_calls):
+    calls = _record_mip_nodes(monkeypatch, range(40))
+    warm_children = sum(warm is not None for _, warm, _ in calls)
+    assert warm_children > 10
+    assert len(inverse_calls) == 0, "every start inverse came from the parent"
+
+
+def test_solve_mip_prepares_the_program_once(monkeypatch):
+    from sipcuts import _simplex
+
+    calls = []
+    prepare = _simplex.prepare
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(_simplex, "prepare", counting)
+    out = solve_mip(_random_mip(17))
+    assert out.status == OPTIMAL and out.node_count > 1
+    assert len(calls) == 1
+
+
+def test_start_with_fewer_rows_ignores_the_carried_inverse(inverse_calls, core_calls):
+    lp, _ = _bounded_lp(4)
+    dense = lp.A.to_dense()
+    head = _lp(lp.c, dense[:-1], lp.senses[:-1], lp.rhs[:-1], lp.lb, lp.ub)
+    parent = _kernel(head, prepped=True)
+    assert parent[0] == 0 and len(parent[6]) == 3
+    del core_calls[:]
+    del inverse_calls[:]
+    out = _kernel(lp, warm=parent[6], prepped=True)
+    assert len(core_calls) == 1, "the warm attempt was accepted"
+    assert len(inverse_calls) == 1, "the start basis was inverted"
+    _same_output(out, _kernel(lp, warm=parent[6][:2]))
+
+
+@pytest.mark.parametrize("rows, carries", [((31, 32), True), ((32, 33), False), (TALL, False)])
+def test_only_bases_below_block_rows_carry_their_inverse(rows, carries):
+    from sipcuts import _simplex
+
+    lp, _ = _bounded_lp(0, rows)
+    assert (lp.nrows < _simplex._BLOCK_MIN_ROWS) == carries
+    out = _kernel(lp, prepped=True)
+    assert out[0] == 0 and len(out[6]) == (3 if carries else 2)
+    assert len(_kernel(lp)[6]) == 2, "a one-shot solve hands on no inverse"
+    if carries:  # the dense inverse of the final basis, as the kernel writes WT
+        WT = np.vstack([lp.A.to_dense().T, np.eye(lp.nrows)])
+        ref = np.linalg.inv(np.ascontiguousarray(WT[out[6][0]].T))
+        assert out[6][2].tobytes() == ref.tobytes()
+
+
+def test_scaled_attempt_carries_no_inverse(monkeypatch):
+    from sipcuts import _simplex
+
+    lp, _ = _bounded_lp(2)
+    assert len(_kernel(lp, prepped=True)[6]) == 3
+    monkeypatch.setattr(_simplex, "_ATTEMPTS", ((True, _simplex._REFACTOR_EVERY),))
+    out = _kernel(lp, prepped=True)
+    assert out[0] == 0 and len(out[6]) == 2
 
 
 # ------------------------------------------------------- basis inverse
