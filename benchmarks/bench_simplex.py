@@ -1,49 +1,57 @@
 #!/usr/bin/env python3
-"""Compare the compiled simplex kernel with the pure-numpy fallback.
+"""Time the dense simplex kernel on the layers that lean on it.
 
-The kernel backend is chosen at import time from SIPCUTS_PURE_NUMPY, so
-the script re-executes itself in a subprocess per mode and prints one
-timing table at the end.  Workloads cover the layers that lean on the
-kernel: raw dense LP solves, warm re-solves of tall, mostly-slack LPs
+Workloads: raw dense LP solves, warm re-solves of tall, mostly-slack LPs
 shaped like a cut master (after a bound change and after appended rows),
 branch-and-bound MIP solves, and a full branch-and-cut run on a
-generated server-location instance. Modes whose backend is not installed
-(numba) are skipped and named in the output.
+generated server-location instance. The script runs the checkout's
+sources with one BLAS thread, so the summation order is the same on
+every run.
 
 With --digest every kernel output (status, x, obj, y, ray, iterations,
 basis, vstat; not the final basis inverse that rides along after them)
-feeds one SHA-256 in call order, and the script prints that
-digest per mode instead of the timings, followed by one SHA-256 per
-workload group: equal digests from two checkouts mean their kernels
-computed the same bits on these instances, and the group digests show
-which workloads a kernel change moved.
+feeds one SHA-256 in call order, and the script prints that digest
+instead of the timings, followed by one SHA-256 per workload group:
+equal digests from two checkouts mean their kernels computed the same
+bits on these instances, and the group digests show which workloads a
+kernel change moved.
 
 Usage:
-    python3 benchmarks/bench_simplex.py [--repeat N] [--modes numba,numpy] [--digest]
+    python3 benchmarks/bench_simplex.py [--repeat N] [--digest]
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import importlib.util
-import json
 import os
-import subprocess
 import sys
 import time
 
-RESULT_MARK = "BENCH_RESULT "
-#: the checkout's sources, put first on the workers' import path
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# before numpy is imported
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import numpy as np  # noqa: E402
+
+from sipcuts import _simplex  # noqa: E402
+from sipcuts.driver import solve_lbc  # noqa: E402
+from sipcuts.instances import SslpParams, gen_sslp  # noqa: E402
+from sipcuts.optbase import (  # noqa: E402
+    GE,
+    LE,
+    OPTIMAL,
+    CooMatrix,
+    LinearProgram,
+    MipProgram,
+    solve_lp,
+    solve_mip,
+)
 
 
 def _random_lp(rng, m, n):
     """Bounded, feasible LP: min c'x, Ax <= b, 0 <= x <= 10."""
-    import numpy as np
-
-    from sipcuts.optbase import LE, CooMatrix, LinearProgram
-
     A = rng.uniform(-1.0, 1.0, (m, n))
     x0 = rng.uniform(0.0, 10.0, n)
     b = A @ x0 + rng.uniform(0.1, 1.0, m)
@@ -61,10 +69,6 @@ def _random_lp(rng, m, n):
 def _tall_lp(rng, m, n):
     """Feasible LP shaped like a cut master: m >= rows on n columns in
     [0, 10], each row slack at the anchor x0; returns (lp, x0)."""
-    import numpy as np
-
-    from sipcuts.optbase import GE, CooMatrix, LinearProgram
-
     A = rng.uniform(-1.0, 1.0, (m, n))
     x0 = rng.uniform(0.0, 10.0, n)
     lp = LinearProgram(
@@ -81,12 +85,6 @@ def _tall_lp(rng, m, n):
 def _warm_children(rng, lp, x0, parent):
     """The parent LP with one bound moved, and with rows appended; both
     cut the parent optimum off and keep x0 feasible."""
-    import dataclasses
-
-    import numpy as np
-
-    from sipcuts.optbase import GE, CooMatrix
-
     x = parent.x
     j = int(np.argmax(np.abs(x - x0)))
     lb, ub = lp.lb.copy(), lp.ub.copy()
@@ -107,10 +105,6 @@ def _warm_children(rng, lp, x0, parent):
 
 def _random_mip(rng, m, n):
     """Feasible all-integer program: an integer point anchors the rows."""
-    import numpy as np
-
-    from sipcuts.optbase import LE, CooMatrix, MipProgram
-
     A = rng.uniform(-1.0, 1.0, (m, n))
     x0 = rng.integers(0, 7, n).astype(float)
     b = A @ x0 + rng.uniform(0.1, 1.0, m)
@@ -136,7 +130,7 @@ GROUPS = DENSE, WARM, MIP, BC = (
 
 class _KernelDigests:
     """SHA-256s of kernel outputs: once `install`ed, the first eight
-    outputs of every `simplex._lp_core` call feed the overall digest and
+    outputs of every `_simplex._lp_core` call feed the overall digest and
     the digest of the group named by `group`, in call order."""
 
     def __init__(self):
@@ -144,10 +138,8 @@ class _KernelDigests:
         self.total = hashlib.sha256()
         self.groups = {name: [hashlib.sha256(), 0] for name in GROUPS}  # digest, calls
 
-    def install(self, simplex) -> None:
-        import numpy as np
-
-        core = simplex._lp_core
+    def install(self) -> None:
+        core = _simplex._lp_core
 
         def hashing(*args):
             out = core(*args)
@@ -163,28 +155,11 @@ class _KernelDigests:
                     entry[0].update(chunk)
             return out
 
-        simplex._lp_core = hashing
-
-    def summary(self) -> dict:
-        return {
-            "digest": self.total.hexdigest(),
-            "calls": sum(calls for _, calls in self.groups.values()),
-            "groups": {name: [h.hexdigest(), calls] for name, (h, calls) in self.groups.items()},
-        }
+        _simplex._lp_core = hashing
 
 
-def run_workloads(repeat: int, digest: bool = False) -> dict:
-    import numpy as np
-
-    from sipcuts import _simplex
-    from sipcuts.driver import solve_lbc
-    from sipcuts.instances import SslpParams, gen_sslp
-    from sipcuts.optbase import OPTIMAL, solve_lp, solve_mip
-
-    digests = _KernelDigests()
-    if digest:
-        digests.install(_simplex)
-
+def run_workloads(repeat: int, digests: _KernelDigests) -> dict[str, float]:
+    """Seconds per workload; `digests.group` names the running one."""
     rng = np.random.default_rng(7)
     lps = [_random_lp(rng, 40, 60) for _ in range(25 * repeat)]
     mips = [_random_mip(rng, 8, 12) for _ in range(5 * repeat)]
@@ -196,7 +171,7 @@ def run_workloads(repeat: int, digest: bool = False) -> dict:
         warm_jobs += [(child, parent.basis) for child in _warm_children(rng, lp, x0, parent)]
     inst = gen_sslp(SslpParams(5, 10, 5, seed=1))
 
-    # Warm-up pass so jit compilation is not billed to the first workload.
+    # a warm-up pass, so first-call costs are not billed to the first workload
     digests.group = DENSE
     solve_lp(lps[0])
     digests.group = MIP
@@ -231,80 +206,31 @@ def run_workloads(repeat: int, digest: bool = False) -> dict:
     assert res.status == "optimal"
     timings[BC] = time.perf_counter() - t0
 
-    out = {"mode": _simplex.KERNEL_MODE, "timings": timings}
-    if digest:
-        out.update(digests.summary())
-    return out
-
-
-def _spawn(mode: str, repeat: int, digest: bool) -> dict:
-    env = dict(os.environ)
-    env["SIPCUTS_PURE_NUMPY"] = "1" if mode == "numpy" else "0"
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    if digest:  # one BLAS thread, so the summation order is the same on every run
-        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--repeat", str(repeat)]
-    proc = subprocess.run(
-        cmd + ["--digest"] * digest,
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    for line in proc.stdout.splitlines():
-        if line.startswith(RESULT_MARK):
-            out = json.loads(line[len(RESULT_MARK):])
-            if mode == "numba" and out["mode"] != "numba":
-                raise RuntimeError("numba backend unavailable; install numba or pass --modes numpy")
-            return out
-    raise RuntimeError(f"worker produced no result:\n{proc.stdout}\n{proc.stderr}")
+    return timings
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1, help="workload size multiplier")
     parser.add_argument(
-        "--modes", default="numba,numpy", help="comma-separated kernel modes to time"
-    )
-    parser.add_argument(
         "--digest", action="store_true", help="print a SHA-256 of every kernel output, no timings"
     )
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-
-    if args.worker:
-        print(RESULT_MARK + json.dumps(run_workloads(args.repeat, args.digest)))
-        return 0
-
-    requested = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
-    modes = [m for m in requested if m != "numba" or importlib.util.find_spec("numba")]
-    for mode in requested:
-        if mode not in modes:
-            print(f"skipped mode {mode}: backend not installed")
-    if not modes:
-        return 1
-    results = {mode: _spawn(mode, args.repeat, args.digest) for mode in modes}
+    digests = _KernelDigests()
     if args.digest:
-        for mode, out in results.items():
-            print(f"digest {mode} {out['digest']} ({out['calls']} kernel calls)")
-            for name, (group, calls) in out["groups"].items():
-                print(f"  {name:<28} {group} ({calls} kernel calls)")
+        digests.install()
+    timings = run_workloads(args.repeat, digests)
+    if args.digest:
+        calls = sum(calls for _, calls in digests.groups.values())
+        print(f"digest {digests.total.hexdigest()} ({calls} kernel calls)")
+        for name, (group, calls) in digests.groups.items():
+            print(f"  {name:<28} {group.hexdigest()} ({calls} kernel calls)")
         return 0
-
-    names = list(next(iter(results.values()))["timings"])
-    width = max(len(name) for name in names) + 2
-    header = f"{'workload':<{width}}" + "".join(f"{mode:>12}" for mode in modes)
-    if len(modes) == 2:
-        header += f"{'ratio':>10}"
-    print(header)
-    print("-" * len(header))
-    for name in names:
-        row = f"{name:<{width}}"
-        vals = [results[mode]["timings"][name] for mode in modes]
-        row += "".join(f"{v:>11.3f}s" for v in vals)
-        if len(vals) == 2 and vals[0] > 0:
-            row += f"{vals[1] / vals[0]:>9.1f}x"
-        print(row)
+    width = max(len(name) for name in timings) + 2
+    print(f"{'workload':<{width}}{'seconds':>10}")
+    print("-" * (width + 10))
+    for name, seconds in timings.items():
+        print(f"{name:<{width}}{seconds:>10.3f}")
     return 0
 
 

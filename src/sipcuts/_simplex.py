@@ -77,16 +77,8 @@ as the parent's final one. A start with fewer rows than the program, a
 basis of 32 rows or more and the outcome of a scaled attempt carry none.
 At 25 rows a carried inverse is 5 KB per open node.
 
-The core loop and `_basis_inverse` are written in the numpy subset
-numba can compile (one advanced index per expression; a column read is a
-basic slice and a copy; "no inverse" is a 0 x 0 array). numba is not a
-dependency; where it imports, both are jitted (cache=True, nogil=True),
-and setting the environment variable SIPCUTS_PURE_NUMPY=1 before import
-selects the identical uncompiled path. Compiling the current code with
-numba is unverified: only the pure-numpy path has been run since
-`_basis_inverse` was added, and since the core took the column matrix
-and a carried inverse.
-`benchmarks/bench_simplex.py` times both.
+`benchmarks/bench_simplex.py` times the kernel; with `--digest` it hashes
+every output of every call but the final inverse.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 iteration limit,
 4 numerical trouble. For status 1 the returned ray holds row multipliers
@@ -95,8 +87,6 @@ direction in the structural variables.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -150,7 +140,7 @@ def _basis_inverse(WT, basis, n):
     if rs.size != ps.size:
         raise np.linalg.LinAlgError("two basic unit columns cover one row")
     S = WT[basis[ps]]  # row i is structural basic column ps[i]
-    sig = WT.reshape(-1)[basis[pu] * m + ru]  # the +-1 of each unit column
+    sig = WT[basis[pu], ru]  # the +-1 of each unit column
     # structural positions: inv(S[:, rs].T) on the open rows, 0 elsewhere;
     # unit position p on row r: sig_p (e_r - S[:, r]' inv(S[:, rs].T))
     Ainv = np.linalg.inv(np.ascontiguousarray(S[:, rs].T))
@@ -164,15 +154,24 @@ def _basis_inverse(WT, basis, n):
         C[pu, j] = Ainv[:, j] @ T
     Binv = np.zeros((m, m))
     Binv[:, rs] = C
-    Binv.reshape(-1)[pu * m + ru] = sig
+    Binv[pu, ru] = sig
     return Binv
 
 
-def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, basis0, vstat0, Binv0):
+def _basic_values(WT, b, x, basis, Binv):
+    """Set the basic entries of x so that WT' x = b holds with the
+    nonbasic entries as they are; Binv is the inverse of WT[basis].T."""
+    x[basis] = 0.0
+    x[basis] = Binv @ (b - x @ WT)
+
+
+def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
+    """One solve attempt. `start` is None for a cold start, else the
+    (basis, vstat, inverse) triple of `_warm_start`."""
     m = b.size
     n = c.size
     nb = n + m  # structural and slack columns; a returned basis indexes these
-    warm = basis0.size > 0
+    warm = start is not None
     ncol = nb if warm else nb + m  # a warm start carries no artificial columns
     inf = np.inf
 
@@ -188,7 +187,6 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, basis0, v
     hi[n:nb] = shi
     x = np.zeros(ncol)
     vstat = np.zeros(ncol, dtype=np.int8)  # 0 basic, 1 at lb, 2 at ub, 3 free
-    no_inverse = np.empty((0, 0))  # what an early exit returns as the inverse
     cost = np.zeros(ncol)
     y = np.zeros(m)
     ray = np.zeros(nb)
@@ -220,6 +218,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, basis0, v
         phase = 1
     else:
         # the start's basis, with the slacks of rows it lacks basic
+        basis0, vstat0, Binv0 = start
         m0 = basis0.size
         basis = np.empty(m, dtype=np.int64)
         basis[:m0] = basis0
@@ -234,18 +233,17 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, basis0, v
         # every nonbasic status must name a bound this program has
         bad = ((vs == 1) & ~fl) | ((vs == 2) & ~fh) | ((vs == 3) & (fl | fh))
         if np.any(bad | (inbasis != (vs == 0))):
-            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), no_inverse
+            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
         x[:nb] = np.where(vs == 1, lo[:nb], np.where(vs == 2, hi[:nb], 0.0))
-        if m0 == m and Binv0.shape[0] == m:
+        if Binv0 is not None:
             # the parent's final inverse of this very basis; a copy, since
             # the pivots update it in place and a sibling starts from it too
             Binv = Binv0.copy()
         else:
             Binv = _basis_inverse(WT, basis, n)
-        x[basis] = 0.0
-        x[basis] = Binv @ (b - x @ WT)
+        _basic_values(WT, b, x, basis, Binv)
         if np.abs(x @ WT - b).max() > 1e-6 * (1.0 + np.abs(b).max()):  # near singular
-            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), no_inverse
+            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
         cost[:n] = c
         phase = 2
 
@@ -268,16 +266,14 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, basis0, v
         y = cost[basis] @ Binv
         d = cost - WT @ y
         if (sgn * d < -_TOL_DFEAS).any() or (nfree > 0 and (np.abs(d[free]) > _TOL_DFEAS).any()):
-            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), no_inverse
+            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
         # bounded dual simplex until the basic values fit their bounds;
         # primal phase 2 below then confirms optimality
         while True:
             if since_refactor >= refactor_every:
-                Binv = np.empty((0, 0))  # free the old inverse first
+                Binv = None  # free the old inverse first
                 Binv = _basis_inverse(WT, basis, n)
-                xt = x.copy()
-                xt[basis] = 0.0
-                x[basis] = Binv @ (b - xt @ WT)
+                _basic_values(WT, b, x, basis, Binv)
                 since_refactor = 0
             xb = x[basis]
             viol = np.maximum(lob - xb, xb - hib)
@@ -348,11 +344,9 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, basis0, v
             status = ITER_LIMIT
             break
         if since_refactor >= refactor_every:
-            Binv = np.empty((0, 0))  # free the old inverse first
+            Binv = None  # free the old inverse first
             Binv = _basis_inverse(WT, basis, n)
-            xt = x.copy()
-            xt[basis] = 0.0
-            x[basis] = Binv @ (b - xt @ WT)
+            _basic_values(WT, b, x, basis, Binv)
             since_refactor = 0
 
         y = cost[basis] @ Binv
@@ -491,14 +485,12 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, basis0, v
         since_refactor += 1
 
     if status == OPTIMAL and m > 0:
-        Binv = np.empty((0, 0))  # free the old inverse first
+        Binv = None  # free the old inverse first
         if m >= _BLOCK_FINAL_MIN_ROWS:
             Binv = _basis_inverse(WT, basis, n)
         else:
             Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
-        xt = x.copy()
-        xt[basis] = 0.0
-        x[basis] = Binv @ (b - xt @ WT)
+        _basic_values(WT, b, x, basis, Binv)
         y = cost[basis] @ Binv
         xb = x[basis]
         if (np.maximum(lob - xb, xb - hib) > 1e-5 * scale_b).any():
@@ -508,19 +500,8 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, basis0, v
     return status, x[:n].copy(), obj, y, ray, it, basis.copy(), vstat[:nb].copy(), Binv
 
 
-_PURE = os.environ.get("SIPCUTS_PURE_NUMPY", "") not in ("", "0")
-HAS_NUMBA = False
-if not _PURE:
-    try:
-        from numba import njit
-
-        _basis_inverse = njit(cache=True, nogil=True)(_basis_inverse)
-        _lp_core = njit(cache=True, nogil=True)(_lp_core)
-        HAS_NUMBA = True
-    except ImportError:
-        pass
-
-KERNEL_MODE = "numba" if HAS_NUMBA else "numpy"
+#: the kernel implementation, as benchmark reports record it
+KERNEL_MODE = "numpy"
 
 
 def _pow2_scales(A):
@@ -627,7 +608,7 @@ def _warm_start(warm, n, m):
     when it is absent or does not describe a start for an n-column
     program with at least as many rows. The inverse is the start's own
     third element when it has one and the start has all m rows, else
-    empty."""
+    None."""
     if warm is None:
         return None
     basis0 = np.ascontiguousarray(warm[0], dtype=np.int64)
@@ -639,19 +620,15 @@ def _warm_start(warm, n, m):
         return None
     if vstat0.min() < 0 or vstat0.max() > 3:  # 0 basic, 1 at lb, 2 at ub, 3 free
         return None
-    Binv0 = _NO_INVERSE
+    Binv0 = None
     if len(warm) > 2 and m0 == m and np.shape(warm[2]) == (m, m):
         Binv0 = np.ascontiguousarray(warm[2], dtype=np.float64)
     return basis0, np.ascontiguousarray(vstat0, dtype=np.int8), Binv0
 
 
-_NO_INVERSE = np.empty((0, 0))
-_COLD = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), _NO_INVERSE)
-
-
 def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
-    """Run the kernel on dense float64 data. Handles the no-row case that
-    the compiled core does not.
+    """Run the kernel on dense float64 data. A program with no rows is
+    solved here, column by column, without the core.
 
     `warm` is an optional (basis, vstat) pair returned by an earlier solve
     of the same columns with the same or fewer leading rows. It is tried
@@ -710,10 +687,10 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
     it = 0
     basis = vstat = None
     start = _warm_start(warm, n, m)
-    attempts = [(scaled, every, _COLD) for scaled, every in _ATTEMPTS]
+    attempts = [(scaled, every, None) for scaled, every in _ATTEMPTS]
     if start is not None:
         attempts.insert(0, (False, _REFACTOR_EVERY, start))
-    for scaled, refactor_every, (basis0, vstat0, Binv0) in attempts:
+    for scaled, refactor_every, start in attempts:
         if scaled:
             R, C = _pow2_scales(A)
             As = A * np.outer(R, C)
@@ -724,12 +701,12 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
         else:
             R = C = None
             bs, cs, lbs, ubs = b, c, lb, ub
-            if basis0.size == 0 and WT.shape[0] < n + 2 * m:  # cold after a warm attempt
+            if start is None and WT.shape[0] < n + 2 * m:  # cold after a warm attempt
                 WT = prepare(A, b, sense)[3]
             WTs = WT
         try:
             status, x, obj, y, rayfull, it, basis, vstat, Binv = _lp_core(
-                WTs, bs, sense, cs, lbs, ubs, slo, shi, itmax, refactor_every, basis0, vstat0, Binv0
+                WTs, bs, sense, cs, lbs, ubs, slo, shi, itmax, refactor_every, start
             )
         except np.linalg.LinAlgError:
             status = NUMERIC

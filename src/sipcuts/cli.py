@@ -95,6 +95,8 @@ def _emit(**kv) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError("count must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     stream = Rng(args.seed)
     written = []
@@ -226,10 +228,15 @@ def _read_manifest(path: str):
         need = {"method", "instance", "path", "baseline"}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise ValueError(f"manifest needs columns {sorted(need)}")
+        seen = set()
         for i, row in enumerate(reader, start=1):
             empty = sorted(col for col in need if not row[col])
             if empty:
                 raise ValueError(f"manifest row {i} has empty fields {empty}")
+            method, instance = pair = row["method"], row["instance"]
+            if pair in seen:
+                raise ValueError(f"manifest row {i} repeats method {method!r} on {instance!r}")
+            seen.add(pair)
             rows.append(row)
     if not rows:
         raise ValueError("manifest is empty")
@@ -237,8 +244,10 @@ def _read_manifest(path: str):
 
 
 def cmd_profile(args) -> int:
-    rows = _read_manifest(args.manifest)
     gammas = [float(tok) for tok in args.gamma.split(",") if tok]
+    if not gammas:
+        raise ValueError("need at least one gamma")
+    rows = _read_manifest(args.manifest)
     traces: dict[str, dict[str, BoundTrace]] = {}
     for row in rows:
         traces.setdefault(row["method"], {})[row["instance"]] = BoundTrace.from_csv(

@@ -135,7 +135,7 @@ class NormalizationSpec:
     def __post_init__(self):
         if self.kind not in ("ball", "span_coef", "span_weight"):
             raise ValueError(f"unknown normalization kind {self.kind!r}")
-        if self.alpha <= 0.0:
+        if not (self.alpha > 0.0):
             # alpha = 0 would leave pi0 unbounded and the master can
             # then diverge along the pure-theta direction
             raise ValueError("normalization needs a positive theta weight")
@@ -390,7 +390,7 @@ def select_basis_mip(
     The bound is exact for the weight-normalized restricted search over
     the same pool, so a small bound certifies the scenario can be
     skipped."""
-    if alpha <= 0.0:
+    if not (alpha > 0.0):
         raise ValueError("basis selection needs a positive theta weight in the norm")
     x_hat = np.asarray(x_hat, dtype=np.float64)
     V = np.asarray(candidates, dtype=np.float64)

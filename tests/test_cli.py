@@ -64,6 +64,14 @@ def test_generate_bad_params_exits_2(tmp_path, capsys):
     assert "error=" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_generate_count_below_one_exits_2(tmp_path, capsys, count):
+    out = tmp_path / "inst"
+    code, kv, err = run_cli(capsys, ["generate", "sslp", "--count", count, "--out", str(out)])
+    assert code == 2 and "count" in err
+    assert "count" not in kv and not out.exists()
+
+
 def test_generate_snip_nan_budget_exits_2(tmp_path, capsys):
     out = tmp_path / "inst"
     code, _, err = run_cli(
@@ -259,6 +267,30 @@ def test_profile_bad_gamma_exits_2(tmp_path, capsys):
         capsys, ["profile", str(manifest), "--gamma", "0", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+def test_profile_empty_gamma_list_exits_2(tmp_path, capsys):
+    _write_trace(tmp_path / "a.csv", 0.0, [(1.0, 1.0)])
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"method,instance,path,baseline\na,p1,{tmp_path / 'a.csv'},0.0\n")
+    out = tmp_path / "prof"
+    code, kv, err = run_cli(capsys, ["profile", str(manifest), "--gamma", ",", "--out", str(out)])
+    assert code == 2 and "gamma" in err
+    assert "profile" not in kv and not out.exists()
+
+
+def test_profile_duplicate_manifest_row_exits_2(tmp_path, capsys):
+    _write_trace(tmp_path / "a.csv", 0.0, [(1.0, 1.0)])
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "method,instance,path,baseline\n"
+        f"a,p1,{tmp_path / 'a.csv'},-100.0\n"
+        f"a,p1,{tmp_path / 'a.csv'},-50.0\n"
+    )
+    out = tmp_path / "prof"
+    code, kv, err = run_cli(capsys, ["profile", str(manifest), "--out", str(out)])
+    assert code == 2 and "row 2" in err and "'p1'" in err
+    assert "profile" not in kv and not out.exists()
 
 
 def test_profile_trace_without_trace_columns_exits_2(tmp_path, capsys):

@@ -121,6 +121,21 @@ def test_normalization_validation():
         NormalizationSpec(kind="span_coef", alpha=1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda alpha: NormalizationSpec("ball", alpha),
+        lambda alpha: NormalizationSpec("span_weight", alpha, basis=np.ones((1, 1))),
+        lambda alpha: select_basis_mip(np.zeros(1), 0.0, ScenarioPool(), np.ones((1, 1)), 1, alpha),
+    ],
+    ids=["ball", "span_weight", "select_basis_mip"],
+)
+def test_nan_theta_weight_is_rejected(make):
+    # a NaN weight fails every comparison, so `alpha <= 0` let it through
+    with pytest.raises(ValueError, match="positive"):
+        make(math.nan)
+
+
 def _full_pool(inst, s):
     pool = ScenarioPool()
     X, Q = finite_epigraph(inst, s)
