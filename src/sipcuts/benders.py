@@ -16,7 +16,7 @@ Cut families
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from .model import (
     InstanceError,
     SipInstance,
     eval_recourse,
+    first_stage_point,
     joint_scenario_program,
+    memo_answer,
     recourse_program,
 )
 from .optbase import GE, CooMatrix, LinearProgram, SolveOutcome, solve_lp
@@ -126,6 +128,10 @@ class MasterModel:
 def compute_theta_lower_bound(inst: SipInstance, s: int) -> float:
     """Lower bound on Q_s over the first-stage feasible set: the LP
     relaxation of min q'y over the joint scenario set."""
+    return memo_answer(inst, "theta_lb", s, b"", lambda: _theta_lower_bound(inst, s))
+
+
+def _theta_lower_bound(inst: SipInstance, s: int) -> float:
     scen = inst.scenarios[s]
     out = solve_lp(joint_scenario_program(inst, s, np.zeros(inst.nx), scen.q))
     if out.status == optbase.OPTIMAL:
@@ -150,7 +156,20 @@ def solve_benders_subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> Su
     With optimal row duals mu >= 0 and reduced costs d = q - W'mu, the
     LP value equals mu'(h - T x_hat) + kappa with
     kappa = sum_j (d_j > 0 ? d_j * lo_j : d_j * up_j), so
-    (mu'T) x + theta_s >= mu'h + kappa holds for every x."""
+    (mu'T) x + theta_s >= mu'h + kappa holds for every x.
+
+    The cut is a fresh copy attributed to scenario s, also when the
+    answer was solved for an identical scenario."""
+    x_hat = first_stage_point(inst, x_hat)
+    res = memo_answer(inst, "subproblem", s, x_hat.tobytes(), lambda: _subproblem(inst, s, x_hat))
+
+    def fresh(cut: Cut | None) -> Cut | None:
+        return None if cut is None else replace(cut, scenario=s, coef_x=cut.coef_x.copy())
+
+    return SubproblemResult(res.value, fresh(res.cut), fresh(res.feas_cut))
+
+
+def _subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> SubproblemResult:
     scen = inst.scenarios[s]
     out = solve_lp(recourse_program(inst, s, x_hat))
     if out.status == optbase.UNBOUNDED:

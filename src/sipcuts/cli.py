@@ -97,35 +97,36 @@ def _emit(**kv) -> None:
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise ValueError("count must be at least 1")
-    os.makedirs(args.out, exist_ok=True)
     stream = Rng(args.seed)
-    written = []
+    # every instance is built, and so checked, before --out is made
     if args.family == "sslp":
-        for k in range(1, args.count + 1):
-            sub_seed = stream.next_u64()
-            inst = gen_sslp(SslpParams(args.m, args.n, args.scenarios, seed=sub_seed, k=k))
-            path = os.path.join(args.out, f"{inst.name}.sip")
-            write_instance(inst, path)
-            written.append(path)
+        insts = [
+            gen_sslp(SslpParams(args.m, args.n, args.scenarios, seed=stream.next_u64(), k=k))
+            for k in range(1, args.count + 1)
+        ]
     else:
         budgets = [float(tok) for tok in args.budgets.split(",") if tok]
         if not budgets:
             raise ValueError("need at least one budget")
-        for budget in budgets:
-            sub_seed = stream.next_u64()
-            inst = gen_snip(
+        insts = [
+            gen_snip(
                 SnipParams(
                     nodes=args.nodes,
                     arcs=args.arcs,
                     interdictable_count=args.interdictable,
                     budget=budget,
                     n_scenarios=args.scenarios,
-                    seed=sub_seed,
+                    seed=stream.next_u64(),
                 )
             )
-            path = os.path.join(args.out, f"{inst.name}.sip")
-            write_instance(inst, path)
-            written.append(path)
+            for budget in budgets
+        ]
+    os.makedirs(args.out, exist_ok=True)
+    written = []
+    for inst in insts:
+        path = os.path.join(args.out, f"{inst.name}.sip")
+        write_instance(inst, path)
+        written.append(path)
     for path in written:
         _emit(file=path)
     _emit(count=len(written))
@@ -139,7 +140,6 @@ def _baseline_lp(inst) -> float:
 
 def cmd_root(args) -> int:
     inst = read_instance(args.instance)
-    os.makedirs(args.out, exist_ok=True)
     cfg = VariantConfig(
         variant=args.variant,
         delta=args.delta,
@@ -149,6 +149,7 @@ def cmd_root(args) -> int:
         early_stop=not args.no_early_stop,
         workers=args.workers,
     )
+    os.makedirs(args.out, exist_ok=True)
     trace = BoundTrace()
     trace_path = os.path.join(args.out, f"{inst.name}.{args.variant}.trace.csv")
     t0 = time.monotonic()
@@ -184,7 +185,6 @@ def cmd_solve(args) -> int:
     if args.node_limit < 1:
         raise ValueError("node limit must be at least 1")
     inst = read_instance(args.instance)
-    os.makedirs(args.out, exist_ok=True)
     cfg = VariantConfig(
         variant="span_mip" if args.mode == "lbc" else "benders_only",
         delta=args.delta,
@@ -193,6 +193,7 @@ def cmd_solve(args) -> int:
         time_limit=args.time_limit,
         workers=args.workers,
     )
+    os.makedirs(args.out, exist_ok=True)
     trace = BoundTrace()
     trace_path = os.path.join(args.out, f"{inst.name}.{args.mode}.trace.csv")
     t0 = time.monotonic()

@@ -21,6 +21,15 @@ Variants of the multiplier block:
   * ``span_weight``    same span; normalize the span weights instead.
   * ``span_mip``       pick the best few span vectors by a small MIP,
                        then search under the weight normalization.
+
+`run_root_loop` and `run_branch_and_cut` each open an oracle memo
+(`model.oracle_memo`) for their instance: inside one call, every scenario
+oracle (theta bound, classical subproblem, exact recourse value, qbar)
+solves a question about a scenario class and a point once, and repeats,
+from an identical scenario or a revisited point, get copies of that
+answer. A call made inside an open memo for the same instance shares
+it; nothing outlives the call, so solving an instance twice does the
+same work twice.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from .lagrangian import (
     strengthen_benders,
     xy_round_first_stage,
 )
-from .model import BIN, InstanceError, SipInstance, eval_recourse
+from .model import BIN, InstanceError, SipInstance, eval_recourse, oracle_memo
 
 VARIANTS = ("benders_only", "strengthened", "exact", "span_coef", "span_weight", "span_mip")
 
@@ -192,68 +201,69 @@ def run_root_loop(
     start = time.monotonic()
     if trace is None:
         trace = BoundTrace()
-    theta_lb = np.array([compute_theta_lower_bound(inst, s) for s in range(inst.nscen)])
-    master = MasterModel(inst, theta_lb)
-    pools = [ScenarioPool() for _ in range(inst.nscen)]
-    iteration = 0
+    with oracle_memo(inst):
+        theta_lb = np.array([compute_theta_lower_bound(inst, s) for s in range(inst.nscen)])
+        master = MasterModel(inst, theta_lb)
+        pools = [ScenarioPool() for _ in range(inst.nscen)]
+        iteration = 0
 
-    def out_of_time() -> bool:
-        return time.monotonic() - start >= cfg.time_limit
+        def out_of_time() -> bool:
+            return time.monotonic() - start >= cfg.time_limit
 
-    def resolve() -> tuple[float, np.ndarray, np.ndarray]:
-        nonlocal iteration
-        iteration += 1
-        bound, x, theta, master.basis = _solve_master(master, master.basis)
-        trace.record(bound, iteration, master.counts())
-        return bound, x, theta
+        def resolve() -> tuple[float, np.ndarray, np.ndarray]:
+            nonlocal iteration
+            iteration += 1
+            bound, x, theta, master.basis = _solve_master(master, master.basis)
+            trace.record(bound, iteration, master.counts())
+            return bound, x, theta
 
-    def classical_round(x, theta) -> bool:
-        cuts = [separate_classical(inst, s, x, theta[s]) for s in range(inst.nscen)]
-        added = [master.add_cut(c) for c in cuts if c is not None]
-        return any(added)
+        def classical_round(x, theta) -> bool:
+            cuts = [separate_classical(inst, s, x, theta[s]) for s in range(inst.nscen)]
+            added = [master.add_cut(c) for c in cuts if c is not None]
+            return any(added)
 
-    bound, x, theta = resolve()
-    classical_clean = False
-    for _ in range(BENDERS_CAP):
-        if out_of_time():
-            trace.stop_reason = "time_limit"
-            return master, trace
-        if not classical_round(x, theta):
-            classical_clean = True
-            break
         bound, x, theta = resolve()
+        classical_clean = False
+        for _ in range(BENDERS_CAP):
+            if out_of_time():
+                trace.stop_reason = "time_limit"
+                return master, trace
+            if not classical_round(x, theta):
+                classical_clean = True
+                break
+            bound, x, theta = resolve()
 
-    if cfg.variant == "benders_only":
-        trace.stop_reason = "saturated" if classical_clean else "iteration_cap"
-        return master, trace
-
-    phase_bounds = [bound]
-    for _ in range(MAX_ROUNDS):
-        if out_of_time():
-            trace.stop_reason = "time_limit"
+        if cfg.variant == "benders_only":
+            trace.stop_reason = "saturated" if classical_clean else "iteration_cap"
             return master, trace
-        if classical_round(x, theta):
-            bound, x, theta = resolve()
-            phase_bounds.append(bound)
-        else:
-            new_cuts = [
-                _multiplier_cut(inst, s, x, theta[s], master.cuts, pools[s], cfg)
-                for s in range(inst.nscen)
-            ]
-            added = [master.add_cut(c) for c in new_cuts if c is not None]
-            if not any(added):
-                trace.stop_reason = "saturated"
+
+        phase_bounds = [bound]
+        for _ in range(MAX_ROUNDS):
+            if out_of_time():
+                trace.stop_reason = "time_limit"
                 return master, trace
-            bound, x, theta = resolve()
-            phase_bounds.append(bound)
-        if cfg.early_stop and len(phase_bounds) > EARLY_WINDOW:
-            total = phase_bounds[-1] - phase_bounds[0]
-            recent = phase_bounds[-1] - phase_bounds[-1 - EARLY_WINDOW]
-            if total > 0.0 and recent < EARLY_FRACTION * total:
-                trace.stop_reason = "early_stop"
-                return master, trace
-    trace.stop_reason = "round_cap"
-    return master, trace
+            if classical_round(x, theta):
+                bound, x, theta = resolve()
+                phase_bounds.append(bound)
+            else:
+                new_cuts = [
+                    _multiplier_cut(inst, s, x, theta[s], master.cuts, pools[s], cfg)
+                    for s in range(inst.nscen)
+                ]
+                added = [master.add_cut(c) for c in new_cuts if c is not None]
+                if not any(added):
+                    trace.stop_reason = "saturated"
+                    return master, trace
+                bound, x, theta = resolve()
+                phase_bounds.append(bound)
+            if cfg.early_stop and len(phase_bounds) > EARLY_WINDOW:
+                total = phase_bounds[-1] - phase_bounds[0]
+                recent = phase_bounds[-1] - phase_bounds[-1 - EARLY_WINDOW]
+                if total > 0.0 and recent < EARLY_FRACTION * total:
+                    trace.stop_reason = "early_stop"
+                    return master, trace
+        trace.stop_reason = "round_cap"
+        return master, trace
 
 
 def separate_classical(inst, s, x_hat, theta_hat) -> Cut | None:
@@ -344,15 +354,6 @@ def run_branch_and_cut(
     if np.any(inst.vtype != BIN):
         raise InstanceError("integer optimality cuts require a pure-binary first stage")
     n = inst.nx
-    memo: dict[bytes, np.ndarray] = {}
-
-    def exact_q(xint: np.ndarray) -> np.ndarray:
-        key = np.round(xint, 9).tobytes()
-        got = memo.get(key)
-        if got is None:
-            got = np.array([eval_recourse(inst, s, xint) for s in range(inst.nscen)])
-            memo[key] = got
-        return got
 
     def relax(lb, ub, warm):
         out, _, _ = root.solve(lb, ub, warm)
@@ -366,7 +367,7 @@ def run_branch_and_cut(
     def on_integral(z, _value, _lb, _ub, upper):
         x, theta = z[:n], z[n:]
         xint = xy_round_first_stage(inst, x)
-        qvals = exact_q(xint)
+        qvals = np.array([eval_recourse(inst, s, xint) for s in range(inst.nscen)])
         added = False
         for s in range(inst.nscen):
             cut = separate_classical(inst, s, xint, theta[s])
@@ -387,9 +388,11 @@ def run_branch_and_cut(
         return None
 
     int_idx = np.nonzero(inst.vtype != 0)[0]
-    status, best_x, upper, bound, nodes = optbase.best_bound_search(
-        inst.lb, inst.ub, int_idx, relax, closed, on_integral, node_limit, time_limit, root.basis
-    )
+    with oracle_memo(inst):
+        status, best_x, upper, bound, nodes = optbase.best_bound_search(
+            inst.lb, inst.ub, int_idx, relax, closed, on_integral, node_limit, time_limit,
+            root.basis,
+        )
     if status == optbase.INFEASIBLE:
         return BcResult("infeasible", None, math.inf, math.inf, nodes, 0.0)
     lower = min(bound, upper)

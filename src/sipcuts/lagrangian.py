@@ -18,6 +18,14 @@ The multiplier set is one of
   * "span_coef":   pi = V'lam,  alpha*pi0 + |pi|_1 <= 1
   * "span_weight": pi = V'lam,  alpha*pi0 + |lam|_1 <= 1
 with pi0 >= 0 throughout; V stacks reference coefficient vectors.
+
+`eval_qbar` answers through the oracle memo of `model`: within one root
+loop or branch-and-cut, a question (scenario class, pi, pi0) asked again,
+by the same scenario or an identical one, replays the first solve's
+incumbents into the asking scenario's pool instead of solving the MIP.
+Within one separation the master is re-solved only after its pool
+changed (`ScenarioPool.version`) or, for the trust-region master, its
+region moved.
 """
 
 from __future__ import annotations
@@ -29,7 +37,14 @@ import numpy as np
 
 from . import optbase
 from .benders import Cut
-from .model import CONT, InstanceError, SipInstance, eval_recourse, joint_scenario_program
+from .model import (
+    CONT,
+    InstanceError,
+    SipInstance,
+    eval_recourse,
+    joint_scenario_program,
+    memo_answer,
+)
 from .optbase import GE, LE, CooMatrix, LinearProgram, solve_lp, solve_mip
 
 #: relative violation a multiplier cut must reach to enter the master
@@ -50,11 +65,13 @@ SELECT_NODE_LIMIT = 200_000
 
 class ScenarioPool:
     """Feasible points (x_z, theta_z) of one scenario, theta_z being a
-    realizable recourse cost at x_z; duplicates keep the smaller theta."""
+    realizable recourse cost at x_z; duplicates keep the smaller theta.
+    `version` counts the calls to `add` that changed the pool."""
 
     def __init__(self):
         self._points: list[tuple[np.ndarray, float]] = []
         self._index: dict[bytes, int] = {}
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._points)
@@ -67,11 +84,12 @@ class ScenarioPool:
         if pos is None:
             self._index[key] = len(self._points)
             self._points.append((x, float(theta)))
-            return True
-        if theta < self._points[pos][1] - 1e-12:
+        elif theta < self._points[pos][1] - 1e-12:
             self._points[pos] = (self._points[pos][0], float(theta))
-            return True
-        return False
+        else:
+            return False
+        self.version += 1
+        return True
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         X = np.array([p[0] for p in self._points])
@@ -90,25 +108,36 @@ def eval_qbar(
 
     When pi0 is below PI0_REEVAL the y-part of the optimum carries
     almost no weight, so the optimizer's first-stage point is re-priced
-    with an exact recourse solve before entering the pool."""
+    with an exact recourse solve before entering the pool.
+
+    An answer taken from the oracle memo replays the incumbents of its
+    solve, in order, into this scenario's pool, so the pool ends as a
+    fresh solve would leave it."""
     if pi0 < 0.0:
         raise InstanceError("qbar is only defined for nonnegative theta weights")
-    scen = inst.scenarios[s]
     pi = np.asarray(pi, dtype=np.float64)
-    prog = joint_scenario_program(inst, s, pi, pi0 * scen.q)
-    out = solve_mip(prog)
+    point = pi.tobytes() + np.float64(pi0).tobytes()
+    value, x, incumbents = memo_answer(inst, "qbar", s, point, lambda: _qbar(inst, s, pi, pi0))
+    if pool is not None:
+        for x_z, theta_z in incumbents:
+            pool.add(x_z, theta_z)
+        if pi0 < PI0_REEVAL:
+            x_star = xy_round_first_stage(inst, x)
+            pool.add(x_star, eval_recourse(inst, s, x_star))
+    return value, x.copy()
+
+
+def _qbar(inst: SipInstance, s: int, pi: np.ndarray, pi0: float):
+    """(qbar value, first-stage optimizer, incumbents as (x_z, theta_z))."""
+    scen = inst.scenarios[s]
+    out = solve_mip(joint_scenario_program(inst, s, pi, pi0 * scen.q))
     if out.status == optbase.UNBOUNDED:
         raise InstanceError(f"scenario {s} weighted value is unbounded for pi0={pi0!r}")
     if out.status != optbase.OPTIMAL:
         raise optbase.KernelError(f"scenario {s} weighted value solve ended {out.status}")
     n = inst.nx
-    if pool is not None:
-        for xy, _ in out.incumbent_pool:
-            pool.add(xy[:n], float(scen.q @ xy[n:]))
-        if pi0 < PI0_REEVAL:
-            x_star = xy_round_first_stage(inst, out.x[:n])
-            pool.add(x_star, eval_recourse(inst, s, x_star))
-    return float(out.objective), out.x[:n].copy()
+    incumbents = [(xy[:n].copy(), float(scen.q @ xy[n:])) for xy, _ in out.incumbent_pool]
+    return float(out.objective), out.x[:n].copy(), incumbents
 
 
 def xy_round_first_stage(inst: SipInstance, x: np.ndarray) -> np.ndarray:
@@ -207,8 +236,16 @@ def _master_program(
     return prog, msl, p0, proj
 
 
-def _solve_master(x_hat, theta_hat, pool, norm, trust=None):
-    """(model violation, pi, pi0, raw multiplier) at the master optimum."""
+def _solve_master(x_hat, theta_hat, pool, norm, trust=None, last=None):
+    """(model violation, pi, pi0, raw multiplier) at the master optimum.
+
+    `last` keeps one separation's latest answer with and without `trust`;
+    x_hat, theta_hat and norm are fixed within a separation, so an
+    answer is reused while the pool version and the trust region match."""
+    slot = "global" if trust is None else "trust"
+    key = (pool.version,) if trust is None else (pool.version, trust[0].tobytes(), *trust[1:])
+    if last is not None and slot in last and last[slot][0] == key:
+        return last[slot][1]
     pool_x, pool_th = pool.arrays()
     prog, msl, p0, proj = _master_program(x_hat, theta_hat, pool_x, pool_th, norm, trust)
     out = solve_lp(prog)
@@ -219,7 +256,10 @@ def _solve_master(x_hat, theta_hat, pool, norm, trust=None):
     # basic variables may sit a feasibility tolerance outside their bound;
     # the multiplier weight is constrained nonnegative, so snap it back
     pi0 = max(0.0, float(out.x[p0]))
-    return float(out.objective), pi, pi0, mult
+    ans = float(out.objective), pi, pi0, mult
+    if last is not None:
+        last[slot] = (key, ans)
+    return ans
 
 
 def restricted_model_max(
@@ -276,8 +316,9 @@ def separate_restricted(
     calls = 0
     upper = math.inf
     stop = "budget"
+    last: dict = {}
     while calls < ORACLE_BUDGET:
-        upper, g_pi, g_pi0, g_mult = _solve_master(x_hat, theta_hat, pool, norm)
+        upper, g_pi, g_pi0, g_mult = _solve_master(x_hat, theta_hat, pool, norm, last=last)
         if upper <= scen_tol:
             stop = "no_violation"
             break
@@ -287,7 +328,7 @@ def separate_restricted(
         candidates = []
         if norm.kind == "ball" and center is not None:
             _, t_pi, t_pi0, t_mult = _solve_master(
-                x_hat, theta_hat, pool, norm, trust=(center[0], center[1], radius)
+                x_hat, theta_hat, pool, norm, trust=(center[0], center[1], radius), last=last
             )
             candidates.append((t_pi, t_pi0, t_mult))
         candidates.append((g_pi, g_pi0, g_mult))

@@ -8,11 +8,24 @@ with recourse
 mapping to +inf when the subproblem is infeasible. All constraint rows
 are stored in >= form; writers that need equalities emit paired rows.
 The blocks A, W_s and T_s are dense 2-d float arrays.
+
+Scenario oracles (`eval_recourse` here, the Benders subproblem and
+theta bound in `benders`, the weighted value `eval_qbar` in
+`lagrangian`) answer through `memo_answer`. While an `oracle_memo` is
+open for an instance, each question is solved once: the key is the
+oracle's name, the scenario's class (`scenario_classes`: scenarios with
+byte-identical data share one) and the exact bytes of the point asked
+about. Sampled scenario sets often repeat a scenario, and cutting-plane
+loops ask again at points they have seen. Keys are exact bytes, not
+digests, so a repeat gets the very answer a fresh solve would give and
+no collision needs ruling out; the points are short vectors, while
+keying whole programs would hold megabytes.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,12 +208,82 @@ def toy_instance() -> SipInstance:
     )
 
 
-def recourse_program(inst: SipInstance, s: int, x: np.ndarray) -> MipProgram:
-    """Scenario subproblem min q'y s.t. W y >= h - T x for fixed x."""
-    scen = inst.scenarios[s]
+#: the scenario fields an oracle reads; `prob` is not one of them
+_ORACLE_FIELDS = ("q", "h", "lb", "ub", "vtype", "W", "T")
+
+
+def _same_oracle_data(a: Scenario, b: Scenario) -> bool:
+    def same(u: np.ndarray, v: np.ndarray) -> bool:
+        return u is v or (u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes())
+
+    return all(same(getattr(a, f), getattr(b, f)) for f in _ORACLE_FIELDS)
+
+
+def scenario_classes(inst: SipInstance) -> list[int]:
+    """Per scenario, the index of the first scenario whose oracle data
+    (q, W, h, T, types and bounds) is byte-identical to its own."""
+    firsts: list[int] = []  # the first scenario of each class
+    classes = []
+    for s, scen in enumerate(inst.scenarios):
+        r = next((r for r in firsts if _same_oracle_data(scen, inst.scenarios[r])), s)
+        if r == s:
+            firsts.append(s)
+        classes.append(r)
+    return classes
+
+
+class _OracleMemo:
+    def __init__(self, inst: SipInstance):
+        self.inst = inst
+        self.classes = scenario_classes(inst)
+        self.answers: dict = {}
+
+
+_open_memo: _OracleMemo | None = None
+
+
+@contextmanager
+def oracle_memo(inst: SipInstance):
+    """Answer each scenario-oracle question about `inst` once inside the
+    block. A block nested in one already open for `inst` shares its
+    memo; nothing outlives the outermost block. The open memo is module
+    state: one solve runs at a time per process."""
+    global _open_memo
+    if _open_memo is not None and _open_memo.inst is inst:
+        yield
+        return
+    outer, _open_memo = _open_memo, _OracleMemo(inst)
+    try:
+        yield
+    finally:
+        _open_memo = outer
+
+
+def memo_answer(inst: SipInstance, oracle: str, s: int, point: bytes, solve):
+    """`solve()`, or its stored answer when (oracle, class of scenario s,
+    point) was asked before inside the open `oracle_memo` for `inst`.
+    Callers hand out copies of a mutable answer, never the answer."""
+    memo = _open_memo
+    if memo is None or memo.inst is not inst:
+        return solve()
+    key = (oracle, memo.classes[s], point)
+    if key not in memo.answers:
+        memo.answers[key] = solve()
+    return memo.answers[key]
+
+
+def first_stage_point(inst: SipInstance, x: np.ndarray) -> np.ndarray:
+    """`x` as a float64 first-stage vector; its bytes key the oracle memo."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (inst.nx,):
         raise InstanceError(f"candidate x has shape {x.shape}, expected ({inst.nx},)")
+    return x
+
+
+def recourse_program(inst: SipInstance, s: int, x: np.ndarray) -> MipProgram:
+    """Scenario subproblem min q'y s.t. W y >= h - T x for fixed x."""
+    scen = inst.scenarios[s]
+    x = first_stage_point(inst, x)
     rhs = scen.h - scen.T @ x
     return MipProgram(
         c=scen.q.copy(),
@@ -215,6 +298,11 @@ def recourse_program(inst: SipInstance, s: int, x: np.ndarray) -> MipProgram:
 
 def eval_recourse(inst: SipInstance, s: int, x: np.ndarray) -> float:
     """Exact recourse value Q_s(x); +inf when the subproblem is infeasible."""
+    x = first_stage_point(inst, x)
+    return memo_answer(inst, "recourse", s, x.tobytes(), lambda: _recourse_value(inst, s, x))
+
+
+def _recourse_value(inst: SipInstance, s: int, x: np.ndarray) -> float:
     out = solve_mip(recourse_program(inst, s, x))
     if out.status == optbase.OPTIMAL:
         return float(out.objective)

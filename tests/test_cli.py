@@ -83,7 +83,23 @@ def test_generate_snip_nan_budget_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "budget" in err
-    assert not list(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["snip", "--scenarios", "0"],
+        ["snip", "--budgets", "3,x"],
+        ["snip", "--nodes", "8", "--arcs", "40"],
+        ["sslp", "--m", "0"],
+    ],
+)
+def test_generate_rejected_parameters_make_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "inst"
+    code, kv, err = run_cli(capsys, ["generate", *argv, "--out", str(out)])
+    assert code == 2 and "error=" in err
+    assert "count" not in kv and not out.exists()
 
 
 def test_root_nan_rhs_file_exits_2(tmp_path, capsys):
@@ -170,6 +186,14 @@ def test_root_missing_file_exits_2(tmp_path, capsys):
 def test_root_nan_alpha_exits_2(tmp_path, t1_file, capsys):
     code, _, err = run_cli(capsys, ["root", t1_file, "--alpha", "nan", "--out", str(tmp_path)])
     assert code == 2 and "alpha" in err
+
+
+@pytest.mark.parametrize("command", ["root", "solve"])
+def test_rejected_run_flags_make_no_out_dir(tmp_path, t1_file, capsys, command):
+    out = tmp_path / "runs"
+    code, kv, err = run_cli(capsys, [command, t1_file, "--alpha", "nan", "--out", str(out)])
+    assert code == 2 and "alpha" in err
+    assert not kv and not out.exists()
 
 
 def test_solve_toy_both_modes(tmp_path, t1_file, capsys):

@@ -1,0 +1,183 @@
+"""Oracle memo: identical scenarios share answers, bit for bit, within one
+top-level solve, and a separation reuses an unchanged master."""
+
+import numpy as np
+import pytest
+
+from sipcuts import driver, lagrangian, model, optbase
+from sipcuts.benders import solve_benders_subproblem
+from sipcuts.driver import VariantConfig, run_root_loop
+from sipcuts.instances import SnipParams, gen_snip
+from sipcuts.lagrangian import NormalizationSpec, ScenarioPool, eval_qbar, separate_restricted
+from sipcuts.model import oracle_memo, scenario_classes, toy_instance
+
+
+@pytest.fixture
+def snip():
+    """The snip-root smoke instance: 4 scenarios, 2 distinct."""
+    return gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts `optbase._solve_dense` calls, one per LP."""
+    calls = []
+    solve = optbase._solve_dense
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(optbase, "_solve_dense", counted)
+    return calls
+
+
+def _exact_run(inst, monkeypatch):
+    """Root loop of the snip-root workload; returns what it produced and
+    every scenario pool it built."""
+    pools = []
+
+    def pool():
+        pools.append(ScenarioPool())
+        return pools[-1]
+
+    monkeypatch.setattr(driver, "ScenarioPool", pool)
+    cfg = VariantConfig(variant="exact", delta=0.0, early_stop=False)
+    master, trace = run_root_loop(inst, cfg)
+    records = [
+        (repr(r.lower_bound), r.iteration, r.n_benders, r.n_lagrangian, r.n_intl)
+        for r in trace.records
+    ]
+    cuts = [
+        (c.family, c.scenario, c.coef_x.tobytes(), c.coef_theta, c.rhs) for c in master.cuts
+    ]
+    pool_bytes = [tuple(a.tobytes() for a in p.arrays()) for p in pools]
+    return records, trace.stop_reason, cuts, pool_bytes
+
+
+def test_scenario_classes_name_the_first_identical_scenario(snip):
+    assert scenario_classes(snip) == [0, 0, 2, 0]
+    assert scenario_classes(toy_instance()) == [0, 1]
+    snip.scenarios[1].prob += 0.1  # no oracle reads the probability
+    snip.scenarios[3].h = snip.scenarios[3].h.copy()
+    snip.scenarios[3].h[0] = -0.0  # byte-identical, not equal
+    assert scenario_classes(snip) == [0, 0, 2, 3]
+
+
+def test_shared_answers_change_no_result(snip, monkeypatch, kernel_calls):
+    shared = _exact_run(snip, monkeypatch)
+    shared_calls = len(kernel_calls)
+    kernel_calls.clear()
+    monkeypatch.setattr(model, "scenario_classes", lambda inst: list(range(inst.nscen)))
+    distinct = _exact_run(snip, monkeypatch)
+    assert shared == distinct
+    assert shared[1] == "saturated" and shared[2]
+    assert len(kernel_calls) > shared_calls
+
+
+def test_consecutive_root_loops_do_the_same_work(snip, kernel_calls):
+    cfg = VariantConfig(variant="exact", delta=0.0, early_stop=False)
+    counts = []
+    for _ in range(2):
+        kernel_calls.clear()
+        run_root_loop(snip, cfg)
+        counts.append(len(kernel_calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_answers_are_copies(snip, kernel_calls):
+    x = np.zeros(snip.nx)
+    pi = np.linspace(0.1, 0.8, snip.nx)
+    with oracle_memo(snip):
+        first = solve_benders_subproblem(snip, 0, x)
+        value, x_first = eval_qbar(snip, 0, pi, 0.5)
+        solved = len(kernel_calls)
+        first.cut.coef_x[:] = 7.0
+        first.cut.violation_at_birth = 1.0
+        x_first[:] = 7.0
+        twin = solve_benders_subproblem(snip, 1, x)
+        again = solve_benders_subproblem(snip, 0, x)
+        twin_value, x_twin = eval_qbar(snip, 3, pi, 0.5)
+        assert len(kernel_calls) == solved  # all four answered from the memo
+    fresh = solve_benders_subproblem(snip, 1, x)
+    assert twin.cut.scenario == 1 and again.cut.scenario == 0
+    for cut in (twin.cut, again.cut):
+        assert cut.coef_x.tobytes() == fresh.cut.coef_x.tobytes()
+        assert cut.violation_at_birth == 0.0 and cut.rhs == fresh.cut.rhs
+    assert twin_value == value
+    assert x_twin.tobytes() == eval_qbar(snip, 3, pi, 0.5)[1].tobytes()
+
+
+def test_replayed_oracle_answer_fills_the_pool(snip, kernel_calls):
+    pi = np.linspace(-0.5, 0.5, snip.nx)
+    pools = [ScenarioPool() for _ in range(3)]
+    eval_qbar(snip, 3, pi, 5e-5, pools[0])  # outside a memo, as reference
+    with oracle_memo(snip):
+        eval_qbar(snip, 0, pi, 5e-5, pools[1])
+        solved = len(kernel_calls)
+        eval_qbar(snip, 3, pi, 5e-5, pools[2])
+        assert len(kernel_calls) == solved
+    arrays = [tuple(a.tobytes() for a in p.arrays()) for p in pools]
+    assert arrays[0] == arrays[1] == arrays[2]
+    assert len(pools[0]) >= 1
+
+
+def test_memo_is_scoped_to_its_instance(snip, kernel_calls):
+    toy = toy_instance()
+    with oracle_memo(snip):
+        with oracle_memo(toy):
+            model.eval_recourse(toy, 0, np.ones(1))
+            model.eval_recourse(toy, 0, np.ones(1))
+            assert len(kernel_calls) == 1
+            model.eval_recourse(snip, 0, np.zeros(snip.nx))
+            model.eval_recourse(snip, 0, np.zeros(snip.nx))
+            assert len(kernel_calls) == 3  # toy's memo does not serve snip
+        with oracle_memo(snip):  # nested: the outer memo answers
+            model.eval_recourse(snip, 1, np.zeros(snip.nx))
+        assert len(kernel_calls) == 4
+    model.eval_recourse(snip, 0, np.zeros(snip.nx))
+    assert len(kernel_calls) == 5
+
+
+def test_pool_version_counts_changes():
+    pool = ScenarioPool()
+    x = np.array([1.0, 0.0])
+    assert pool.add(x, 5.0) and pool.version == 1
+    assert not pool.add(x, 6.0) and pool.version == 1
+    assert pool.add(x, 4.0) and pool.version == 2
+    assert pool.add(np.zeros(2), 4.0) and pool.version == 3
+
+
+def test_separation_reuses_an_unchanged_master(snip, monkeypatch):
+    lp_solves = []
+    solve_lp = lagrangian.solve_lp
+
+    def counted(*args, **kwargs):
+        lp_solves.append(1)
+        return solve_lp(*args, **kwargs)
+
+    def separate():
+        lp_solves.clear()
+        x_hat = np.full(snip.nx, 0.5)
+        res = separate_restricted(snip, 0, x_hat, 0.0, NormalizationSpec("ball"), ScenarioPool())
+        return res, len(lp_solves)
+
+    monkeypatch.setattr(lagrangian, "solve_lp", counted)  # the separation masters
+    reused, solves = separate()
+    solve_master = lagrangian._solve_master
+
+    def forgetful(*args, last=None, **kwargs):  # re-solves every master
+        return solve_master(*args, **kwargs)
+
+    monkeypatch.setattr(lagrangian, "_solve_master", forgetful)
+    plain, plain_solves = separate()
+    assert plain_solves > solves
+    assert reused.stop == "pi0_small" and reused.oracle_calls > 2
+    assert (reused.lower, reused.upper, reused.stop, reused.oracle_calls, reused.pi0) == (
+        plain.lower,
+        plain.upper,
+        plain.stop,
+        plain.oracle_calls,
+        plain.pi0,
+    )
+    assert reused.pi.tobytes() == plain.pi.tobytes()
