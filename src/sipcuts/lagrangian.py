@@ -128,14 +128,19 @@ def eval_qbar(
 
 
 def _qbar(inst: SipInstance, s: int, pi: np.ndarray, pi0: float):
-    """(qbar value, first-stage optimizer, incumbents as (x_z, theta_z))."""
+    """(qbar value, first-stage optimizer, incumbents as (x_z, theta_z)).
+
+    The tree branches on a fractional first-stage column before any
+    recourse column: a fractional x can buy recourse capacity (an SSLP
+    server at 0.5 serves half a client), which keeps the LP bound far
+    below the optimum until x is integral."""
     scen = inst.scenarios[s]
-    out = solve_mip(joint_scenario_program(inst, s, pi, pi0 * scen.q))
+    n = inst.nx
+    out = solve_mip(joint_scenario_program(inst, s, pi, pi0 * scen.q), first=np.arange(n))
     if out.status == optbase.UNBOUNDED:
         raise InstanceError(f"scenario {s} weighted value is unbounded for pi0={pi0!r}")
     if out.status != optbase.OPTIMAL:
         raise optbase.KernelError(f"scenario {s} weighted value solve ended {out.status}")
-    n = inst.nx
     incumbents = [(xy[:n].copy(), float(scen.q @ xy[n:])) for xy, _ in out.incumbent_pool]
     return float(out.objective), out.x[:n].copy(), incumbents
 

@@ -8,6 +8,8 @@ dense array its builder filled, and the solvers expand it back with
 runs it on the kernel and records every improving incumbent, so a
 caller can harvest sub-optimal feasible points as well, and the
 driver's branch-and-cut runs it on the cut master with lazy cuts.
+Nodes branch on the most fractional integer column; a caller may name
+columns to branch on first (the qbar oracle names the first stage).
 
 The root starts the kernel from the caller's basis when one is given
 (branch-and-cut passes the root loop's last master basis). Every later
@@ -207,6 +209,15 @@ def _round_in_integer_bounds(lb, ub, is_int):
 RESOLVE = "resolve"
 
 
+def _most_fractional(x, idx):
+    """The most fractional column of `idx` at `x` (lowest index on
+    ties), or None when every one is integral."""
+    frac = np.abs(x[idx] - np.round(x[idx]))
+    if frac.size == 0 or frac.max() <= INTTOL:
+        return None
+    return int(idx[np.argmax(frac)])
+
+
 def best_bound_search(
     lb,
     ub,
@@ -217,6 +228,7 @@ def best_bound_search(
     node_limit=2_000_000,
     time_limit=math.inf,
     warm=None,
+    first=None,
 ):
     """Deterministic best-bound branch and bound, minimizing.
 
@@ -230,8 +242,10 @@ def best_bound_search(
     when the best open node is closed the search is done. At a node
     whose `x[int_idx]` is integral `on_integral(x, value, lb, ub, inc)`
     returns a new incumbent (x, value), None to drop the node, or
-    RESOLVE to solve the node again; otherwise the node branches on the
-    most fractional integer (lowest index on ties), floor side first.
+    RESOLVE to solve the node again; otherwise the node branches, floor
+    side first, on the most fractional column of `first` (a subset of
+    `int_idx`; None: no preference) and, when those are all integral, on
+    the most fractional column of `int_idx`, lowest index on ties.
 
     Returns (status, x, value, bound, nodes): OPTIMAL, INFEASIBLE (no
     incumbent), UNBOUNDED or LIMIT, with `bound` the lowest open bound
@@ -255,15 +269,16 @@ def best_bound_search(
                 return UNBOUNDED, None, math.inf, -math.inf, nodes
             if status == INFEASIBLE or closed(val, inc_val):
                 break
-            frac = np.abs(x[int_idx] - np.round(x[int_idx]))
-            if frac.size == 0 or frac.max() <= INTTOL:
+            j = None if first is None else _most_fractional(x, first)
+            if j is None:
+                j = _most_fractional(x, int_idx)
+            if j is None:
                 got = on_integral(x, val, nlb, nub, inc_val)
                 if got is RESOLVE:
                     continue
                 if got is not None:
                     inc, inc_val = got
                 break
-            j = int(int_idx[np.argmax(frac)])
             ub_dn = nub.copy()
             ub_dn[j] = np.floor(x[j])
             lb_up = nlb.copy()
@@ -279,12 +294,15 @@ def solve_mip(
     prog: MipProgram,
     node_limit: int = 2_000_000,
     time_limit: float = math.inf,
+    first=None,
 ) -> SolveOutcome:
     """`best_bound_search` on the simplex kernel.
 
     Every improving incumbent is appended to `incumbent_pool` as
     (x, objective). On a node or time limit the outcome has status
-    "limit" and a valid `bound`.
+    "limit" and a valid `bound`. A node branches on the most fractional
+    integer column, lowest index on ties; with `first` (column indices)
+    it takes the integer columns among `first` before any other.
     """
     sign = -1.0 if prog.maximize else 1.0
     c = sign * prog.c
@@ -292,6 +310,8 @@ def solve_mip(
     senses = prog.senses
     rhs = prog.rhs
     int_idx = np.nonzero(prog.is_int)[0]
+    if first is not None:
+        first = int_idx[np.isin(int_idx, first)]
     lb0, ub0 = _round_in_integer_bounds(prog.lb, prog.ub, prog.is_int)
     pool = []
     prep = _simplex.prepare(dense, rhs, senses)  # one kernel set-up for the whole tree
@@ -323,7 +343,7 @@ def solve_mip(
         return None
 
     status, inc, inc_val, bound, nodes = best_bound_search(
-        lb0, ub0, int_idx, relax, closed, on_integral, node_limit, time_limit
+        lb0, ub0, int_idx, relax, closed, on_integral, node_limit, time_limit, first=first
     )
     out = SolveOutcome(status=status, node_count=nodes)
     if inc is not None:

@@ -6,6 +6,7 @@ import pytest
 
 from _oracles import (
     ball_boundary,
+    milp_reference,
     finite_epigraph,
     first_stage_points,
     max_violation_on_grid,
@@ -27,7 +28,8 @@ from sipcuts.lagrangian import (
     separate_restricted,
     strengthen_benders,
 )
-from sipcuts.model import CONT, INT, BIN, Scenario, SipInstance
+from sipcuts.instances import SslpParams, gen_sslp
+from sipcuts.model import CONT, INT, BIN, Scenario, SipInstance, joint_scenario_program
 
 
 # ----------------------------------------------------------- value function
@@ -61,6 +63,28 @@ def test_qbar_positive_homogeneity(t, t1):
         base, _ = eval_qbar(inst, 0, pi, 0.4)
         scaled, _ = eval_qbar(inst, 0, t * pi, t * 0.4)
         assert scaled == pytest.approx(t * base, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("size", [(3, 5, 3, 7), (5, 10, 5, 1)])
+def test_sslp_qbar_matches_milp_reference(size):
+    # the oracle branches on first-stage columns first; the optimum must
+    # not depend on that, and a repeated question must give equal bits
+    *dims, seed = size
+    inst = gen_sslp(SslpParams(*dims, seed=seed))
+    rng = np.random.default_rng(seed)
+    scale = float(np.max(np.abs(inst.c)))
+    points = [(inst.c, 1.0), (inst.c, 0.0)]
+    points += [(rng.uniform(-scale, scale, inst.nx), pi0) for pi0 in (0.0, 0.3, 1.7)]
+    for s in range(inst.nscen):
+        for pi, pi0 in points:
+            q = pi0 * inst.scenarios[s].q
+            _, want = milp_reference(joint_scenario_program(inst, s, pi, q))
+            pools = [ScenarioPool(), ScenarioPool()]
+            (v1, x1), (v2, x2) = (eval_qbar(inst, s, pi, pi0, pool) for pool in pools)
+            assert v1 == pytest.approx(want, abs=1e-7)
+            assert (v1, x1.tobytes()) == (v2, x2.tobytes())
+            (X1, th1), (X2, th2) = (pool.arrays() for pool in pools)
+            assert (X1.tobytes(), th1.tobytes()) == (X2.tobytes(), th2.tobytes())
 
 
 def test_qbar_rejects_negative_weight(t1):

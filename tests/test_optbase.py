@@ -511,6 +511,83 @@ def test_mip_node_limit_reports_limit_with_valid_bound():
     assert capped.bound >= full.objective - 1e-9
 
 
+# --------------------------------------------------- branching preference
+
+
+def _same_mip_outcome(a, b):
+    assert (a.status, a.objective, a.node_count) == (b.status, b.objective, b.node_count)
+    assert (a.x is None) == (b.x is None)
+    if a.x is not None:
+        assert a.x.tobytes() == b.x.tobytes()
+    assert len(a.incumbent_pool) == len(b.incumbent_pool)
+    for (xa, va), (xb, vb) in zip(a.incumbent_pool, b.incumbent_pool):
+        assert xa.tobytes() == xb.tobytes() and va == vb
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_preference_covering_every_integer_column_keeps_the_default_rule(seed):
+    mip = _random_mip(seed)
+    _same_mip_outcome(solve_mip(mip, first=np.arange(mip.nvars)), solve_mip(mip))
+
+
+def _branched_columns(first):
+    """The nodes `best_bound_search` solves when every LP optimum is
+    (0.5, 0.2) clipped to the node's box, column 0 being the more
+    fractional one: per node after the root, the columns branched on."""
+    seen = []
+
+    def relax(lb, ub, warm):
+        x = np.clip([0.5, 0.2], lb, ub)
+        seen.append((lb, ub))
+        return OPTIMAL, float(x.sum()), x, None
+
+    def on_integral(x, val, lb, ub, inc):
+        return (x, val) if val < inc else None
+
+    status, x, val, _, _ = optbase.best_bound_search(
+        np.zeros(2), np.ones(2), np.arange(2), relax, lambda b, inc: b >= inc, on_integral,
+        first=first,
+    )
+    assert status == OPTIMAL and x.tolist() == [0.0, 0.0] and val == 0.0
+    # per node after the root, the columns whose bounds were branched
+    root_lb, root_ub = seen[0]
+    return [np.flatnonzero((lb != root_lb) | (ub != root_ub)).tolist() for lb, ub in seen[1:]]
+
+
+def test_preferred_column_is_branched_before_a_more_fractional_one():
+    assert _branched_columns(None)[:2] == [[0], [0, 1]]
+    # column 1 while it is fractional, then column 0 below it
+    assert _branched_columns(np.array([1]))[:2] == [[1], [0, 1]]
+
+
+def _wide_mip(seed):
+    """Feasible 6x8 program, about 70% integer columns in [0, 3]; its
+    trees run to a few dozen nodes, where `_random_mip`'s rarely pass 5."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-3, 4, (6, 8)).astype(float)
+    return MipProgram(
+        c=rng.integers(-5, 6, 8).astype(float),
+        A=CooMatrix.from_dense(A),
+        senses=np.full(6, LE, dtype=np.int8),
+        rhs=A @ rng.integers(0, 4, 8) + rng.integers(0, 3, 6),
+        lb=np.zeros(8),
+        ub=np.full(8, 3.0),
+        is_int=rng.random(8) < 0.7,
+    )
+
+
+def test_mip_with_a_preference_against_reference():
+    changed = 0
+    for seed in range(40):
+        mip = _wide_mip(seed)
+        out = solve_mip(mip, first=np.arange(4, 8))
+        ref_status, ref_obj = milp_reference(mip)
+        assert out.status == ref_status == OPTIMAL, f"seed {seed}"
+        assert abs(out.objective - ref_obj) <= 1e-6 * (1 + abs(ref_obj)), f"seed {seed}"
+        changed += out.node_count != solve_mip(mip).node_count
+    assert changed >= 3, "the preference should reshape some trees"
+
+
 def test_lp_relaxation_drops_integrality():
     mip = _random_mip(3)
     lp = lp_relaxation(mip)
