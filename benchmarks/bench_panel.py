@@ -7,15 +7,21 @@ a change that moves bits on a spread of seeds. Groups:
     lbc    solve_lbc on SSLP(5,10,5), seeds 1-10
     bbc    solve_bbc on SSLP(8,15,10), seeds 1-5
     exact  the exact root loop on SNIP(20,50,12,b5,S10), seeds 1-5,
-           whose Lagrangian cuts close a root gap (none on seed 4),
+           whose Lagrangian cuts close a root gap (none on seeds 2
+           and 4),
            unlike the pinned snip-root instance
 
 Per instance it records the status, objective, first and final root
 bound (their difference is the root gap the loop closed), the root
 stop reason, the root cuts per family, the LPs the qbar oracle solved,
-every kernel LP and pivot, the branch-and-cut nodes, and the CPU
-seconds (`time.process_time`) of `--repeat` further uncounted runs.
-The script runs the checkout's sources with one BLAS thread.
+every kernel LP and pivot, the branch-and-cut nodes, the CPU seconds
+(`time.process_time`) of `--repeat` further uncounted runs, and a kernel
+digest: one SHA-256 over every `optbase._solve_dense` output of the
+counted run, in call order (status, x, objective, y, ray, iterations,
+basis and vstat; not the basis inverse that may ride along). Equal
+digests from two checkouts mean their kernels computed the same bits on
+that instance. The script runs the checkout's sources with one BLAS
+thread.
 
 Usage:
     python3 benchmarks/bench_panel.py [--repeat N] [--smoke] [--out FILE]
@@ -28,13 +34,16 @@ objective within 1e-6 and, where both root loops saturated, its root
 bound within 1e-6; the summed oracle LPs and the summed median CPU
 seconds are no higher; and the new file has the lower median CPU on at
 least 60% of the instances whose kernel work changed. It exits 1 when
-the rule fails.
+the rule fails. Its `bits` column and `kernel bits kept` line compare
+the digests (`n/a` where a file has none); they are information and
+set no exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import statistics
@@ -92,9 +101,10 @@ def solve(group: str, inst):
 
 
 @contextmanager
-def counting(counts: Counter):
+def counting(counts: Counter, digest):
     """Count kernel LPs, their pivots and the LPs the qbar oracle solves
-    into `counts` inside the block."""
+    into `counts` inside the block, and feed every kernel output but the
+    carried basis inverse to `digest`."""
     kernel, qbar = optbase._solve_dense, lagrangian._qbar
     in_oracle = False
 
@@ -103,6 +113,11 @@ def counting(counts: Counter):
         counts["kernel_lps"] += 1
         counts["pivots"] += int(out[5])
         counts["oracle_lps"] += in_oracle
+        basis = out[6][:2] if out[6] is not None else (None,)
+        for v in (*out[:6], *basis):
+            a = np.asarray("None" if v is None else v)
+            digest.update(f"{a.dtype}{a.shape}".encode())
+            digest.update(np.ascontiguousarray(a).tobytes())
         return out
 
     def flagged_qbar(*args):
@@ -121,8 +136,8 @@ def counting(counts: Counter):
 
 
 def measure(group: str, label: str, inst, seed: int, repeat: int) -> dict:
-    counts = Counter()
-    with counting(counts):
+    counts, digest = Counter(), hashlib.sha256()
+    with counting(counts, digest):
         status, objective, trace, nodes = solve(group, inst)
     seconds = []
     for _ in range(repeat):
@@ -148,6 +163,7 @@ def measure(group: str, label: str, inst, seed: int, repeat: int) -> dict:
         "pivots": counts["pivots"],
         "bc_nodes": nodes,
         "cpu_s": seconds,
+        "kernel_digest": digest.hexdigest(),
     }
 
 
@@ -181,13 +197,20 @@ def compare(old_path: str, new_path: str) -> int:
     keys = [k for k in old if k in new]
     unpaired = sorted(set(old) ^ set(new))
     cpu = {k: [statistics.median(side[k]["cpu_s"]) for side in (old, new)] for k in keys}
-    print(f"{'instance':<36} {'oracle LPs':>17} {'kernel LPs':>17} {'median cpu s':>17}")
+    digests = {k: (old[k].get("kernel_digest"), new[k].get("kernel_digest")) for k in keys}
+    bits = {
+        k: "n/a" if None in d else "same" if d[0] == d[1] else "moved" for k, d in digests.items()
+    }
+    print(f"{'instance':<36} {'oracle LPs':>17} {'kernel LPs':>17} {'median cpu s':>17}  bits")
     for k in keys:
         a, b = old[k], new[k]
         print(
             f"{k:<36} {a['oracle_lps']:>7} -> {b['oracle_lps']:<6} {a['kernel_lps']:>7} -> "
-            f"{b['kernel_lps']:<6} {cpu[k][0]:>7.3f} -> {cpu[k][1]:<6.3f}"
+            f"{b['kernel_lps']:<6} {cpu[k][0]:>7.3f} -> {cpu[k][1]:<6.3f} {bits[k]}"
         )
+    hashed = [k for k in keys if bits[k] != "n/a"]
+    kept = sum(bits[k] == "same" for k in hashed)
+    print(f"kernel bits kept on {kept} of {len(hashed)} instances")
     status = [k for k in keys if old[k]["status"] != new[k]["status"]]
     objective = [k for k in keys if not _close(old[k]["objective"], new[k]["objective"])]
     saturated = [k for k in keys if old[k]["root_stop"] == new[k]["root_stop"] == "saturated"]

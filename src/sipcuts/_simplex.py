@@ -77,8 +77,8 @@ as the parent's final one. A start with fewer rows than the program, a
 basis of 32 rows or more and the outcome of a scaled attempt carry none.
 At 25 rows a carried inverse is 5 KB per open node.
 
-`benchmarks/bench_simplex.py` times the kernel; with `--digest` it hashes
-every output of every call but the final inverse.
+The seed panel (`benchmarks/bench_panel.py`) hashes every output of every
+call but the final inverse into one kernel digest per instance.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 iteration limit,
 4 numerical trouble. For status 1 the returned ray holds row multipliers

@@ -321,22 +321,28 @@ class _Reader:
         self.lines = text.splitlines()
         self.pos = 0
 
-    def next(self, expect: str | None = None) -> str:
+    def next(self) -> str:
         if self.pos >= len(self.lines):
             raise FormatError(f"line {self.pos + 1}: unexpected end of file")
         line = self.lines[self.pos]
         self.pos += 1
-        if expect is not None and not line.startswith(expect):
-            raise FormatError(f"line {self.pos}: expected {expect!r}, found {line!r}")
         return line
+
+    def field(self, key: str) -> str:
+        """The rest of the next line, whose first space-separated token
+        must be `key`; a line stripped of its trailing space still reads."""
+        line = self.next()
+        head, _, rest = line.partition(" ")
+        if head != key:
+            self.fail(f"expected {key!r}, found {line!r}")
+        return rest
 
     def fail(self, msg: str):
         raise FormatError(f"line {self.pos}: {msg}")
 
 
 def _parse_vec(reader: _Reader, key: str) -> np.ndarray:
-    line = reader.next(key)
-    body = line[len(key) :].strip()
+    body = reader.field(key).strip()
     if not body:
         return np.zeros(0)
     try:
@@ -348,7 +354,7 @@ def _parse_vec(reader: _Reader, key: str) -> np.ndarray:
 def _parse_coo(reader: _Reader, key: str) -> np.ndarray:
     """Dense matrix from `_fmt_coo` lines; entries at the same position
     are summed in file order."""
-    reader.next(key)
+    reader.field(key)
     head = reader.next().split()
     if len(head) != 3:
         reader.fail(f"{key} header needs 'nrows ncols nnz'")
@@ -378,33 +384,37 @@ def from_text(text: str) -> SipInstance:
     tag = reader.next()
     if tag != _FORMAT_TAG:
         raise FormatError(f"line 1: unsupported format tag {tag!r}")
-    name = reader.next("name ")[5:]
-    c = _parse_vec(reader, "c ")
-    vt = vtype_from_string(reader.next("vtype ")[6:])
-    lb = _parse_vec(reader, "lb ")
-    ub = _parse_vec(reader, "ub ")
+    name = reader.field("name")
+    if not name or "/" in name or "\\" in name:
+        # the CLI names its output files after the instance
+        reader.fail(f"instance name {name!r} must be non-empty and free of '/' and '\\'")
+    c = _parse_vec(reader, "c")
+    vt = vtype_from_string(reader.field("vtype"))
+    lb = _parse_vec(reader, "lb")
+    ub = _parse_vec(reader, "ub")
     A = _parse_coo(reader, "A")
-    b = _parse_vec(reader, "b ")
+    b = _parse_vec(reader, "b")
     try:
-        nscen = int(reader.next("nscen ")[6:])
+        nscen = int(reader.field("nscen"))
     except ValueError:
         reader.fail("bad scenario count")
     scenarios = []
     for s in range(nscen):
-        reader.next(f"scen {s}")
+        if reader.field("scen") != str(s):
+            reader.fail(f"expected 'scen {s}'")
         try:
-            prob = float(reader.next("prob ")[5:])
+            prob = float(reader.field("prob"))
         except ValueError:
             reader.fail("bad probability")
-        q = _parse_vec(reader, "q ")
-        svt = vtype_from_string(reader.next("vtype ")[6:])
-        slb = _parse_vec(reader, "lb ")
-        sub = _parse_vec(reader, "ub ")
+        q = _parse_vec(reader, "q")
+        svt = vtype_from_string(reader.field("vtype"))
+        slb = _parse_vec(reader, "lb")
+        sub = _parse_vec(reader, "ub")
         W = _parse_coo(reader, "W")
-        h = _parse_vec(reader, "h ")
+        h = _parse_vec(reader, "h")
         T = _parse_coo(reader, "T")
         scenarios.append(Scenario(prob=prob, q=q, W=W, h=h, T=T, vtype=svt, lb=slb, ub=sub))
-    reader.next("end")
+    reader.field("end")
     while reader.pos < len(reader.lines):
         if reader.lines[reader.pos].strip():
             raise FormatError(f"line {reader.pos + 1}: content after 'end'")

@@ -120,6 +120,15 @@ def test_root_overflowing_matrix_file_exits_2(tmp_path, capsys):
     assert "W has a non-finite entry" in err
 
 
+@pytest.mark.parametrize("command", ["root", "solve"])
+def test_instance_name_with_a_path_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    path = tmp_path / "evil.sip"
+    path.write_text(to_text(toy_instance()).replace("\nname toy2s\n", "\nname ../escaped\n", 1))
+    code, kv, err = run_cli(capsys, [command, str(path), "--out", str(tmp_path / "d" / "out")])
+    assert code == 2 and "instance name" in err and not kv
+    assert [p.name for p in tmp_path.rglob("*")] == ["evil.sip"]
+
+
 def test_root_toy_exact_reports_closure(tmp_path, t1_file, capsys):
     code, kv, _ = run_cli(
         capsys,

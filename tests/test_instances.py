@@ -324,6 +324,24 @@ def test_format_errors_carry_line_numbers():
         from_text(bad)
     with pytest.raises(FormatError, match="line"):
         from_text(good.replace("prob 0.5", "prob x", 1))
+    with pytest.raises(FormatError, match="expected 'scen 1'"):
+        from_text(good.replace("\nscen 1\n", "\nscen 10\n", 1))
+
+
+def test_lines_stripped_of_trailing_spaces_still_read():
+    # SSLP has no first-stage rows, so its `b` line is the key and a space
+    for inst in (toy_instance(), gen_sslp(DESK_SSLP), gen_snip(DESK_SNIP)):
+        text = to_text(inst)
+        stripped = "".join(line.rstrip() + "\n" for line in text.splitlines())
+        assert to_text(from_text(stripped)) == text
+    assert "\nb \n" in to_text(gen_sslp(DESK_SSLP))
+
+
+@pytest.mark.parametrize("name", ["", "../escaped", "runs/a", "..\\escaped"])
+def test_format_rejects_names_that_are_paths(name):
+    text = to_text(toy_instance()).replace("\nname toy2s\n", f"\nname {name}\n", 1)
+    with pytest.raises(FormatError, match="line 2: instance name"):
+        from_text(text)
 
 
 def test_format_rejects_bad_matrix_header():
