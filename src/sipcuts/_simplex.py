@@ -4,17 +4,20 @@ Solves   min c'x   s.t.  A x {<=,>=,==} b,  lb <= x <= ub
 over columns [structural | slack | artificial]: slack columns absorb
 row senses, artificial columns give a cold start a feasible basis.
 
-The basis inverse is kept explicitly. Each pivot updates it in place;
-it is computed afresh every 64 pivots, and at a warm start unless the
-start brings the inverse of its own basis (see below). Slack and
-artificial columns are signed unit vectors, so for a basis of m >= 32
-rows with k structural columns `_basis_inverse` inverts only the k x k
-block those columns have on the rows no basic unit column covers, and
-fills the unit rows by substitution: O(k^3 + (m-k) k^2) instead of
-O(m^3). A cut master with a few dozen columns under hundreds of cut
-rows has almost only slacks basic. Below 32 rows numpy's fixed cost per
-call outweighs the saving, and the dense inverse is used. An entering
-slack's column of the inverse is read out of it, not multiplied out.
+The basis inverse is kept explicitly. A pivot, in either simplex and in
+phase 1's drive-out of basic artificials, is the one exchange step
+`pivot` of `_lp_core`, after the site's own ratio test; it updates the
+inverse in place. The inverse is computed afresh every 64 pivots, and
+at a warm start unless the start brings the inverse of its own basis
+(see below). Slack and artificial columns are signed unit vectors, so
+for a basis of m >= 32 rows with k structural columns `_basis_inverse`
+inverts only the k x k block those columns have on the rows no basic
+unit column covers, and fills the unit rows by substitution:
+O(k^3 + (m-k) k^2) instead of O(m^3). A cut master with a few dozen
+columns under hundreds of cut rows has almost only slacks basic. Below
+32 rows numpy's fixed cost per call outweighs the saving, and the dense
+inverse is used. An entering slack's column of the inverse is read out
+of it, not multiplied out.
 
 The last inverse of an optimal solve, from which the returned x and y
 are computed, is dense below _BLOCK_FINAL_MIN_ROWS = 200 rows and in
@@ -262,6 +265,45 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     lob = lo[basis]  # bounds of the basic variables, by basis position
     hib = hi[basis]
 
+    def refactor():
+        """Once refactor_every pivots have updated Binv, compute it afresh."""
+        nonlocal Binv, since_refactor
+        if since_refactor >= refactor_every:
+            Binv = None  # free the old inverse first
+            Binv = _basis_inverse(WT, basis, n)
+            _basic_values(WT, b, x, basis, Binv)
+            since_refactor = 0
+
+    def column(e):
+        """Binv @ WT[e], the entering column in basis coordinates."""
+        if n <= e < nb:  # a slack: WT[e] is the unit vector of row e - n
+            return Binv[:, e - n].copy()
+        return Binv @ WT[e]
+
+    def pivot(leave, e, u, low):
+        """Column e, u = column(e), takes basis position `leave`, whose
+        variable goes to its lower bound if `low`, else to its upper."""
+        nonlocal Binv, nfree, since_refactor
+        lv = basis[leave]
+        x[lv] = lo[lv] if low else hi[lv]
+        vstat[lv] = 1 if low else 2
+        if lv >= nb:  # an artificial that leaves stays fixed at 0
+            hi[lv] = 0.0
+            rng_ok[lv] = False
+        sgn[lv] = (1.0 if low else -1.0) if rng_ok[lv] else 0.0
+        basis[leave] = e
+        vstat[e] = 0
+        sgn[e] = 0.0
+        lob[leave] = lo[e]
+        hib[leave] = hi[e]
+        if free[e]:
+            free[e] = False
+            nfree -= 1
+        rowl = Binv[leave] / u[leave]
+        Binv -= u[:, None] * rowl
+        Binv[leave] = rowl
+        since_refactor += 1
+
     if warm:
         y = cost[basis] @ Binv
         d = cost - WT @ y
@@ -270,11 +312,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         # bounded dual simplex until the basic values fit their bounds;
         # primal phase 2 below then confirms optimality
         while True:
-            if since_refactor >= refactor_every:
-                Binv = None  # free the old inverse first
-                Binv = _basis_inverse(WT, basis, n)
-                _basic_values(WT, b, x, basis, Binv)
-                since_refactor = 0
+            refactor()
             xb = x[basis]
             viol = np.maximum(lob - xb, xb - hib)
             leave = viol.argmax()
@@ -309,45 +347,23 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
             ratio = dd / absa
             tmin = ratio[ratio.argmin()]
             e = k[((ratio <= tmin + 1e-9) * absa).argmax()]
-            if e >= n and e < nb:  # a slack: WT[e] is the unit vector of row e - n
-                u = Binv[:, e - n].copy()
-            else:
-                u = Binv @ WT[e]
+            u = column(e)
             piv = u[leave]
             if abs(piv) <= _TOL_PIV:
                 status = NUMERIC
                 break
             lv = basis[leave]
-            bound = lo[lv] if up else hi[lv]
-            t = (x[lv] - bound) / piv
+            t = (x[lv] - (lo[lv] if up else hi[lv])) / piv
             x[basis] = xb - t * u
             x[e] = x[e] + t
-            x[lv] = bound
-            vstat[lv] = 1 if up else 2
-            sgn[lv] = (1.0 if up else -1.0) if rng_ok[lv] else 0.0
-            basis[leave] = e
-            vstat[e] = 0
-            sgn[e] = 0.0
-            lob[leave] = lo[e]
-            hib[leave] = hi[e]
-            if free[e]:
-                free[e] = False
-                nfree -= 1
-            rowl = Binv[leave] / piv
-            Binv -= u[:, None] * rowl
-            Binv[leave] = rowl
-            since_refactor += 1
+            pivot(leave, e, u, up)
 
     while status < 0:
         it += 1
         if it > itmax:
             status = ITER_LIMIT
             break
-        if since_refactor >= refactor_every:
-            Binv = None  # free the old inverse first
-            Binv = _basis_inverse(WT, basis, n)
-            _basic_values(WT, b, x, basis, Binv)
-            since_refactor = 0
+        refactor()
 
         y = cost[basis] @ Binv
         d = cost - WT @ y
@@ -376,25 +392,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
                     alpha = WT[: n + m] @ Binv[p]
                     q = ((vstat[: n + m] != 0) & (np.abs(alpha) > 1e-7)).nonzero()[0]
                     if q.size > 0:
-                        pick = q[0]
-                        u = Binv @ WT[pick]
-                        lv = basis[p]
-                        vstat[lv] = 1
-                        x[lv] = 0.0
-                        hi[lv] = 0.0
-                        rng_ok[lv] = False
-                        basis[p] = pick
-                        vstat[pick] = 0
-                        sgn[pick] = 0.0
-                        lob[p] = lo[pick]
-                        hib[p] = hi[pick]
-                        if free[pick]:
-                            free[pick] = False
-                            nfree -= 1
-                        rowl = Binv[p] / u[p]
-                        Binv -= u[:, None] * rowl
-                        Binv[p] = rowl
-                        since_refactor += 1
+                        pivot(p, q[0], Binv @ WT[q[0]], True)
                 hi[n + m :] = 0.0
                 hib = hi[basis]
                 cost = np.zeros(ncol)
@@ -408,10 +406,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
 
         dirn = 1.0 if (vstat[e] == 1 or (vstat[e] == 3 and d[e] < 0.0)) else -1.0
 
-        if e >= n and e < nb:  # a slack: WT[e] is the unit vector of row e - n
-            u = Binv[:, e - n].copy()
-        else:
-            u = Binv @ WT[e]
+        u = column(e)
         du = dirn * u
         xb = x[basis]
         # ratio test over the basic rows the step moves: the first bound
@@ -457,32 +452,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         t = tk[j]
         x[basis] = xb - t * du
         x[e] = x[e] + dirn * t
-        lv = basis[leave]
-        if du[leave] > 0.0:
-            x[lv] = lo[lv]
-            vstat[lv] = 1
-            s = 1.0
-        else:
-            x[lv] = hi[lv]
-            vstat[lv] = 2
-            s = -1.0
-        if lv >= n + m:
-            hi[lv] = 0.0
-            rng_ok[lv] = False
-        sgn[lv] = s if rng_ok[lv] else 0.0
-        basis[leave] = e
-        vstat[e] = 0
-        sgn[e] = 0.0
-        lob[leave] = lo[e]
-        hib[leave] = hi[e]
-        if free[e]:
-            free[e] = False
-            nfree -= 1
-        piv = u[leave]
-        rowl = Binv[leave] / piv
-        Binv -= u[:, None] * rowl
-        Binv[leave] = rowl
-        since_refactor += 1
+        pivot(leave, e, u, du[leave] > 0.0)
 
     if status == OPTIMAL and m > 0:
         Binv = None  # free the old inverse first

@@ -264,9 +264,10 @@ def cmd_profile(args) -> int:
                 f"method {method!r} covers a different instance set "
                 f"(missing {missing}, extra {extra})"
             )
+    # every gamma and baseline is checked before --out is made
+    profiles = [(gamma, *gap_closed_profile(traces, gamma)) for gamma in gammas]
     os.makedirs(args.out, exist_ok=True)
-    for gamma in gammas:
-        tau, rho = gap_closed_profile(traces, gamma)
+    for gamma, tau, rho in profiles:
         path = os.path.join(args.out, f"profile_gamma{gamma:g}.csv")
         profile_to_csv(tau, rho, path)
         _emit(profile=path)

@@ -184,13 +184,6 @@ def _latest_classical(cuts: list[Cut], s: int) -> Cut | None:
     return None
 
 
-def _solve_master(master: MasterModel, warm):
-    out, x, theta = master.solve(warm=warm)
-    if out.status != optbase.OPTIMAL:
-        raise InstanceError(f"cut master is {out.status}; cannot run the root loop")
-    return out.objective, x, theta, out.basis
-
-
 def run_root_loop(
     inst: SipInstance, cfg: VariantConfig, trace: BoundTrace | None = None
 ) -> tuple[MasterModel, BoundTrace]:
@@ -213,9 +206,12 @@ def run_root_loop(
         def resolve() -> tuple[float, np.ndarray, np.ndarray]:
             nonlocal iteration
             iteration += 1
-            bound, x, theta, master.basis = _solve_master(master, master.basis)
-            trace.record(bound, iteration, master.counts())
-            return bound, x, theta
+            out, x, theta = master.solve(warm=master.basis)
+            if out.status != optbase.OPTIMAL:
+                raise InstanceError(f"cut master is {out.status}; cannot run the root loop")
+            master.basis = out.basis
+            trace.record(out.objective, iteration, master.counts())
+            return out.objective, x, theta
 
         def classical_round(x, theta) -> bool:
             cuts = [separate_classical(inst, s, x, theta[s]) for s in range(inst.nscen)]
@@ -473,8 +469,8 @@ def gap_closed_profile(
     instances = sorted({p for per in traces.values() for p in per})
     for per in traces.values():
         for p, tr in per.items():
-            if math.isnan(tr.baseline):
-                raise ValueError(f"trace for {p!r} has no baseline bound")
+            if not math.isfinite(tr.baseline):
+                raise ValueError(f"trace for {p!r} has no finite baseline bound")
     best: dict[str, float] = {}
     for p in instances:
         vals = [

@@ -351,11 +351,13 @@ def _parse_vec(reader: _Reader, key: str) -> np.ndarray:
         reader.fail(f"bad float in {key!r} vector")
 
 
-def _parse_coo(reader: _Reader, key: str) -> np.ndarray:
-    """Dense matrix from `_fmt_coo` lines; entries at the same position
-    are summed in file order."""
+def _parse_coo(reader: _Reader, key: str):
+    """Key, header line number, shape and entries of a matrix in `_fmt_coo`
+    lines. Nothing is allocated here: `_dense` builds the matrix once its
+    header is checked against the vectors that fix its shape."""
     reader.field(key)
     head = reader.next().split()
+    line = reader.pos
     if len(head) != 3:
         reader.fail(f"{key} header needs 'nrows ncols nnz'")
     try:
@@ -364,7 +366,7 @@ def _parse_coo(reader: _Reader, key: str) -> np.ndarray:
         reader.fail(f"bad integer in {key} header")
     if min(nrows, ncols, nnz) < 0:
         reader.fail(f"negative number in {key} header")
-    out = np.zeros((nrows, ncols))
+    entries = []
     for _ in range(nnz):
         toks = reader.next().split()
         if len(toks) != 3:
@@ -375,6 +377,22 @@ def _parse_coo(reader: _Reader, key: str) -> np.ndarray:
             reader.fail(f"bad number in {key} entry")
         if not (0 <= r < nrows and 0 <= c < ncols):
             reader.fail(f"{key} entry ({r}, {c}) outside its {nrows}x{ncols} shape")
+        entries.append((r, c, v))
+    return key, line, (nrows, ncols), entries
+
+
+def _dense(coo, rows: str, nrows: int, cols: str, ncols: int) -> np.ndarray:
+    """The matrix of `_parse_coo`, once its header shape equals
+    (nrows, ncols), the lengths of the vectors named `rows` and `cols`;
+    entries at the same position are summed in file order."""
+    key, line, shape, entries = coo
+    if shape != (nrows, ncols):
+        raise FormatError(
+            f"line {line}: {key} header says {shape[0]}x{shape[1]}, but "
+            f"{rows} has {nrows} entries and {cols} has {ncols}"
+        )
+    out = np.zeros(shape)
+    for r, c, v in entries:
         out[r, c] += v
     return out
 
@@ -394,6 +412,7 @@ def from_text(text: str) -> SipInstance:
     ub = _parse_vec(reader, "ub")
     A = _parse_coo(reader, "A")
     b = _parse_vec(reader, "b")
+    A = _dense(A, "b", b.size, "c", c.size)
     try:
         nscen = int(reader.field("nscen"))
     except ValueError:
@@ -412,7 +431,8 @@ def from_text(text: str) -> SipInstance:
         sub = _parse_vec(reader, "ub")
         W = _parse_coo(reader, "W")
         h = _parse_vec(reader, "h")
-        T = _parse_coo(reader, "T")
+        W = _dense(W, "h", h.size, "q", q.size)
+        T = _dense(_parse_coo(reader, "T"), "h", h.size, "c", c.size)
         scenarios.append(Scenario(prob=prob, q=q, W=W, h=h, T=T, vtype=svt, lb=slb, ub=sub))
     reader.field("end")
     while reader.pos < len(reader.lines):

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from sipcuts.model import BIN, INT, Scenario, SipInstance, toy_instance
+from sipcuts.model import BIN, CONT, INT, Scenario, SipInstance, toy_instance
 
 
 @pytest.fixture
@@ -156,3 +156,29 @@ def tiny_suite(count: int, start_seed: int = 0, predicate=None) -> list[SipInsta
         if seed > start_seed + 3000:
             raise RuntimeError("tiny_suite predicate rejected too many seeds")
     return out
+
+
+def unbounded_master_instance() -> SipInstance:
+    """One scenario whose recourse ignores x, under min -x over an
+    integer x in [0, inf) with no first-stage row: every scenario bound
+    is finite, and the cut master is unbounded."""
+    scen = Scenario(
+        prob=1.0,
+        q=np.array([1.0]),
+        W=np.array([[1.0]]),
+        h=np.array([0.0]),
+        T=np.array([[0.0]]),
+        vtype=np.array([CONT], dtype=np.int8),
+        lb=np.zeros(1),
+        ub=np.array([np.inf]),
+    )
+    return SipInstance(
+        name="unbounded",
+        c=np.array([-1.0]),
+        A=np.zeros((0, 1)),
+        b=np.zeros(0),
+        vtype=np.array([INT], dtype=np.int8),
+        scenarios=[scen],
+        lb=np.zeros(1),
+        ub=np.array([np.inf]),
+    )

@@ -7,8 +7,10 @@ import pytest
 
 from sipcuts.cli import main
 from sipcuts.driver import BoundTrace, TraceRecord
-from sipcuts.instances import to_text, write_instance
+from sipcuts.instances import SslpParams, gen_sslp, to_text, write_instance
 from sipcuts.model import toy_instance
+
+from conftest import unbounded_master_instance
 
 
 def run_cli(capsys, argv):
@@ -118,6 +120,37 @@ def test_root_overflowing_matrix_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["root", str(path), "--out", str(tmp_path / "runs")])
     assert code == 2
     assert "W has a non-finite entry" in err
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("\nA\n0 3 0\n", "\nA\n4000000000000 2 0\n"),
+        ("\nA\n0 3 0\n", "\nA\n3000000 3000000 0\n"),
+        ("\nT\n7 3 ", "\nT\n7 4 "),
+    ],
+    ids=["A-rows-huge", "A-both-huge", "T-columns"],
+)
+def test_root_matrix_header_that_misfits_its_vectors_exits_2(tmp_path, capsys, old, new):
+    # SSLP(3,2,2): 3 sites, 7 scenario rows and no first-stage row
+    text = to_text(gen_sslp(SslpParams(3, 2, 2, seed=1)))
+    assert old in text
+    path = tmp_path / "bad.sip"
+    path.write_text(text.replace(old, new, 1))
+    out = tmp_path / "runs"
+    code, kv, err = run_cli(capsys, ["root", str(path), "--out", str(out)])
+    assert code == 2 and "header says" in err and "Traceback" not in err
+    assert not kv and not out.exists()
+
+
+def test_root_unbounded_master_exits_3_and_writes_the_trace(tmp_path, capsys):
+    path = tmp_path / "unbounded.sip"
+    write_instance(unbounded_master_instance(), str(path))
+    code, kv, err = run_cli(capsys, ["root", str(path), "--out", str(tmp_path / "runs")])
+    assert code == 3 and "cut master is unbounded" in err
+    assert kv["status"] == ["solver_failure"]
+    lines = open(kv["trace"][0]).read().strip().splitlines()
+    assert lines == ["time_s,lower_bound,iter,n_benders,n_lagrangian,n_intL"]
 
 
 @pytest.mark.parametrize("command", ["root", "solve"])
@@ -342,3 +375,17 @@ def test_profile_manifest_row_with_missing_fields_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["profile", str(manifest), "--out", str(tmp_path)])
     assert code == 2
     assert "baseline" in err and "path" in err
+
+
+@pytest.mark.parametrize(
+    "gamma,baseline",
+    [("0", "0.0"), ("1.5", "0.0"), ("0.5", "nan"), ("0.5", "inf"), ("0.5", "-inf")],
+)
+def test_profile_rejected_gamma_or_baseline_makes_no_out_dir(tmp_path, capsys, gamma, baseline):
+    _write_trace(tmp_path / "a.csv", 0.0, [(1.0, 1.0)])
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"method,instance,path,baseline\na,p1,{tmp_path / 'a.csv'},{baseline}\n")
+    out = tmp_path / "prof"
+    code, kv, err = run_cli(capsys, ["profile", str(manifest), "--gamma", gamma, "--out", str(out)])
+    assert code == 2 and "error=" in err
+    assert "profile" not in kv and not out.exists()

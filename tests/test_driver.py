@@ -33,7 +33,7 @@ from sipcuts.model import (
 from sipcuts.optbase import lp_relaxation, solve_lp
 
 from _oracles import linprog_reference, milp_reference, z_ip_enum
-from conftest import make_tiny
+from conftest import make_tiny, unbounded_master_instance
 
 
 def _single_scenario(inst: SipInstance) -> SipInstance:
@@ -194,6 +194,13 @@ def test_root_time_limit_zero_stops_immediately():
     _, trace = run_root_loop(inst, VariantConfig(variant="exact", time_limit=0.0))
     assert trace.stop_reason == "time_limit"
     assert len(trace.records) == 1
+
+
+def test_root_unbounded_master_raises_and_keeps_the_trace():
+    trace = BoundTrace()
+    with pytest.raises(InstanceError, match="cut master is unbounded; cannot run the root loop"):
+        run_root_loop(unbounded_master_instance(), VariantConfig(), trace=trace)
+    assert trace.records == []
 
 
 def test_root_early_stop_triggers_and_costs_bound(monkeypatch):
@@ -473,3 +480,9 @@ def test_gap_closed_profile_validation(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "time_s,a"
     assert len(lines) == len(tau) + 1
+
+
+@pytest.mark.parametrize("baseline", [math.inf, -math.inf])
+def test_gap_closed_profile_rejects_infinite_baselines(baseline):
+    with pytest.raises(ValueError, match="no finite baseline"):
+        gap_closed_profile({"a": {"p": _trace(baseline, [(1.0, 1.0)])}}, 0.5)

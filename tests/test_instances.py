@@ -380,6 +380,24 @@ def test_format_matrix_errors_name_the_line(key, block, message):
         from_text(bad)
 
 
+@pytest.mark.parametrize(
+    "key,header,vectors",
+    [
+        ("A", "4000000000000 2 0", "b has 0 entries and c has 3"),
+        ("A", "3000000 3000000 0", "b has 0 entries and c has 3"),
+        ("T", "7 2 0", "h has 7 entries and c has 3"),
+    ],
+    ids=["A-rows-huge", "A-both-huge", "T-columns"],
+)
+def test_matrix_header_must_match_its_vectors(key, header, vectors):
+    # SSLP(3,2,2): 3 sites, 2 clients, 7 scenario rows and no first-stage row
+    bad = _with_block(to_text(gen_sslp(SslpParams(3, 2, 2, seed=1))), key, [header])
+    line = bad.splitlines().index(header) + 1
+    shape = "x".join(header.split()[:2])
+    with pytest.raises(FormatError, match=f"line {line}: {key} header says {shape}, but {vectors}"):
+        from_text(bad)
+
+
 def test_duplicate_entries_are_summed_and_written_merged():
     inst = gen_snip(DESK_SNIP)
     text = to_text(inst)

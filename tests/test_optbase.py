@@ -877,6 +877,22 @@ def test_entering_slack_in_dual_and_primal_loops(core_calls):
     _assert_matches_cold_and_reference(child, out)
 
 
+def test_phase_one_drives_a_zero_artificial_out_of_the_basis():
+    # min -2 x0 s.t. x0 + x1 = 1, x1 = 1: both rows start on artificials,
+    # and phase 1 ends after one pivot with x1 basic at 1 and the second
+    # row's artificial basic at 0. The drive-out exchanges it for x0 on a
+    # nonzero pivot, so the optimal basis holds no artificial and is
+    # returned. The drive-out counts no iteration: phase 2 only confirms
+    # optimality, where it would otherwise spend a degenerate pivot
+    # expelling the artificial.
+    lp = _lp([-2.0, 0.0], [[1.0, 1.0], [0.0, 1.0]], [EQ, EQ], [1.0, 1.0], [0.0, 0.0], [3.0, 3.0])
+    out = _kernel(lp)
+    assert out[0] == 0 and out[1].tolist() == [0.0, 1.0] and out[2] == 0.0
+    assert out[6] is not None and out[6][0].tolist() == [1, 0]
+    assert out[5] == 3
+    _check_against_reference(lp)
+
+
 def test_mip_children_start_from_the_parent_basis(monkeypatch):
     calls = []
     kernel = optbase._solve_dense
