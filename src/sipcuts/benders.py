@@ -16,7 +16,7 @@ Cut families
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .model import (
     first_stage_point,
     joint_scenario_program,
     memo_answer,
-    recourse_program,
+    recourse_relaxation,
 )
 from .optbase import GE, CooMatrix, LinearProgram, SolveOutcome, solve_lp
 
@@ -158,20 +158,12 @@ def solve_benders_subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> Su
     kappa = sum_j (d_j > 0 ? d_j * lo_j : d_j * up_j), so
     (mu'T) x + theta_s >= mu'h + kappa holds for every x.
 
-    The cut is a fresh copy attributed to scenario s, also when the
-    answer was solved for an identical scenario."""
+    The LP is `recourse_relaxation`, whose answer the exact recourse
+    value's MIP shares as its root node; the cut is built afresh from
+    it on every call."""
     x_hat = first_stage_point(inst, x_hat)
-    res = memo_answer(inst, "subproblem", s, x_hat.tobytes(), lambda: _subproblem(inst, s, x_hat))
-
-    def fresh(cut: Cut | None) -> Cut | None:
-        return None if cut is None else replace(cut, scenario=s, coef_x=cut.coef_x.copy())
-
-    return SubproblemResult(res.value, fresh(res.cut), fresh(res.feas_cut))
-
-
-def _subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> SubproblemResult:
     scen = inst.scenarios[s]
-    out = solve_lp(recourse_program(inst, s, x_hat))
+    out = recourse_relaxation(inst, s, x_hat)
     if out.status == optbase.UNBOUNDED:
         raise InstanceError(f"scenario {s} recourse LP is unbounded at x={x_hat.tolist()}")
     if out.status == optbase.INFEASIBLE:

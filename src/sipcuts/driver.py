@@ -24,7 +24,7 @@ Variants of the multiplier block:
 
 `run_root_loop` and `run_branch_and_cut` each open an oracle memo
 (`model.oracle_memo`) for their instance: inside one call, every scenario
-oracle (theta bound, classical subproblem, exact recourse value, qbar)
+oracle (theta bound, scenario LP relaxation, exact recourse value, qbar)
 solves a question about a scenario class and a point once, and repeats,
 from an identical scenario or a revisited point, get copies of that
 answer. A call made inside an open memo for the same instance shares
@@ -460,17 +460,23 @@ def gap_closed_profile(
     """Fraction of instances on which each method closed gamma of the
     best gap closed by any method, as a step function of time.
 
-    `traces[method][instance]` needs `baseline` set on every trace.
+    `traces[method][instance]` needs `baseline` set on every trace, and
+    at least one record, every one with a finite lower bound.
     Returns the event-time grid and one curve per method."""
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
     if not traces or all(not v for v in traces.values()):
         raise ValueError("no traces given")
     instances = sorted({p for per in traces.values() for p in per})
-    for per in traces.values():
+    for method, per in traces.items():
         for p, tr in per.items():
             if not math.isfinite(tr.baseline):
                 raise ValueError(f"trace for {p!r} has no finite baseline bound")
+            if not tr.records or not all(math.isfinite(r.lower_bound) for r in tr.records):
+                raise ValueError(
+                    f"trace of method {method!r} for {p!r} has no records "
+                    "or a non-finite lower bound"
+                )
     best: dict[str, float] = {}
     for p in instances:
         vals = [

@@ -9,17 +9,24 @@ mapping to +inf when the subproblem is infeasible. All constraint rows
 are stored in >= form; writers that need equalities emit paired rows.
 The blocks A, W_s and T_s are dense 2-d float arrays.
 
-Scenario oracles (`eval_recourse` here, the Benders subproblem and
-theta bound in `benders`, the weighted value `eval_qbar` in
-`lagrangian`) answer through `memo_answer`. While an `oracle_memo` is
-open for an instance, each question is solved once: the key is the
-oracle's name, the scenario's class (`scenario_classes`: scenarios with
-byte-identical data share one) and the exact bytes of the point asked
-about. Sampled scenario sets often repeat a scenario, and cutting-plane
-loops ask again at points they have seen. Keys are exact bytes, not
-digests, so a repeat gets the very answer a fresh solve would give and
-no collision needs ruling out; the points are short vectors, while
-keying whole programs would hold megabytes.
+Scenario oracles answer through `memo_answer`: here the exact recourse
+value `eval_recourse` and the scenario LP relaxation
+`recourse_relaxation`, in `benders` the theta bound, in `lagrangian`
+the weighted value `eval_qbar`. While an `oracle_memo` is open for an
+instance, each question is solved once: the key is the oracle's name,
+the scenario's class (`scenario_classes`: scenarios with byte-identical
+data share one) and the exact bytes of the point asked about. Sampled
+scenario sets often repeat a scenario, and cutting-plane loops ask
+again at points they have seen. Keys are exact bytes, not digests, so
+a repeat gets the very answer a fresh solve would give and no
+collision needs ruling out; the points are short vectors, while keying
+whole programs would hold megabytes.
+
+Two questions share the relaxation. The classical (Benders)
+subproblem builds its cut from it, and `eval_recourse` hands it to
+`solve_mip` as the recourse MIP's root node, so at a point where
+branch-and-cut asks both, one LP serves the two. Each caller turns an
+unbounded LP into its own error.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optbase
-from .optbase import GE, CooMatrix, MipProgram, solve_mip
+from .optbase import GE, CooMatrix, MipProgram, SolveOutcome, solve_lp, solve_mip
 
 CONT, INT, BIN = 0, 1, 2
 _VTYPE_LETTER = {CONT: "C", INT: "I", BIN: "B"}
@@ -296,6 +303,29 @@ def recourse_program(inst: SipInstance, s: int, x: np.ndarray) -> MipProgram:
     )
 
 
+def recourse_relaxation(inst: SipInstance, s: int, x: np.ndarray) -> SolveOutcome:
+    """`solve_lp` of the scenario subproblem at x, its LP relaxation. The
+    answer is shared: read it, never change it. It keeps only what the
+    classical cut and the recourse MIP's root node read: status,
+    objective, duals, x, (basis, vstat), and the Farkas ray of an
+    infeasible LP."""
+    return _relaxation(inst, s, first_stage_point(inst, x), None)
+
+
+def _relaxation(
+    inst: SipInstance, s: int, x: np.ndarray, prog: MipProgram | None
+) -> SolveOutcome:
+    """`recourse_relaxation` at a checked x; `prog` is its recourse
+    program when the caller built it already."""
+
+    def solve() -> SolveOutcome:
+        out = solve_lp(recourse_program(inst, s, x) if prog is None else prog)
+        ray = out.ray if out.status == optbase.INFEASIBLE else None
+        return SolveOutcome(out.status, out.x, out.objective, out.duals, ray, basis=out.basis)
+
+    return memo_answer(inst, "relaxation", s, x.tobytes(), solve)
+
+
 def eval_recourse(inst: SipInstance, s: int, x: np.ndarray) -> float:
     """Exact recourse value Q_s(x); +inf when the subproblem is infeasible."""
     x = first_stage_point(inst, x)
@@ -303,7 +333,8 @@ def eval_recourse(inst: SipInstance, s: int, x: np.ndarray) -> float:
 
 
 def _recourse_value(inst: SipInstance, s: int, x: np.ndarray) -> float:
-    out = solve_mip(recourse_program(inst, s, x))
+    prog = recourse_program(inst, s, x)
+    out = solve_mip(prog, root=_relaxation(inst, s, x, prog))
     if out.status == optbase.OPTIMAL:
         return float(out.objective)
     if out.status == optbase.INFEASIBLE:

@@ -12,7 +12,11 @@ Nodes branch on the most fractional integer column; a caller may name
 columns to branch on first (the qbar oracle names the first stage).
 
 The root starts the kernel from the caller's basis when one is given
-(branch-and-cut passes the root loop's last master basis). Every later
+(branch-and-cut passes the root loop's last master basis). `solve_mip`
+takes the root node's LP already solved as `root`, the outcome of
+`solve_lp` on the same program (the exact recourse value passes the
+Benders subproblem's LP); it ignores it when rounding the integer
+columns' bounds changes their values. Every later
 node starts from its parent's final basis (dual simplex after the bound
 change), and a branch-and-cut node solved again after lazy cuts starts
 from its own basis. This stays deterministic: identical inputs give
@@ -295,6 +299,7 @@ def solve_mip(
     node_limit: int = 2_000_000,
     time_limit: float = math.inf,
     first=None,
+    root: SolveOutcome | None = None,
 ) -> SolveOutcome:
     """`best_bound_search` on the simplex kernel.
 
@@ -303,6 +308,12 @@ def solve_mip(
     "limit" and a valid `bound`. A node branches on the most fractional
     integer column, lowest index on ties; with `first` (column indices)
     it takes the integer columns among `first` before any other.
+
+    `root` is `solve_lp(prog)`'s outcome, solved already, and stands in
+    for the root node's LP; its children start from its (basis, vstat).
+    It is ignored, and the root solved here, when rounding the integer
+    columns' bounds changes their values (the root node is then another
+    LP) or when its status is "limit".
     """
     sign = -1.0 if prog.maximize else 1.0
     c = sign * prog.c
@@ -314,9 +325,22 @@ def solve_mip(
         first = int_idx[np.isin(int_idx, first)]
     lb0, ub0 = _round_in_integer_bounds(prog.lb, prog.ub, prog.is_int)
     pool = []
-    prep = _simplex.prepare(dense, rhs, senses)  # one kernel set-up for the whole tree
+    prep = None  # one kernel set-up for the whole tree, made at its first LP
+    # once rounding moved a bound, the root node is another LP
+    if root is not None and (
+        root.status == LIMIT or not np.array_equal(lb0, prog.lb) or not np.array_equal(ub0, prog.ub)
+    ):
+        root = None
 
     def relax(lb, ub, warm):
+        nonlocal root, prep
+        if root is not None:  # the root node, solved by the caller
+            out, root = root, None
+            # the value as the kernel computes it: minimizing, without c0
+            value = float(c @ out.x) if out.status == OPTIMAL else 0.0
+            return out.status, value, out.x, out.basis
+        if prep is None:
+            prep = _simplex.prepare(dense, rhs, senses)
         status, x, obj, _, _, _, basis = _solve_dense(
             c, dense, senses, rhs, lb, ub, warm=warm, prep=prep
         )

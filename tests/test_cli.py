@@ -389,3 +389,19 @@ def test_profile_rejected_gamma_or_baseline_makes_no_out_dir(tmp_path, capsys, g
     code, kv, err = run_cli(capsys, ["profile", str(manifest), "--gamma", gamma, "--out", str(out)])
     assert code == 2 and "error=" in err
     assert "profile" not in kv and not out.exists()
+
+
+@pytest.mark.parametrize("points", [[], [(1.0, math.nan)]])
+def test_profile_trace_without_a_finite_bound_exits_2(tmp_path, capsys, points):
+    _write_trace(tmp_path / "a.csv", 0.0, [(1.0, 1.0)])
+    _write_trace(tmp_path / "b.csv", 0.0, points)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "method,instance,path,baseline\n"
+        f"a,p1,{tmp_path / 'a.csv'},0.0\n"
+        f"b,p1,{tmp_path / 'b.csv'},0.0\n"
+    )
+    out = tmp_path / "prof"
+    code, kv, err = run_cli(capsys, ["profile", str(manifest), "--out", str(out)])
+    assert code == 2 and "method 'b' for 'p1'" in err
+    assert "profile" not in kv and not out.exists()

@@ -482,6 +482,13 @@ def test_gap_closed_profile_validation(tmp_path):
     assert len(lines) == len(tau) + 1
 
 
+@pytest.mark.parametrize("points", [[], [(1.0, math.nan)], [(1.0, 2.0), (2.0, math.inf)]])
+def test_gap_closed_profile_rejects_traces_without_a_finite_bound(points):
+    traces = {"a": {"p": _trace(0.0, [(1.0, 1.0)])}, "b": {"p": _trace(0.0, points)}}
+    with pytest.raises(ValueError, match="method 'b' for 'p'"):
+        gap_closed_profile(traces, 0.5)
+
+
 @pytest.mark.parametrize("baseline", [math.inf, -math.inf])
 def test_gap_closed_profile_rejects_infinite_baselines(baseline):
     with pytest.raises(ValueError, match="no finite baseline"):

@@ -588,6 +588,45 @@ def test_mip_with_a_preference_against_reference():
     assert changed >= 3, "the preference should reshape some trees"
 
 
+def test_mip_from_a_solved_root_matches_the_cold_tree(monkeypatch):
+    calls = []
+    kernel = optbase._solve_dense
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(optbase, "_solve_dense", counting)
+    for seed in range(40):
+        mip = _random_mip(seed)
+        root = solve_lp(mip)
+        del calls[:]
+        out = solve_mip(mip, root=root)
+        assert len(calls) == out.node_count - 1, f"seed {seed}: the root LP was solved again"
+        ref = solve_mip(mip)
+        assert (out.status, out.objective, out.node_count) == (
+            ref.status,
+            ref.objective,
+            ref.node_count,
+        )
+        assert len(out.incumbent_pool) == len(ref.incumbent_pool)
+        for (xa, va), (xb, vb) in zip(out.incumbent_pool, ref.incumbent_pool):
+            assert np.array_equal(xa, xb) and va == vb
+
+
+def test_mip_ignores_a_root_whose_box_rounds():
+    mip = _random_mip(17)
+    wrong = optbase.SolveOutcome(status=INFEASIBLE)
+    assert solve_mip(mip, root=wrong).status == INFEASIBLE  # a same-box root is trusted
+    j = int(np.flatnonzero(mip.is_int)[0])
+    mip.ub[j] = 2.5
+    ref = solve_mip(mip)
+    assert ref.status == OPTIMAL
+    _same_mip_outcome(solve_mip(mip, root=wrong), ref)
+    mip.ub[j] = 2.0
+    _same_mip_outcome(solve_mip(mip, root=optbase.SolveOutcome(status=LIMIT)), solve_mip(mip))
+
+
 def test_lp_relaxation_drops_integrality():
     mip = _random_mip(3)
     lp = lp_relaxation(mip)

@@ -1,15 +1,24 @@
 """Oracle memo: identical scenarios share answers, bit for bit, within one
 top-level solve, and a separation reuses an unchanged master."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sipcuts import driver, lagrangian, model, optbase
 from sipcuts.benders import solve_benders_subproblem
 from sipcuts.driver import VariantConfig, run_root_loop
-from sipcuts.instances import SnipParams, gen_snip
+from sipcuts.instances import SnipParams, SslpParams, gen_snip, gen_sslp
 from sipcuts.lagrangian import NormalizationSpec, ScenarioPool, eval_qbar, separate_restricted
-from sipcuts.model import oracle_memo, scenario_classes, toy_instance
+from sipcuts.model import (
+    CONT,
+    InstanceError,
+    RecourseUnboundedError,
+    oracle_memo,
+    scenario_classes,
+    toy_instance,
+)
 
 
 @pytest.fixture
@@ -137,6 +146,55 @@ def test_memo_is_scoped_to_its_instance(snip, kernel_calls):
         assert len(kernel_calls) == 4
     model.eval_recourse(snip, 0, np.zeros(snip.nx))
     assert len(kernel_calls) == 5
+
+
+def _cut_bytes(cut):
+    return (cut.family, cut.scenario, cut.coef_x.tobytes(), repr(cut.coef_theta), repr(cut.rhs))
+
+
+@pytest.mark.parametrize("recourse_first", [True, False])
+def test_recourse_value_and_classical_cut_share_one_root_lp(recourse_first, kernel_calls):
+    inst = gen_sslp(SslpParams(3, 5, 3, seed=7))  # the SSLP smoke instance
+    x = np.array([1.0, 0.0, 1.0])
+    value = model.eval_recourse(inst, 0, x)
+    sub = solve_benders_subproblem(inst, 0, x)
+    alone = len(kernel_calls)  # each call solved its own root LP
+    kernel_calls.clear()
+    with oracle_memo(inst):
+        if recourse_first:
+            shared_value = model.eval_recourse(inst, 0, x)
+            shared = solve_benders_subproblem(inst, 0, x)
+        else:
+            shared = solve_benders_subproblem(inst, 0, x)
+            shared_value = model.eval_recourse(inst, 0, x)
+    assert len(kernel_calls) == alone - 1
+    assert repr(shared_value) == repr(value)
+    assert repr(shared.value) == repr(sub.value)
+    assert _cut_bytes(shared.cut) == _cut_bytes(sub.cut)
+    assert shared.feas_cut is sub.feas_cut is None
+
+
+def _unbounded_recourse_instance():
+    """The toy instance with scenario 0's recourse y continuous, unbounded
+    above and priced at -1: its LP relaxation is unbounded below."""
+    toy = toy_instance()
+    scen = replace(toy.scenarios[0], q=np.array([-1.0]), vtype=np.array([CONT], dtype=np.int8))
+    return replace(toy, scenarios=[scen, toy.scenarios[1]])
+
+
+@pytest.mark.parametrize("recourse_first", [True, False])
+def test_unbounded_relaxation_keeps_each_callers_error(recourse_first, kernel_calls):
+    inst = _unbounded_recourse_instance()
+    x = np.zeros(1)
+    asks = [
+        (lambda: model.eval_recourse(inst, 0, x), RecourseUnboundedError),
+        (lambda: solve_benders_subproblem(inst, 0, x), InstanceError),
+    ]
+    with oracle_memo(inst):
+        for ask, error in asks if recourse_first else asks[::-1]:
+            with pytest.raises(error, match="unbounded"):
+                ask()
+    assert len(kernel_calls) == 1
 
 
 def test_pool_version_counts_changes():
