@@ -4,31 +4,37 @@ Solves   min c'x   s.t.  A x {<=,>=,==} b,  lb <= x <= ub
 over columns [structural | slack | artificial]: slack columns absorb
 row senses, artificial columns give a cold start a feasible basis.
 
-The basis inverse is kept explicitly. A pivot, in either simplex and in
-phase 1's drive-out of basic artificials, is the one exchange step
-`pivot` of `_lp_core`, after the site's own ratio test; it updates the
-inverse in place. The inverse is computed afresh every 64 pivots, and
-at a warm start unless the start brings the inverse of its own basis
-(see below). Slack and artificial columns are signed unit vectors, so
-for a basis of m >= 32 rows with k structural columns `_basis_inverse`
-inverts only the k x k block those columns have on the rows no basic
-unit column covers, and fills the unit rows by substitution:
-O(k^3 + (m-k) k^2) instead of O(m^3). A cut master with a few dozen
-columns under hundreds of cut rows has almost only slacks basic. Below
-32 rows numpy's fixed cost per call outweighs the saving, and the dense
-inverse is used. An entering slack's column of the inverse is read out
-of it, not multiplied out.
+Below _BLOCK_FINAL_MIN_ROWS = 200 rows the basis inverse is kept
+explicitly. A pivot, in either simplex and in phase 1's drive-out of
+basic artificials, is the one exchange step `pivot` of `_lp_core`,
+after the site's own ratio test; it updates the inverse in place. The
+inverse is computed afresh every 64 pivots, and at a warm start unless
+the start brings the inverse of its own basis (see below). Slack and
+artificial columns are signed unit vectors, so for a basis of m >= 32
+rows with k structural columns `_basis_inverse` inverts only the k x k
+block those columns have on the rows no basic unit column covers, and
+fills the unit rows by substitution: O(k^3 + (m-k) k^2) instead of
+O(m^3). Below 32 rows numpy's fixed cost per call outweighs the saving,
+and the dense inverse is used. An entering slack's column of the
+inverse is read out of it, not multiplied out.
 
-The last inverse of an optimal solve, from which the returned x and y
-are computed, is dense below _BLOCK_FINAL_MIN_ROWS = 200 rows and in
-block form from there. The cutoff follows what the duals feed. The cut
-loops build their cuts from the root-loop master's duals, and on the
-SSLP(5,10,5) Lagrangian root the block form's different last digits
-changed which cuts entered and slowed the loop; no root-loop master of
-the benchmark workloads reaches 200 rows (the largest has 157).
-Branch-and-cut node LPs grow past it as lazy cuts pile up, on an SSLP
-master to 508 rows over 18 columns, and their duals feed no cut, so
-there the O(m^3) inverse is skipped.
+From 200 rows the core forms no m x m matrix. It keeps the basis in
+that block form (`_block_factors`): the k x k block's inverse, the
+structural columns and the rows the basic unit columns cover. A solve
+with the basis (ftran) or its transpose (btran) costs O(k^2 + mk), and
+so does a pivot (`_block_exchange`), which updates the block's inverse
+as the dense form updates the whole one. The factors are made afresh
+every 64 pivots, at a start, and for the x and y an optimal solve
+returns. Pricing reads WT's slack and artificial rows as the signed
+unit vectors they are, so a slack's reduced cost is -y. Branch-and-cut
+masters grow past the cutoff as lazy cuts pile up, on an SSLP master
+to 508 rows with at most 18 structural columns. The cutoff follows
+what the duals feed. The cut loops build their cuts from the
+root-loop master's duals, and on the SSLP(5,10,5) Lagrangian root the
+block form's different last digits changed which cuts entered and
+slowed the loop; no root-loop master of the benchmark workloads
+reaches 200 rows (the largest has 157), so their solves keep the
+dense inverse's bits.
 
 Cold start: two-phase primal simplex from the slack/artificial basis;
 phase 1 minimizes the artificial sum. Entering variable: Dantzig rule,
@@ -110,43 +116,123 @@ _BLAND_AFTER = 2
 #: bases with fewer rows are inverted densely: below about 32 rows the
 #: dense inverse is faster than the block form's fixed numpy overhead
 _BLOCK_MIN_ROWS = 32
-#: the final inverse of an optimal solve is dense below this many rows,
-#: which every root-loop master stays under, so the duals that cuts are
-#: built from keep the dense inverse's last digits
+#: from this many rows the core keeps the basis in block form and forms
+#: no m x m matrix; every root-loop master stays under it, so the duals
+#: that cuts are built from keep the dense inverse's last digits
 _BLOCK_FINAL_MIN_ROWS = 200
+
+
+def _block_factors(WT, basis, n):
+    """The basis matrix B = WT[basis].T in block form.
+
+    Every column from index n on is a slack or artificial column, which
+    WT holds as a signed unit vector (for row r at n + r, and at
+    n + m + r when present). With k structural columns basic, B is
+    known from (ps, rs, S, Ainv, prow, psig): the basis positions ps of
+    the structural columns, the k open rows rs that no basic unit
+    column covers, the structural columns S = WT[basis[ps]], the
+    inverse Ainv of their k x k block S[:, rs].T, and, by basis
+    position, a one-to-one map prow onto the rows and the sign psig.
+    A unit position maps to the row it covers, with its +-1; a
+    structural position maps to an open row, with 0. Raises
+    LinAlgError when two basic unit columns cover one row or the block
+    is singular."""
+    m = basis.size
+    unit = basis >= n
+    pu = unit.nonzero()[0]
+    ps = (~unit).nonzero()[0]
+    ru = (basis[pu] - n) % m
+    open_row = np.ones(m, dtype=np.bool_)
+    open_row[ru] = False
+    rs = open_row.nonzero()[0]
+    if rs.size != ps.size:
+        raise np.linalg.LinAlgError("two basic unit columns cover one row")
+    prow = np.empty(m, dtype=np.int64)
+    prow[pu] = ru
+    prow[ps] = rs
+    psig = np.zeros(m)
+    psig[pu] = WT[basis[pu], ru]
+    S = WT[basis[ps]]
+    return ps, rs, S, np.linalg.inv(np.ascontiguousarray(S[:, rs].T)), prow, psig
+
+
+def _block_exchange(WT, n, fac, leave, e, u):
+    """`_block_factors` of the basis after position `leave` takes column
+    e, from `fac`, those of the basis before, and u = B^-1 WT[e] under
+    it, in O(k^2 + mk). The block inverse takes the rank-one update of
+    its changed column or row, or, where a structural and a unit
+    column trade places, the bordered inverse of the grown block or
+    Ainv - Ainv[:, i] Ainv[j] / Ainv[j, i] without row j and column i
+    for the shrunk one. The arrays of `fac` are updated in place."""
+    ps, rs, S, Ainv, prow, psig = fac
+    us = u[ps]  # Ainv @ WT[e][rs]
+    j = (ps == leave).nonzero()[0]
+    if e < n:
+        a = WT[e]
+        if j.size:  # structural for structural: column j of the block
+            j = j[0]
+            w = us.copy()
+            w[j] -= 1.0
+            Ainv = Ainv - np.outer(w, Ainv[j] / us[j])
+            S[j] = a
+            return ps, rs, S, Ainv, prow, psig
+        # structural for unit: the unit's row opens and the block grows
+        r = prow[leave]
+        g = S[:, r] @ Ainv
+        sigma = a[r] - S[:, r] @ us
+        k = ps.size
+        grown = np.empty((k + 1, k + 1))
+        grown[:k, :k] = Ainv + np.outer(us / sigma, g)
+        grown[:k, k] = -us / sigma
+        grown[k, :k] = -g / sigma
+        grown[k, k] = 1.0 / sigma
+        psig[leave] = 0.0
+        return np.append(ps, leave), np.append(rs, r), np.vstack((S, a)), grown, prow, psig
+    r = (e - n) % prow.size
+    i = (rs == r).nonzero()[0]  # empty when e takes the place of the unit on its row
+    if i.size:
+        # open row r closes; the structural position that mapped to it
+        # takes the row of `leave`, which maps to r from now on
+        i = i[0]
+        p = (prow == r).nonzero()[0][0]
+        prow[p] = prow[leave]
+        prow[leave] = r
+        if j.size:  # unit for structural: row j and column i leave the block
+            j = j[0]
+            Ainv = Ainv - np.outer(Ainv[:, i], Ainv[j] / Ainv[j, i])
+            k = ps.size - 1
+            Ainv[j] = Ainv[k]
+            Ainv[:, i] = Ainv[:, k]
+            ps[j], rs[i], S[j] = ps[k], rs[k], S[k]
+            ps, rs, S, Ainv = ps[:k], rs[:k], S[:k], Ainv[:k, :k]
+        else:  # unit for unit: row i of the block becomes the leaving unit's row
+            g = S[:, prow[p]] @ Ainv
+            gi = g[i]
+            g[i] -= 1.0
+            Ainv = Ainv - np.outer(Ainv[:, i], g / gi)
+            rs[i] = prow[p]
+    psig[leave] = WT[e, r]
+    return ps, rs, S, Ainv, prow, psig
 
 
 def _basis_inverse(WT, basis, n):
     """Inverse of the basis matrix WT[basis].T.
 
-    Every column from index n on is a slack or artificial column, which
-    WT holds as a signed unit vector (for row r at n + r, and at
-    n + m + r when present). With k structural columns basic, only the
-    k x k block they have on the rows no basic unit column covers is
-    inverted; the unit rows follow by substitution. That costs
-    O(k^3 + (m - k) k^2) instead of O(m^3). Bases of fewer than
-    _BLOCK_MIN_ROWS rows take the dense inverse. It serves the start
-    and refactorization inverses at every size, and the final inverse
-    of an optimal solve from _BLOCK_FINAL_MIN_ROWS rows. Raises
-    LinAlgError when two basic unit columns cover one row or the block
-    is singular."""
+    From the block form of `_block_factors`, the unit rows follow by
+    substitution. That costs O(k^3 + (m - k) k^2) instead of O(m^3).
+    Bases of fewer than _BLOCK_MIN_ROWS rows take the dense inverse. It
+    serves the start and refactorization inverses below
+    _BLOCK_FINAL_MIN_ROWS rows; from there the core keeps the block
+    form itself. Raises LinAlgError as `_block_factors` does."""
     m = basis.size
     if m < _BLOCK_MIN_ROWS:
         return np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
-    unit = basis >= n
-    pu = np.nonzero(unit)[0]  # basis positions of unit columns
-    ps = np.nonzero(~unit)[0]  # basis positions of structural columns
-    ru = (basis[pu] - n) % m  # the row each unit column covers
-    open_row = np.ones(m, dtype=np.bool_)
-    open_row[ru] = False
-    rs = np.nonzero(open_row)[0]
-    if rs.size != ps.size:
-        raise np.linalg.LinAlgError("two basic unit columns cover one row")
-    S = WT[basis[ps]]  # row i is structural basic column ps[i]
-    sig = WT[basis[pu], ru]  # the +-1 of each unit column
+    ps, rs, S, Ainv, prow, psig = _block_factors(WT, basis, n)
+    pu = psig.nonzero()[0]
+    ru = prow[pu]
+    sig = psig[pu]
     # structural positions: inv(S[:, rs].T) on the open rows, 0 elsewhere;
     # unit position p on row r: sig_p (e_r - S[:, r]' inv(S[:, rs].T))
-    Ainv = np.linalg.inv(np.ascontiguousarray(S[:, rs].T))
     C = np.empty((m, ps.size))
     C[ps] = Ainv
     # column by column: a matrix product makes BLAS touch its level-3
@@ -161,13 +247,6 @@ def _basis_inverse(WT, basis, n):
     return Binv
 
 
-def _basic_values(WT, b, x, basis, Binv):
-    """Set the basic entries of x so that WT' x = b holds with the
-    nonbasic entries as they are; Binv is the inverse of WT[basis].T."""
-    x[basis] = 0.0
-    x[basis] = Binv @ (b - x @ WT)
-
-
 def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     """One solve attempt. `start` is None for a cold start, else the
     (basis, vstat, inverse) triple of `_warm_start`."""
@@ -177,6 +256,12 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     warm = start is not None
     ncol = nb if warm else nb + m  # a warm start carries no artificial columns
     inf = np.inf
+    # the basis is its dense inverse Binv below _BLOCK_FINAL_MIN_ROWS rows,
+    # and from there the factors `fac` of `_block_factors`; only the
+    # closures below read either
+    block = m >= _BLOCK_FINAL_MIN_ROWS
+    Binv = fac = None
+    asig = None  # the signs of a cold start's artificial columns
 
     # columns: [structural | slack | artificial]; WT[j] is column j of the
     # equality system  A x + slack = b. A cold start fills the m
@@ -195,6 +280,68 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     ray = np.zeros(nb)
     it = 0
     status = -1
+
+    def ftran(a):
+        """B^-1 a, by basis position, for B = WT[basis].T."""
+        if not block:
+            return Binv @ a
+        ps, rs, S, Ainv, prow, psig = fac
+        us = Ainv @ a[rs]
+        u = psig * (a[prow] - (us @ S)[prow])  # the unit positions' entries
+        u[ps] = us
+        return u
+
+    def btran(v):
+        """v' B^-1, for v by basis position."""
+        if not block:
+            return v @ Binv
+        ps, rs, S, Ainv, prow, psig = fac
+        w = np.empty(m)
+        w[prow] = psig * v  # the unit rows' entries, and 0 on the open rows
+        w[rs] = (v[ps] - S @ w) @ Ainv
+        return w
+
+    def row(p):
+        """Row p of B^-1."""
+        if not block:
+            return Binv[p]
+        v = np.zeros(m)
+        v[p] = 1.0
+        return btran(v)
+
+    def column(e):
+        """B^-1 WT[e], the entering column in basis coordinates."""
+        if not block and n <= e < nb:  # a slack: WT[e] is the unit vector of row e - n
+            return Binv[:, e - n].copy()
+        return ftran(WT[e])
+
+    def prices(v, rows=ncol):
+        """WT[:rows] @ v. The block form reads WT's slack and artificial
+        rows as the signed unit vectors they are."""
+        if not block:
+            return WT[:rows] @ v
+        out = np.empty(rows)
+        out[:n] = WT[:n] @ v
+        out[n:nb] = v
+        if rows > nb:
+            out[nb:] = asig * v
+        return out
+
+    def lhs():
+        """x @ WT, the row activities of the equality system."""
+        if not block:
+            return x @ WT
+        r = x[:n] @ WT[:n] + x[n:nb]
+        if ncol > nb:
+            r += asig * x[nb:]
+        return r
+
+    def basic_values():
+        """Set the basic entries of x so that WT' x = b holds with the
+        nonbasic entries as they are."""
+        x[basis] = 0.0
+        x[basis] = ftran(b - lhs())
+
     if not warm:
         # nonbasic start: structural at its finite lower bound, else at its
         # finite upper bound, free at 0
@@ -207,16 +354,19 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         # carrying the residual elsewhere
         r = b - x[:n] @ WT[:n]  # residuals with slacks at zero
         ok = ((sense == 0) & (r >= 0.0)) | ((sense == 1) & (r <= 0.0)) | ((sense == 2) & (r == 0.0))
-        sig = np.where(ok | (r >= 0.0), 1.0, -1.0)
+        asig = np.where(ok | (r >= 0.0), 1.0, -1.0)
         rows = np.arange(m)
         basis = np.where(ok, n + rows, nb + rows)
         x[n:nb] = np.where(ok, r, 0.0)
-        x[nb:] = np.where(ok, 0.0, sig * r)
+        x[nb:] = np.where(ok, 0.0, asig * r)
         vstat[n:nb] = np.where(ok, 0, vstat[n:nb])
         vstat[nb:] = np.where(ok, 1, 0)
         hi[nb:] = np.where(ok, 0.0, inf)  # used artificials may rise, unused stay at 0
-        WT[nb:] = np.diag(sig)
-        Binv = np.diag(sig)
+        WT[nb + rows, rows] = asig  # the rest of WT[nb:] is zero
+        if block:
+            fac = _block_factors(WT, basis, n)
+        else:
+            Binv = np.diag(asig)
         cost[nb:] = 1.0  # phase 1: minimize artificial sum
         phase = 1
     else:
@@ -238,14 +388,16 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         if np.any(bad | (inbasis != (vs == 0))):
             return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
         x[:nb] = np.where(vs == 1, lo[:nb], np.where(vs == 2, hi[:nb], 0.0))
-        if Binv0 is not None:
+        if block:
+            fac = _block_factors(WT, basis, n)
+        elif Binv0 is not None:
             # the parent's final inverse of this very basis; a copy, since
             # the pivots update it in place and a sibling starts from it too
             Binv = Binv0.copy()
         else:
             Binv = _basis_inverse(WT, basis, n)
-        _basic_values(WT, b, x, basis, Binv)
-        if np.abs(x @ WT - b).max() > 1e-6 * (1.0 + np.abs(b).max()):  # near singular
+        basic_values()
+        if np.abs(lhs() - b).max() > 1e-6 * (1.0 + np.abs(b).max()):  # near singular
             return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
         cost[:n] = c
         phase = 2
@@ -266,24 +418,22 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     hib = hi[basis]
 
     def refactor():
-        """Once refactor_every pivots have updated Binv, compute it afresh."""
-        nonlocal Binv, since_refactor
+        """Once refactor_every pivots have updated the basis, factor it
+        and compute the basic values afresh."""
+        nonlocal Binv, fac, since_refactor
         if since_refactor >= refactor_every:
-            Binv = None  # free the old inverse first
-            Binv = _basis_inverse(WT, basis, n)
-            _basic_values(WT, b, x, basis, Binv)
+            if block:
+                fac = _block_factors(WT, basis, n)
+            else:
+                Binv = None  # free the old inverse first
+                Binv = _basis_inverse(WT, basis, n)
+            basic_values()
             since_refactor = 0
-
-    def column(e):
-        """Binv @ WT[e], the entering column in basis coordinates."""
-        if n <= e < nb:  # a slack: WT[e] is the unit vector of row e - n
-            return Binv[:, e - n].copy()
-        return Binv @ WT[e]
 
     def pivot(leave, e, u, low):
         """Column e, u = column(e), takes basis position `leave`, whose
         variable goes to its lower bound if `low`, else to its upper."""
-        nonlocal Binv, nfree, since_refactor
+        nonlocal Binv, fac, nfree, since_refactor
         lv = basis[leave]
         x[lv] = lo[lv] if low else hi[lv]
         vstat[lv] = 1 if low else 2
@@ -299,14 +449,17 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         if free[e]:
             free[e] = False
             nfree -= 1
-        rowl = Binv[leave] / u[leave]
-        Binv -= u[:, None] * rowl
-        Binv[leave] = rowl
+        if block:
+            fac = _block_exchange(WT, n, fac, leave, e, u)
+        else:
+            rowl = Binv[leave] / u[leave]
+            Binv -= u[:, None] * rowl
+            Binv[leave] = rowl
         since_refactor += 1
 
     if warm:
-        y = cost[basis] @ Binv
-        d = cost - WT @ y
+        y = btran(cost[basis])
+        d = cost - prices(y)
         if (sgn * d < -_TOL_DFEAS).any() or (nfree > 0 and (np.abs(d[free]) > _TOL_DFEAS).any()):
             return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
         # bounded dual simplex until the basic values fit their bounds;
@@ -324,9 +477,10 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
                 break
             # the leaving variable must rise to its lb
             up = lob[leave] - xb[leave] > xb[leave] - hib[leave]
-            y = cost[basis] @ Binv
-            d = cost - WT @ y
-            alpha = WT @ Binv[leave]
+            y = btran(cost[basis])
+            d = cost - prices(y)
+            rl = row(leave)
+            alpha = prices(rl)
             sa = sgn * alpha
             elig = sa < -_TOL_PIV if up else sa > _TOL_PIV
             if nfree > 0:
@@ -334,9 +488,9 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
             k = elig.nonzero()[0]
             if k.size == 0:
                 # no column can move the row toward its bound: the row of
-                # Binv, signed, is a Farkas certificate
+                # the basis inverse, signed, is a Farkas certificate
                 status = INFEASIBLE
-                ray[n:nb] = -Binv[leave] if up else Binv[leave]
+                ray[n:nb] = -rl if up else rl
                 break
             # ratio test over the eligible columns: min |d_j / alpha_rj|,
             # ties to the largest |alpha_rj|, then the lowest index
@@ -365,8 +519,8 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
             break
         refactor()
 
-        y = cost[basis] @ Binv
-        d = cost - WT @ y
+        y = btran(cost[basis])
+        d = cost - prices(y)
         # pricing: sd < 0 where the column improves the objective, at -|d_j|
         # so that the Dantzig choice is the first minimum; artificials
         # are never priced, being basic or fixed at 0 once they leave
@@ -389,10 +543,10 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
                 # first column that can take its place; rows whose
                 # artificial cannot leave are redundant and keep it at 0
                 for p in (basis >= n + m).nonzero()[0]:
-                    alpha = WT[: n + m] @ Binv[p]
+                    alpha = prices(row(p), n + m)
                     q = ((vstat[: n + m] != 0) & (np.abs(alpha) > 1e-7)).nonzero()[0]
                     if q.size > 0:
-                        pivot(p, q[0], Binv @ WT[q[0]], True)
+                        pivot(p, q[0], ftran(WT[q[0]]), True)
                 hi[n + m :] = 0.0
                 hib = hi[basis]
                 cost = np.zeros(ncol)
@@ -455,13 +609,13 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         pivot(leave, e, u, du[leave] > 0.0)
 
     if status == OPTIMAL and m > 0:
-        Binv = None  # free the old inverse first
-        if m >= _BLOCK_FINAL_MIN_ROWS:
-            Binv = _basis_inverse(WT, basis, n)
+        Binv = fac = None  # free the old factors first
+        if block:
+            fac = _block_factors(WT, basis, n)
         else:
             Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
-        _basic_values(WT, b, x, basis, Binv)
-        y = cost[basis] @ Binv
+        basic_values()
+        y = btran(cost[basis])
         xb = x[basis]
         if (np.maximum(lob - xb, xb - hib) > 1e-5 * scale_b).any():
             status = NUMERIC

@@ -25,8 +25,10 @@ whole programs would hold megabytes.
 Two questions share the relaxation. The classical (Benders)
 subproblem builds its cut from it, and `eval_recourse` hands it to
 `solve_mip` as the recourse MIP's root node, so at a point where
-branch-and-cut asks both, one LP serves the two. Each caller turns an
-unbounded LP into its own error.
+branch-and-cut asks both, one LP serves the two. `eval_recourse` asks
+for it only when rounding the integer recourse bounds leaves the box as
+it is (`optbase.root_is_relaxation`); otherwise the MIP's root is
+another LP. Each caller turns an unbounded LP into its own error.
 """
 
 from __future__ import annotations
@@ -334,7 +336,9 @@ def eval_recourse(inst: SipInstance, s: int, x: np.ndarray) -> float:
 
 def _recourse_value(inst: SipInstance, s: int, x: np.ndarray) -> float:
     prog = recourse_program(inst, s, x)
-    out = solve_mip(prog, root=_relaxation(inst, s, x, prog))
+    # the shared relaxation is the MIP's root only while rounding keeps the box
+    root = _relaxation(inst, s, x, prog) if optbase.root_is_relaxation(prog) else None
+    out = solve_mip(prog, root=root)
     if out.status == optbase.OPTIMAL:
         return float(out.objective)
     if out.status == optbase.INFEASIBLE:

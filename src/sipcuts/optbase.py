@@ -209,6 +209,13 @@ def _round_in_integer_bounds(lb, ub, is_int):
     return lb, ub
 
 
+def root_is_relaxation(prog: MipProgram) -> bool:
+    """True when the root node of `solve_mip(prog)` is `solve_lp(prog)`'s
+    LP: rounding the integer columns' bounds changes no bound's value."""
+    lb0, ub0 = _round_in_integer_bounds(prog.lb, prog.ub, prog.is_int)
+    return np.array_equal(lb0, prog.lb) and np.array_equal(ub0, prog.ub)
+
+
 #: integral-node hook result: rows were added, solve the node again
 RESOLVE = "resolve"
 
@@ -311,9 +318,9 @@ def solve_mip(
 
     `root` is `solve_lp(prog)`'s outcome, solved already, and stands in
     for the root node's LP; its children start from its (basis, vstat).
-    It is ignored, and the root solved here, when rounding the integer
-    columns' bounds changes their values (the root node is then another
-    LP) or when its status is "limit".
+    It is ignored, and the root solved here, when `root_is_relaxation`
+    is false (rounding the integer columns' bounds made the root node
+    another LP) or when its status is "limit".
     """
     sign = -1.0 if prog.maximize else 1.0
     c = sign * prog.c
@@ -326,10 +333,7 @@ def solve_mip(
     lb0, ub0 = _round_in_integer_bounds(prog.lb, prog.ub, prog.is_int)
     pool = []
     prep = None  # one kernel set-up for the whole tree, made at its first LP
-    # once rounding moved a bound, the root node is another LP
-    if root is not None and (
-        root.status == LIMIT or not np.array_equal(lb0, prog.lb) or not np.array_equal(ub0, prog.ub)
-    ):
+    if root is not None and (root.status == LIMIT or not root_is_relaxation(prog)):
         root = None
 
     def relax(lb, ub, warm):

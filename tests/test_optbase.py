@@ -642,7 +642,7 @@ def test_lp_relaxation_drops_integrality():
 
 
 #: row ranges of tall LPs: the block inverse at start and refactorization
-#: only, and a master tall enough for the block final inverse too
+#: only, and a master tall enough for block pivots
 TALL, MASTER = (64, 97), (200, 321)
 
 
@@ -827,11 +827,9 @@ def test_free_warm_appended_rows_match_cold_and_reference(seed, core_calls):
     _assert_matches_cold_and_reference(child, out)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_warm_infeasible_child_returns_certified_ray(seed, core_calls):
+def _check_warm_infeasible_child(lp, core_calls):
     from sipcuts import _simplex
 
-    lp, _ = _bounded_lp(seed)
     parent = _kernel(lp)
     # sum x >= sum ub + 1 cannot hold inside the box
     dense = np.vstack([lp.A.to_dense(), np.ones(lp.nvars)])
@@ -842,6 +840,16 @@ def test_warm_infeasible_child_returns_certified_ray(seed, core_calls):
     assert len(core_calls) == 1
     assert out[0] == _simplex.INFEASIBLE and out[6] is None
     assert _simplex._farkas_certifies(dense, rhs, senses, lp.lb, lp.ub, out[4])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_warm_infeasible_child_returns_certified_ray(seed, core_calls):
+    _check_warm_infeasible_child(_bounded_lp(seed)[0], core_calls)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_master_warm_infeasible_child_returns_certified_ray(seed, core_calls):
+    _check_warm_infeasible_child(_bounded_lp(seed, MASTER)[0], core_calls)
 
 
 def _same_output(a, b):
@@ -1133,34 +1141,152 @@ def test_basis_inverse_rejects_singular_bases():
             _simplex._basis_inverse(WT, basis, n)
 
 
-# ------------------------------------------------- block final inverse
+# ------------------------------------------------------- block pivots
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_block_final_inverse_matches_the_dense_one(seed, monkeypatch):
+    """Block pivots match dense pivots: a cold solve at the block-form
+    size against the same solve with the cutoff above its rows."""
     from sipcuts import _simplex
 
     lp, _ = _bounded_lp(seed, MASTER)
     assert lp.nrows >= _simplex._BLOCK_FINAL_MIN_ROWS
-    calls = []
-    inverse = _simplex._basis_inverse
-
-    def counting(*args):
-        calls.append(1)
-        return inverse(*args)
-
-    monkeypatch.setattr(_simplex, "_basis_inverse", counting)
     block = _kernel(lp)
-    block_calls = len(calls)
-    del calls[:]
     monkeypatch.setattr(_simplex, "_BLOCK_FINAL_MIN_ROWS", lp.nrows + 1)
     dense = _kernel(lp)
-    assert block_calls == len(calls) + 1, "only the final inverse changed form"
     assert block[0] == dense[0] == _simplex.OPTIMAL and block[5] == dense[5]
     for u, v in zip(block[6], dense[6]):
         assert np.array_equal(u, v)
     for u, v in ((block[1], dense[1]), (block[3], dense[3]), (block[2], dense[2])):
         assert np.all(np.abs(np.subtract(u, v)) <= 1e-9 * (1.0 + np.abs(v)))
+
+
+def _tall_cold_lp(seed, kind):
+    """A cold start at the block-form size: 220 LE and GE rows around an
+    anchor in a box, about half of the LE rows with a negative
+    right-hand side, so that phase 1 starts on artificial columns of
+    both signs, and the equalities a + b = 1, b = 1 on two columns of
+    their own, whose tie leaves an artificial basic at 0 for the
+    drive-out (see `test_phase_one_drives_a_zero_artificial_out_of_the_basis`).
+    "infeasible" adds sum x >= sum ub + 1; "unbounded" adds a column of
+    cost -1 with no upper bound that only GE rows hold, with positive
+    coefficients."""
+    rng = np.random.default_rng(seed)
+    m, n = 220, 12
+    rows = np.round(rng.uniform(-5.0, 5.0, (m, n)))
+    ub = rng.integers(2, 8, n).astype(float)
+    anchor = rng.uniform(0.1, 0.9, n) * ub
+    senses = np.where(rng.random(m) < 0.5, LE, GE)
+    gap = rng.uniform(0.5, 3.0, m)
+    rhs = np.concatenate([[1.0, 1.0], rows @ anchor + np.where(senses == LE, gap, -gap)])
+    dense = np.zeros((m + 2, n + 2))
+    dense[2:, :n] = rows
+    dense[0, n:] = 1.0
+    dense[1, n + 1] = 1.0
+    senses = np.concatenate([[EQ, EQ], senses])
+    c = np.concatenate([np.round(rng.uniform(-5.0, 5.0, n)), [-2.0, 0.0]])
+    lb, ub = np.zeros(n + 2), np.concatenate([ub, [3.0, 3.0]])
+    if kind == "infeasible":
+        dense = np.vstack([dense, np.ones(n + 2)])
+        senses = np.append(senses, GE)
+        rhs = np.append(rhs, ub.sum() + 1.0)
+    elif kind == "unbounded":
+        col = np.where(senses == GE, rng.integers(1, 4, senses.size), 0.0)
+        dense = np.hstack([dense, col[:, None]])
+        c, lb, ub = np.append(c, -1.0), np.append(lb, 0.0), np.append(ub, np.inf)
+    return _lp(c, dense, senses, rhs, lb, ub)
+
+
+@pytest.mark.parametrize("kind", ["optimal", "infeasible", "unbounded"])
+@pytest.mark.parametrize("seed", range(3))
+def test_tall_cold_solve_matches_reference_and_dense_pivots(seed, kind, core_calls, monkeypatch):
+    from sipcuts import _simplex
+
+    lp = _tall_cold_lp(seed, kind)
+    assert lp.nrows >= _simplex._BLOCK_FINAL_MIN_ROWS
+    assert np.any((lp.senses == LE) & (lp.rhs < 0.0)), "some artificial starts at -1"
+    _check_against_reference(lp)
+    del core_calls[:]
+    out = _kernel(lp)
+    assert len(core_calls) == 1, "the first attempt answered"
+    A = lp.A.to_dense()
+    if kind == "infeasible":
+        assert out[0] == _simplex.INFEASIBLE
+        assert _simplex._farkas_certifies(A, lp.rhs, lp.senses, lp.lb, lp.ub, out[4])
+    elif kind == "unbounded":
+        assert out[0] == _simplex.UNBOUNDED
+        assert _simplex._ray_certifies(A, lp.senses, lp.c, lp.lb, lp.ub, out[4])
+    else:
+        assert out[0] == _simplex.OPTIMAL and out[6] is not None, "no artificial left basic"
+    # the same pivots as the dense inverse makes: the drive-out counts no
+    # iteration, so a block drive-out that failed would show here
+    monkeypatch.setattr(_simplex, "_BLOCK_FINAL_MIN_ROWS", lp.nrows + 1)
+    dense = _kernel(lp)
+    assert dense[0] == out[0] and dense[5] == out[5]
+    if kind == "optimal":
+        for u, v in zip(out[6], dense[6]):
+            assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 0.9])
+def test_block_exchange_gives_the_factors_of_the_new_basis(share):
+    from sipcuts import _simplex
+
+    m = 40
+    WT, basis, n = _unit_basis_system(m, share, seed=3)
+    fac = _simplex._block_factors(WT, basis, n)
+    rng = np.random.default_rng(4)
+    kinds = set()
+    for t in range(60):
+        # enter a structural column every other step; leave a structural
+        # one every other pair of steps, when one can leave
+        pool = np.setdiff1d(np.arange(n), basis)
+        if t % 2 == 0 or pool.size == 0:
+            pool = np.setdiff1d(np.arange(n, WT.shape[0]), basis)
+        e = int(rng.choice(pool))
+        u = np.linalg.solve(WT[basis].T, WT[e])
+        can = np.abs(u) >= 0.2 * np.abs(u).max()
+        if np.any(can & ((basis < n) == (t % 4 < 2))):
+            can &= (basis < n) == (t % 4 < 2)
+        leave = int(rng.choice(np.flatnonzero(can)))
+        kinds.add((bool(basis[leave] < n), e < n))
+        fac = _simplex._block_exchange(WT, n, fac, leave, e, u)
+        basis[leave] = e
+        ps, rs, S, Ainv, prow, psig = fac
+        unit = basis >= n
+        assert np.array_equal(np.sort(ps), np.flatnonzero(~unit))
+        assert np.array_equal(np.sort(prow), np.arange(m))
+        assert np.array_equal(np.sort(prow[ps]), np.sort(rs))
+        assert np.array_equal(prow[unit], (basis[unit] - n) % m)
+        assert np.array_equal(psig, np.where(unit, WT[basis, prow], 0.0))
+        assert np.array_equal(S, WT[basis[ps]])
+        ref = np.linalg.inv(S[:, rs].T)
+        assert np.abs(Ainv - ref).max(initial=0.0) <= 1e-8 * (1.0 + np.abs(ref).max(initial=0.0))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_master_warm_solve_keeps_no_m_by_m_array(core_calls):
+    import tracemalloc
+
+    from sipcuts import _simplex
+
+    lp, anchor = _bounded_lp(2, (500, 501))
+    m = lp.nrows
+    assert m == 500 and lp.nvars == 18
+    A = lp.A.to_dense()
+    parent = _kernel(lp)
+    ub = 0.5 * (parent[1] + anchor)
+    prep = _simplex.prepare(A, lp.rhs, lp.senses, artificial=False)
+    del core_calls[:]
+    tracemalloc.start()
+    try:
+        out = _simplex.solve_dense(A, lp.rhs, lp.senses, lp.c, lp.lb, ub, warm=parent[6], prep=prep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(core_calls) == 1 and out[0] == _simplex.OPTIMAL and out[5] > 10
+    assert peak < 8 * m * m
 
 
 def test_final_inverse_below_the_cutoff_is_dense(monkeypatch, core_calls):

@@ -174,6 +174,21 @@ def test_recourse_value_and_classical_cut_share_one_root_lp(recourse_first, kern
     assert shared.feas_cut is sub.feas_cut is None
 
 
+def test_recourse_value_on_a_box_that_rounds_solves_one_lp(kernel_calls):
+    # y <= 2.5 rounds to y <= 2, so the recourse MIP's root is not the
+    # relaxation, and the relaxation is not asked for
+    toy = toy_instance()
+    inst = replace(toy, scenarios=[replace(toy.scenarios[0], ub=np.array([2.5])), toy.scenarios[1]])
+    x = np.zeros(1)
+    alone = model.eval_recourse(inst, 0, x)
+    assert len(kernel_calls) == 1
+    kernel_calls.clear()
+    with oracle_memo(inst):
+        value = model.eval_recourse(inst, 0, x)
+    assert len(kernel_calls) == 1
+    assert repr(value) == repr(alone) == repr(2.0)
+
+
 def _unbounded_recourse_instance():
     """The toy instance with scenario 0's recourse y continuous, unbounded
     above and priced at -1: its LP relaxation is unbounded below."""
