@@ -7,11 +7,10 @@ dual-decomposition bound oracle, instance generators and a CLI.
 
 __version__ = "0.1.0"
 
-from .optbase import CooMatrix, LinearProgram, MipProgram, SolveOutcome, solve_lp, solve_mip
+from .optbase import LinearProgram, MipProgram, SolveOutcome, solve_lp, solve_mip
 from .model import Scenario, SipInstance, build_extensive_form, eval_recourse, toy_instance
 
 __all__ = [
-    "CooMatrix",
     "LinearProgram",
     "MipProgram",
     "SolveOutcome",

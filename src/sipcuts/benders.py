@@ -31,7 +31,7 @@ from .model import (
     memo_answer,
     recourse_relaxation,
 )
-from .optbase import GE, CooMatrix, LinearProgram, SolveOutcome, solve_lp
+from .optbase import GE, LinearProgram, SolveOutcome, solve_lp
 
 #: relative violation needed before a classical cut enters the master
 BENDERS_VIOL_TOL = 1e-4
@@ -48,7 +48,6 @@ class Cut:
     coef_x: np.ndarray
     coef_theta: float
     rhs: float
-    violation_at_birth: float = 0.0
 
     def slack(self, x: np.ndarray, theta_s: float) -> float:
         """Nonnegative iff the point satisfies the cut."""
@@ -106,7 +105,7 @@ class MasterModel:
         xub = inst.ub if ub is None else np.asarray(ub, dtype=np.float64)
         return LinearProgram(
             c=np.concatenate([inst.c, inst.probs]),
-            A=CooMatrix.from_dense(A),
+            A=A,
             senses=np.full(A.shape[0], GE, dtype=np.int8),
             rhs=np.concatenate([inst.b, [cut.rhs for cut in self.cuts]]),
             lb=np.concatenate([xlb, self.theta_lb]),
@@ -232,9 +231,7 @@ def separate_integer_lshaped(
     coef = np.where(ones, -gap, gap)
     rhs = q_val - gap * float(np.count_nonzero(ones))
     cut = Cut(family="integer_lshaped", scenario=s, coef_x=coef, coef_theta=1.0, rhs=rhs)
-    viol = -cut.slack(x_bin, theta_hat)
-    if viol > INTL_VIOL_TOL * (abs(theta_hat) + 1.0):
-        cut.violation_at_birth = viol
+    if -cut.slack(x_bin, theta_hat) > INTL_VIOL_TOL * (abs(theta_hat) + 1.0):
         return cut
     return None
 

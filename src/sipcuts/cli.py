@@ -43,9 +43,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--K", dest="k", type=int, default=20, help="span size")
     p.add_argument("--alpha", type=float, default=1.0, help="epigraph weight in the norm")
     p.add_argument("--time-limit", type=float, default=math.inf, help="wall-clock seconds")
-    p.add_argument(
-        "--workers", type=int, default=1, help="at least 1; scenarios always run in order"
-    )
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -147,7 +144,6 @@ def cmd_root(args) -> int:
         alpha=args.alpha,
         time_limit=args.time_limit,
         early_stop=not args.no_early_stop,
-        workers=args.workers,
     )
     os.makedirs(args.out, exist_ok=True)
     trace = BoundTrace()
@@ -191,7 +187,6 @@ def cmd_solve(args) -> int:
         k=args.k,
         alpha=args.alpha,
         time_limit=args.time_limit,
-        workers=args.workers,
     )
     os.makedirs(args.out, exist_ok=True)
     trace = BoundTrace()

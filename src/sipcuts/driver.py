@@ -272,7 +272,6 @@ def separate_classical(inst, s, x_hat, theta_hat) -> Cut | None:
         cut = res.cut
         viol, tol = -cut.slack(x_hat, theta_hat), BENDERS_VIOL_TOL * (abs(theta_hat) + 1.0)
     if viol > tol:
-        cut.violation_at_birth = viol
         return cut
     return None
 
@@ -285,7 +284,6 @@ def _multiplier_cut(inst, s, x, theta_s, cuts, pool, cfg: VariantConfig) -> Cut 
             return None
         cand = strengthen_benders(inst, s, parent, pool)
         if -cand.slack(x, theta_s) > scen_tol:
-            cand.violation_at_birth = -cand.slack(x, theta_s)
             return cand
         return None
     if cfg.variant == "exact":

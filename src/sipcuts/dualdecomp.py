@@ -25,7 +25,7 @@ import numpy as np
 
 from . import optbase
 from .model import InstanceError, SipInstance, brute_force_epigraph, joint_scenario_program
-from .optbase import EQ, LE, CooMatrix, LinearProgram, solve_lp, solve_mip
+from .optbase import EQ, LE, LinearProgram, solve_lp, solve_mip
 
 #: relative gap at which the ascent declares the dual maximized
 DUAL_GAP_TOL = 1e-7
@@ -93,7 +93,7 @@ def _ascent_master(inst, pools, center, radius):
         ub[S:] = flat + radius
     prog = LinearProgram(
         c=c,
-        A=CooMatrix.from_dense(A),
+        A=A,
         senses=np.array([LE] * npts + [EQ] * n, dtype=np.int8),
         rhs=[float(inst.c @ x) + cost for _, x, cost in points] + [0.0] * n,
         lb=lb,
@@ -215,7 +215,7 @@ def convexified_primal_value(inst: SipInstance, cap: int = 100_000) -> float:
     lb[nw:] = -np.inf
     prog = LinearProgram(
         c=c,
-        A=CooMatrix.from_dense(A),
+        A=A,
         senses=np.full(A.shape[0], EQ, dtype=np.int8),
         rhs=rhs,
         lb=lb,

@@ -141,6 +141,12 @@ def gen_sslp(p: SslpParams) -> SipInstance:
 
 # --------------------------------------------------------------------- SNIP
 
+#: clean arc reliability, percent range
+_R_PCT = (30, 90)
+#: inspected/clean reliability ratio, percent range; below 100, so an
+#: inspected arc is always less reliable than a clean one
+_RHO_PCT = (10, 50)
+
 
 @dataclass
 class SnipParams:
@@ -150,8 +156,6 @@ class SnipParams:
     budget: float
     n_scenarios: int
     seed: int = 0
-    r_pct: tuple[int, int] = (30, 90)  # clean reliability percent range
-    rho_pct: tuple[int, int] = (10, 50)  # inspected/clean ratio percent range
 
     def __post_init__(self):
         if self.nodes < 3:
@@ -162,8 +166,6 @@ class SnipParams:
             raise ValueError("interdictable_count must be in [1, arcs]")
         if not (np.isfinite(self.budget) and self.budget > 0):
             raise ValueError("budget must be finite and positive")
-        if not (0 < self.rho_pct[0] and self.rho_pct[1] < 100):
-            raise ValueError("inspected/clean ratio must stay below 1")
 
 
 def _snip_network(p: SnipParams):
@@ -183,8 +185,8 @@ def _snip_network(p: SnipParams):
         if (i, j) not in have:
             have.add((i, j))
             arcs.append((i, j))
-    r = np.array([rng.randint(p.r_pct[0], p.r_pct[1]) / 100.0 for _ in arcs])
-    rho = np.array([rng.randint(p.rho_pct[0], p.rho_pct[1]) / 100.0 for _ in arcs])
+    r = np.array([rng.randint(*_R_PCT) / 100.0 for _ in arcs])
+    rho = np.array([rng.randint(*_RHO_PCT) / 100.0 for _ in arcs])
     q = rho * r
     D = sorted(rng.sample(len(arcs), p.interdictable_count))
     cost = np.array([float(rng.randint(1, 10)) for _ in D])

@@ -45,7 +45,7 @@ from .model import (
     joint_scenario_program,
     memo_answer,
 )
-from .optbase import GE, LE, CooMatrix, LinearProgram, solve_lp, solve_mip
+from .optbase import GE, LE, LinearProgram, solve_lp, solve_mip
 
 #: relative violation a multiplier cut must reach to enter the master
 LAGR_VIOL_TOL = 1e-6
@@ -237,7 +237,7 @@ def _master_program(
     senses[:z] = senses[-1] = LE
     rhs = np.zeros(A.shape[0])
     rhs[-1] = 1.0
-    prog = LinearProgram(c, CooMatrix.from_dense(A), senses, rhs, lb, ub, maximize=True)
+    prog = LinearProgram(c, A, senses, rhs, lb, ub, maximize=True)
     return prog, msl, p0, proj
 
 
@@ -372,7 +372,6 @@ def separate_restricted(
         coef_x=best_pi,
         coef_theta=best_pi0,
         rhs=best_val,
-        violation_at_birth=lower,
     )
     return SeparationResult(cut, best_pi, best_pi0, lower, upper, calls, stop)
 
@@ -400,7 +399,6 @@ def strengthen_benders(
         coef_x=parent.coef_x.copy(),
         coef_theta=1.0,
         rhs=value,
-        violation_at_birth=value - parent.rhs,
     )
 
 
@@ -468,7 +466,7 @@ def select_basis_mip(
     rhs[-2:] = [k_max, 1.0]
     prog = optbase.MipProgram(
         c=c,
-        A=CooMatrix.from_dense(A),
+        A=A,
         senses=np.full(A.shape[0], LE, dtype=np.int8),
         rhs=rhs,
         lb=lb,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optbase
-from .optbase import GE, CooMatrix, MipProgram, SolveOutcome, solve_lp, solve_mip
+from .optbase import GE, MipProgram, SolveOutcome, solve_lp, solve_mip
 
 CONT, INT, BIN = 0, 1, 2
 _VTYPE_LETTER = {CONT: "C", INT: "I", BIN: "B"}
@@ -296,7 +296,7 @@ def recourse_program(inst: SipInstance, s: int, x: np.ndarray) -> MipProgram:
     rhs = scen.h - scen.T @ x
     return MipProgram(
         c=scen.q.copy(),
-        A=CooMatrix.from_dense(scen.W),
+        A=scen.W,
         senses=np.full(scen.nrows, GE, dtype=np.int8),
         rhs=rhs,
         lb=scen.lb.copy(),
@@ -363,7 +363,7 @@ def _stacked_program(inst: SipInstance, scens: list[Scenario], obj: np.ndarray) 
         col += scen.ny
     return MipProgram(
         c=obj,
-        A=CooMatrix.from_dense(A),
+        A=A,
         senses=np.full(nrows, GE, dtype=np.int8),
         rhs=np.concatenate([inst.b] + [scen.h for scen in scens]),
         lb=np.concatenate([inst.lb] + [scen.lb for scen in scens]),

@@ -1,9 +1,10 @@
 """Self-contained LP and MIP solving on top of the dense simplex kernel.
 
 `LinearProgram` / `MipProgram` hold the problem data (constraint matrix,
-senses, bounds); the matrix is a `CooMatrix`, the nonzero triplets of the
-dense array its builder filled, and the solvers expand it back with
-`to_dense`. `solve_lp` returns primal and dual vectors plus certificates.
+senses, bounds). A builder passes the matrix as the dense array it
+filled; the program keeps one read-only copy, with -0.0 stored as +0.0,
+and `A.to_dense()` hands the solvers that copy itself. `solve_lp`
+returns primal and dual vectors plus certificates.
 `best_bound_search` is the one tree search of the package: `solve_mip`
 runs it on the kernel and records every improving incumbent, so a
 caller can harvest sub-optimal feasible points as well, and the
@@ -56,33 +57,20 @@ class KernelError(RuntimeError):
     """Numerical failure inside the simplex kernel."""
 
 
-@dataclass(eq=False)
-class CooMatrix:
-    """The nonzero entries of a dense matrix as (row, col, value)
-    triplets in row-major order, each position at most once."""
+class _Matrix:
+    """A program's constraint matrix: a read-only float64 copy of the
+    2-d array its builder filled, with every zero stored as +0.0."""
 
-    nrows: int
-    ncols: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    @classmethod
-    def from_dense(cls, mat) -> "CooMatrix":
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.ndim != 2:
+    def __init__(self, A):
+        a = np.asarray(A, dtype=np.float64) + 0.0
+        if a.ndim != 2:
             raise ValueError("expected a 2-d array")
-        r, c = np.nonzero(mat)
-        return cls(mat.shape[0], mat.shape[1], r, c, mat[r, c])
+        a.flags.writeable = False
+        self._a = a
+        self.nrows, self.ncols = a.shape
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.vals
-        return out
+        return self._a
 
 
 @dataclass
@@ -90,7 +78,7 @@ class LinearProgram:
     """min (or max) c'x + c0  s.t.  A x {<=,>=,=} rhs,  lb <= x <= ub."""
 
     c: np.ndarray
-    A: CooMatrix
+    A: _Matrix  # built from any 2-d array; `A.to_dense()` returns it
     senses: np.ndarray
     rhs: np.ndarray
     lb: np.ndarray
@@ -100,6 +88,7 @@ class LinearProgram:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
+        self.A = _Matrix(self.A)
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
         self.lb = np.asarray(self.lb, dtype=np.float64)
         self.ub = np.asarray(self.ub, dtype=np.float64)
@@ -145,7 +134,7 @@ class MipProgram(LinearProgram):
 def lp_relaxation(prog: MipProgram) -> LinearProgram:
     return LinearProgram(
         c=prog.c.copy(),
-        A=prog.A,
+        A=prog.A.to_dense(),
         senses=prog.senses.copy(),
         rhs=prog.rhs.copy(),
         lb=prog.lb.copy(),

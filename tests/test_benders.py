@@ -50,7 +50,7 @@ def test_toy_benders_cuts_frozen(t1):
 def test_benders_threshold(t1):
     x0 = np.array([0.0])
     got = separate_classical(t1, 0, x0, theta_hat=0.0)
-    assert got is not None and got.violation_at_birth == pytest.approx(2.0)
+    assert got is not None and -got.slack(x0, 0.0) == pytest.approx(2.0)
     assert separate_classical(t1, 0, x0, theta_hat=2.0) is None
     # just below the value but within tolerance: no cut
     assert separate_classical(t1, 0, x0, theta_hat=2.0 - 1e-5) is None

@@ -220,6 +220,14 @@ def test_root_unknown_variant_usage_error(t1_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["root", "solve"])
+def test_workers_flag_is_a_usage_error(tmp_path, t1_file, command):
+    # scenarios always run in order, so the CLI offers no worker count
+    with pytest.raises(SystemExit) as exc:
+        main([command, t1_file, "--workers", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_root_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["root", str(tmp_path / "nope.sip")])
     assert code == 2 and "error=" in err

@@ -275,8 +275,6 @@ def test_snip_param_validation():
             SnipParams(8, 14, 5, budget, 1)
     with pytest.raises(ValueError, match="forward arcs"):
         gen_snip(SnipParams(8, 200, 5, 1.0, 1))  # more arcs than forward pairs fit
-    with pytest.raises(ValueError):
-        gen_snip(SnipParams(8, 14, 5, 1.0, 1, rho_pct=(0, 120)))
 
 
 # ------------------------------------------------------------------ format

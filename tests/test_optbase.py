@@ -13,7 +13,6 @@ from sipcuts.optbase import (
     LIMIT,
     OPTIMAL,
     UNBOUNDED,
-    CooMatrix,
     LinearProgram,
     MipProgram,
     lp_relaxation,
@@ -25,10 +24,9 @@ TOL = 1e-7
 
 
 def _lp(c, dense, senses, rhs, lb, ub, maximize=False):
-    dense = np.asarray(dense, dtype=float)
     return LinearProgram(
         c=np.asarray(c, dtype=float),
-        A=CooMatrix.from_dense(dense),
+        A=dense,
         senses=np.asarray(senses, dtype=np.int8),
         rhs=np.asarray(rhs, dtype=float),
         lb=np.asarray(lb, dtype=float),
@@ -103,7 +101,7 @@ def test_lp_infeasible_farkas_certificate():
 def test_lp_unbounded_ray():
     lp = LinearProgram(
         c=np.array([-1.0]),
-        A=CooMatrix.from_dense(np.zeros((0, 1))),
+        A=np.zeros((0, 1)),
         senses=np.zeros(0, dtype=np.int8),
         rhs=np.zeros(0),
         lb=np.array([0.0]),
@@ -120,7 +118,7 @@ def test_lp_rejects_unknown_sense_codes(senses):
     with pytest.raises(ValueError, match="senses must be"):
         LinearProgram(
             c=np.array([1.0]),
-            A=CooMatrix.from_dense([[1.0]]),
+            A=[[1.0]],
             senses=senses,
             rhs=np.array([2.0]),
             lb=np.array([0.0]),
@@ -402,7 +400,7 @@ def _random_mip(seed):
     is_int = np.array([rng.random() < 0.8 for _ in range(n)])
     return MipProgram(
         c=c,
-        A=CooMatrix.from_dense(dense),
+        A=dense,
         senses=senses,
         rhs=rhs,
         lb=lb,
@@ -435,7 +433,7 @@ def test_mip_against_reference(seed):
 def test_mip_maximize_knapsack():
     mip = MipProgram(
         c=np.array([5.0, 4.0, 3.0]),
-        A=CooMatrix.from_dense([[2.0, 3.0, 1.0]]),
+        A=[[2.0, 3.0, 1.0]],
         senses=np.array([LE], dtype=np.int8),
         rhs=np.array([5.0]),
         lb=np.zeros(3),
@@ -495,7 +493,7 @@ def test_mip_node_limit_reports_limit_with_valid_bound():
     v = np.array([float(rng.randint(2, 9)) for _ in range(n)])
     mip = MipProgram(
         c=v,
-        A=CooMatrix.from_dense(w.reshape(1, -1)),
+        A=w.reshape(1, -1),
         senses=np.array([LE], dtype=np.int8),
         rhs=np.array([float(int(w.sum() // 2))]),
         lb=np.zeros(n),
@@ -567,7 +565,7 @@ def _wide_mip(seed):
     A = rng.integers(-3, 4, (6, 8)).astype(float)
     return MipProgram(
         c=rng.integers(-5, 6, 8).astype(float),
-        A=CooMatrix.from_dense(A),
+        A=A,
         senses=np.full(6, LE, dtype=np.int8),
         rhs=A @ rng.integers(0, 4, 8) + rng.integers(0, 3, 6),
         lb=np.zeros(8),

@@ -102,7 +102,7 @@ def test_answers_are_copies(snip, kernel_calls):
         value, x_first = eval_qbar(snip, 0, pi, 0.5)
         solved = len(kernel_calls)
         first.cut.coef_x[:] = 7.0
-        first.cut.violation_at_birth = 1.0
+        first.cut.rhs = 7.0
         x_first[:] = 7.0
         twin = solve_benders_subproblem(snip, 1, x)
         again = solve_benders_subproblem(snip, 0, x)
@@ -112,7 +112,7 @@ def test_answers_are_copies(snip, kernel_calls):
     assert twin.cut.scenario == 1 and again.cut.scenario == 0
     for cut in (twin.cut, again.cut):
         assert cut.coef_x.tobytes() == fresh.cut.coef_x.tobytes()
-        assert cut.violation_at_birth == 0.0 and cut.rhs == fresh.cut.rhs
+        assert cut.rhs == fresh.cut.rhs
     assert twin_value == value
     assert x_twin.tobytes() == eval_qbar(snip, 3, pi, 0.5)[1].tobytes()
 
