@@ -1,8 +1,13 @@
 """Dense bounded-variable simplex kernel.
 
 Solves   min c'x   s.t.  A x {<=,>=,==} b,  lb <= x <= ub
-over columns [structural | slack | artificial]: slack columns absorb
-row senses, artificial columns give a cold start a feasible basis.
+over columns [structural | slack | artificial]: slack columns absorb row
+senses, artificial columns give a cold start a feasible basis. The core
+stores the structural columns alone, as the rows of WT = A'. Slack n + r
+is the unit vector of row r and artificial n + m + r that vector times a
+sign the cold start picks; the dense and the block form both read such a
+column from its row and sign (`_unit_columns`). Artificials are never
+priced, so they never enter.
 
 Below _BLOCK_FINAL_MIN_ROWS = 200 rows the basis inverse is kept
 explicitly. A pivot, in either simplex and in phase 1's drive-out of
@@ -18,23 +23,21 @@ O(m^3). Below 32 rows numpy's fixed cost per call outweighs the saving,
 and the dense inverse is used. An entering slack's column of the
 inverse is read out of it, not multiplied out.
 
-From 200 rows the core forms no m x m matrix. It keeps the basis in
-that block form (`_block_factors`): the k x k block's inverse, the
-structural columns and the rows the basic unit columns cover. A solve
-with the basis (ftran) or its transpose (btran) costs O(k^2 + mk), and
-so does a pivot (`_block_exchange`), which updates the block's inverse
-as the dense form updates the whole one. The factors are made afresh
-every 64 pivots, at a start, and for the x and y an optimal solve
-returns. Pricing reads WT's slack and artificial rows as the signed
-unit vectors they are, so a slack's reduced cost is -y. Branch-and-cut
-masters grow past the cutoff as lazy cuts pile up, on an SSLP master
-to 508 rows with at most 18 structural columns. The cutoff follows
-what the duals feed. The cut loops build their cuts from the
+From 200 rows the core forms no m x m matrix. It keeps the basis in that
+block form (`_block_factors`): the k x k block's inverse, the structural
+columns and the rows the basic unit columns cover. A solve with the
+basis (ftran) or its transpose (btran) costs O(k^2 + mk), and so does a
+pivot (`_block_exchange`), which updates the block's inverse as the
+dense form updates the whole one. The factors are made afresh every 64
+pivots, at a start, and for the x and y an optimal solve returns.
+Branch-and-cut masters grow past the cutoff as lazy cuts pile up, on an
+SSLP master to 508 rows with at most 18 structural columns. The cutoff
+follows what the duals feed. The cut loops build their cuts from the
 root-loop master's duals, and on the SSLP(5,10,5) Lagrangian root the
-block form's different last digits changed which cuts entered and
-slowed the loop; no root-loop master of the benchmark workloads
-reaches 200 rows (the largest has 157), so their solves keep the
-dense inverse's bits.
+block form's different last digits changed which cuts entered and slowed
+the loop; no root-loop master of the benchmark workloads reaches 200
+rows (the largest has 157), so their solves keep the dense inverse's
+bits.
 
 Cold start: two-phase primal simplex from the slack/artificial basis;
 phase 1 minimizes the artificial sum. Entering variable: Dantzig rule,
@@ -68,23 +71,21 @@ that is not dual feasible, is singular, or ends in numerical trouble
 makes the attempt report status 4. `solve_dense` then runs the cold
 attempts, so a warm start never changes which problems are solved. A
 warm start carries no artificial columns: they would sit at 0 and never
-be priced, and leaving them out halves the column matrix and every
-pricing product on a tall master.
+be priced.
 
 What depends on the program alone is built by `prepare`: A, b and sense
-as the core takes them, the column matrix WT = [A'; I] with m rows kept
-for a cold start's artificial columns, and the slack bounds. A one-shot
-`solve_dense` builds it per call, with the artificial rows only when a
-cold attempt runs; `optbase.solve_mip` builds it once per tree and hands
-it to every node. A warm call also skips the cold nonbasic start. When
-the caller passed that set-up, a basis of fewer than _BLOCK_MIN_ROWS rows
+as the core takes them, the structural columns WT = A' and the slack
+bounds, n + 2 arrays of m entries. A one-shot `solve_dense` builds it
+per call; `optbase.solve_mip` builds it once per tree and hands it to
+every node. A warm call also skips the cold nonbasic start. When the
+caller passed that set-up, a basis of fewer than _BLOCK_MIN_ROWS rows
 from an optimal solve of the unscaled first attempt carries its final
 inverse as a third element. A child with all of its rows copies that
 inverse instead of inverting the basis, with the same bits: below that
-size the start inverse is the same dense inverse of the same rows of WT
-as the parent's final one. A start with fewer rows than the program, a
-basis of 32 rows or more and the outcome of a scaled attempt carry none.
-At 25 rows a carried inverse is 5 KB per open node.
+size the start inverse is the same dense inverse of the same basis
+matrix as the parent's final one. A start with fewer rows than the
+program, a basis of 32 rows or more and the outcome of a scaled attempt
+carry none. At 25 rows a carried inverse is 5 KB per open node.
 
 The seed panel (`benchmarks/bench_panel.py`) hashes every output of every
 call but the final inverse into one kernel digest per instance.
@@ -122,26 +123,42 @@ _BLOCK_MIN_ROWS = 32
 _BLOCK_FINAL_MIN_ROWS = 200
 
 
-def _block_factors(WT, basis, n):
-    """The basis matrix B = WT[basis].T in block form.
+def _unit_columns(basis, n, asig):
+    """The basis positions pu of the slack and artificial columns, the
+    rows ru they cover and their signs: 1 for the slack n + r of row r,
+    asig[r] for its artificial n + m + r."""
+    pu = (basis >= n).nonzero()[0]
+    ru = (basis[pu] - n) % basis.size
+    return pu, ru, np.where(basis[pu] < n + basis.size, 1.0, asig[ru])
 
-    Every column from index n on is a slack or artificial column, which
-    WT holds as a signed unit vector (for row r at n + r, and at
-    n + m + r when present). With k structural columns basic, B is
-    known from (ps, rs, S, Ainv, prow, psig): the basis positions ps of
-    the structural columns, the k open rows rs that no basic unit
-    column covers, the structural columns S = WT[basis[ps]], the
-    inverse Ainv of their k x k block S[:, rs].T, and, by basis
-    position, a one-to-one map prow onto the rows and the sign psig.
-    A unit position maps to the row it covers, with its +-1; a
-    structural position maps to an open row, with 0. Raises
-    LinAlgError when two basic unit columns cover one row or the block
-    is singular."""
-    m = basis.size
-    unit = basis >= n
-    pu = unit.nonzero()[0]
-    ps = (~unit).nonzero()[0]
-    ru = (basis[pu] - n) % m
+
+def _basis_matrix(WT, basis, asig):
+    """The m x m basis matrix: WT[j] for a structural column j, and the
+    signed unit vector of `_unit_columns` for the others."""
+    n, m = WT.shape
+    ps = (basis < n).nonzero()[0]
+    pu, ru, sig = _unit_columns(basis, n, asig)
+    B = np.zeros((m, m))
+    B[:, ps] = WT[basis[ps]].T
+    B[ru, pu] = sig
+    return B
+
+
+def _block_factors(WT, basis, asig):
+    """The basis matrix of `_basis_matrix` in block form.
+
+    With k structural columns basic, B is known from (ps, rs, S, Ainv,
+    prow, psig): the basis positions ps of the structural columns, the
+    k open rows rs that no basic unit column covers, the structural
+    columns S = WT[basis[ps]], the inverse Ainv of their k x k block
+    S[:, rs].T, and, by basis position, a one-to-one map prow onto the
+    rows and the sign psig. A unit position maps to the row it covers,
+    with its +-1; a structural position maps to an open row, with 0.
+    Raises LinAlgError when two basic unit columns cover one row or the
+    block is singular."""
+    n, m = WT.shape
+    ps = (basis < n).nonzero()[0]
+    pu, ru, sig = _unit_columns(basis, n, asig)
     open_row = np.ones(m, dtype=np.bool_)
     open_row[ru] = False
     rs = open_row.nonzero()[0]
@@ -151,21 +168,23 @@ def _block_factors(WT, basis, n):
     prow[pu] = ru
     prow[ps] = rs
     psig = np.zeros(m)
-    psig[pu] = WT[basis[pu], ru]
+    psig[pu] = sig
     S = WT[basis[ps]]
     return ps, rs, S, np.linalg.inv(np.ascontiguousarray(S[:, rs].T)), prow, psig
 
 
-def _block_exchange(WT, n, fac, leave, e, u):
+def _block_exchange(WT, fac, leave, e, u):
     """`_block_factors` of the basis after position `leave` takes column
-    e, from `fac`, those of the basis before, and u = B^-1 WT[e] under
-    it, in O(k^2 + mk). The block inverse takes the rank-one update of
-    its changed column or row, or, where a structural and a unit
-    column trade places, the bordered inverse of the grown block or
-    Ainv - Ainv[:, i] Ainv[j] / Ainv[j, i] without row j and column i
-    for the shrunk one. The arrays of `fac` are updated in place."""
+    e, a structural or slack column, from `fac`, those of the basis
+    before, and u = B^-1 a_e under it, in O(k^2 + mk). The block inverse
+    takes the rank-one update of its changed column or row, or, where a
+    structural and a unit column trade places, the bordered inverse of
+    the grown block or Ainv - Ainv[:, i] Ainv[j] / Ainv[j, i] without
+    row j and column i for the shrunk one. The arrays of `fac` are
+    updated in place."""
     ps, rs, S, Ainv, prow, psig = fac
-    us = u[ps]  # Ainv @ WT[e][rs]
+    n = WT.shape[0]
+    us = u[ps]  # Ainv @ a_e[rs]
     j = (ps == leave).nonzero()[0]
     if e < n:
         a = WT[e]
@@ -188,7 +207,7 @@ def _block_exchange(WT, n, fac, leave, e, u):
         grown[k, k] = 1.0 / sigma
         psig[leave] = 0.0
         return np.append(ps, leave), np.append(rs, r), np.vstack((S, a)), grown, prow, psig
-    r = (e - n) % prow.size
+    r = e - n  # the slack's row
     i = (rs == r).nonzero()[0]  # empty when e takes the place of the unit on its row
     if i.size:
         # open row r closes; the structural position that mapped to it
@@ -211,12 +230,12 @@ def _block_exchange(WT, n, fac, leave, e, u):
             g[i] -= 1.0
             Ainv = Ainv - np.outer(Ainv[:, i], g / gi)
             rs[i] = prow[p]
-    psig[leave] = WT[e, r]
+    psig[leave] = 1.0
     return ps, rs, S, Ainv, prow, psig
 
 
-def _basis_inverse(WT, basis, n):
-    """Inverse of the basis matrix WT[basis].T.
+def _basis_inverse(WT, basis, asig):
+    """Inverse of the basis matrix of `_basis_matrix`.
 
     From the block form of `_block_factors`, the unit rows follow by
     substitution. That costs O(k^3 + (m - k) k^2) instead of O(m^3).
@@ -226,11 +245,9 @@ def _basis_inverse(WT, basis, n):
     form itself. Raises LinAlgError as `_block_factors` does."""
     m = basis.size
     if m < _BLOCK_MIN_ROWS:
-        return np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
-    ps, rs, S, Ainv, prow, psig = _block_factors(WT, basis, n)
-    pu = psig.nonzero()[0]
-    ru = prow[pu]
-    sig = psig[pu]
+        return np.ascontiguousarray(np.linalg.inv(_basis_matrix(WT, basis, asig)))
+    ps, rs, S, Ainv, prow, psig = _block_factors(WT, basis, asig)
+    pu, ru, sig = _unit_columns(basis, WT.shape[0], asig)
     # structural positions: inv(S[:, rs].T) on the open rows, 0 elsewhere;
     # unit position p on row r: sig_p (e_r - S[:, r]' inv(S[:, rs].T))
     C = np.empty((m, ps.size))
@@ -261,12 +278,10 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     # closures below read either
     block = m >= _BLOCK_FINAL_MIN_ROWS
     Binv = fac = None
-    asig = None  # the signs of a cold start's artificial columns
-
-    # columns: [structural | slack | artificial]; WT[j] is column j of the
-    # equality system  A x + slack = b. A cold start fills the m
-    # artificial rows WT keeps for it; a warm start reads the first nb rows.
-    WT = WT[:ncol]
+    # columns [structural | slack | artificial] of A x + slack = b: WT[j]
+    # for j < n, the unit vector of row r for slack n + r, and that vector
+    # times asig[r] for artificial nb + r, which only a cold start has
+    asig = np.ones(m)
     lo = np.zeros(ncol)
     hi = np.zeros(ncol)
     lo[:n] = lb
@@ -310,28 +325,26 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         return btran(v)
 
     def column(e):
-        """B^-1 WT[e], the entering column in basis coordinates."""
-        if not block and n <= e < nb:  # a slack: WT[e] is the unit vector of row e - n
+        """B^-1 a_e, the entering structural or slack column e in basis
+        coordinates."""
+        if e < n:
+            return ftran(WT[e])
+        if not block:  # column e - n of the inverse
             return Binv[:, e - n].copy()
-        return ftran(WT[e])
+        return ftran(np.eye(1, m, e - n)[0])  # the unit vector of row e - n
 
     def prices(v, rows=ncol):
-        """WT[:rows] @ v. The block form reads WT's slack and artificial
-        rows as the signed unit vectors they are."""
-        if not block:
-            return WT[:rows] @ v
+        """v' a_j for the first `rows` columns j."""
         out = np.empty(rows)
-        out[:n] = WT[:n] @ v
+        out[:n] = WT @ v
         out[n:nb] = v
         if rows > nb:
             out[nb:] = asig * v
         return out
 
     def lhs():
-        """x @ WT, the row activities of the equality system."""
-        if not block:
-            return x @ WT
-        r = x[:n] @ WT[:n] + x[n:nb]
+        """The row activities of the equality system at x."""
+        r = x[:n] @ WT + x[n:nb]
         if ncol > nb:
             r += asig * x[nb:]
         return r
@@ -352,7 +365,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         vstat[n:nb] = np.where(sense == 1, 2, 1)
         # slack basis where the residual fits the row sense, an artificial
         # carrying the residual elsewhere
-        r = b - x[:n] @ WT[:n]  # residuals with slacks at zero
+        r = b - x[:n] @ WT  # residuals with slacks at zero
         ok = ((sense == 0) & (r >= 0.0)) | ((sense == 1) & (r <= 0.0)) | ((sense == 2) & (r == 0.0))
         asig = np.where(ok | (r >= 0.0), 1.0, -1.0)
         rows = np.arange(m)
@@ -362,9 +375,8 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         vstat[n:nb] = np.where(ok, 0, vstat[n:nb])
         vstat[nb:] = np.where(ok, 1, 0)
         hi[nb:] = np.where(ok, 0.0, inf)  # used artificials may rise, unused stay at 0
-        WT[nb + rows, rows] = asig  # the rest of WT[nb:] is zero
         if block:
-            fac = _block_factors(WT, basis, n)
+            fac = _block_factors(WT, basis, asig)
         else:
             Binv = np.diag(asig)
         cost[nb:] = 1.0  # phase 1: minimize artificial sum
@@ -389,13 +401,13 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
             return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
         x[:nb] = np.where(vs == 1, lo[:nb], np.where(vs == 2, hi[:nb], 0.0))
         if block:
-            fac = _block_factors(WT, basis, n)
+            fac = _block_factors(WT, basis, asig)
         elif Binv0 is not None:
             # the parent's final inverse of this very basis; a copy, since
             # the pivots update it in place and a sibling starts from it too
             Binv = Binv0.copy()
         else:
-            Binv = _basis_inverse(WT, basis, n)
+            Binv = _basis_inverse(WT, basis, asig)
         basic_values()
         if np.abs(lhs() - b).max() > 1e-6 * (1.0 + np.abs(b).max()):  # near singular
             return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
@@ -423,10 +435,10 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         nonlocal Binv, fac, since_refactor
         if since_refactor >= refactor_every:
             if block:
-                fac = _block_factors(WT, basis, n)
+                fac = _block_factors(WT, basis, asig)
             else:
                 Binv = None  # free the old inverse first
-                Binv = _basis_inverse(WT, basis, n)
+                Binv = _basis_inverse(WT, basis, asig)
             basic_values()
             since_refactor = 0
 
@@ -450,7 +462,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
             free[e] = False
             nfree -= 1
         if block:
-            fac = _block_exchange(WT, n, fac, leave, e, u)
+            fac = _block_exchange(WT, fac, leave, e, u)
         else:
             rowl = Binv[leave] / u[leave]
             Binv -= u[:, None] * rowl
@@ -546,7 +558,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
                     alpha = prices(row(p), n + m)
                     q = ((vstat[: n + m] != 0) & (np.abs(alpha) > 1e-7)).nonzero()[0]
                     if q.size > 0:
-                        pivot(p, q[0], ftran(WT[q[0]]), True)
+                        pivot(p, q[0], column(q[0]), True)
                 hi[n + m :] = 0.0
                 hib = hi[basis]
                 cost = np.zeros(ncol)
@@ -611,9 +623,9 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     if status == OPTIMAL and m > 0:
         Binv = fac = None  # free the old factors first
         if block:
-            fac = _block_factors(WT, basis, n)
+            fac = _block_factors(WT, basis, asig)
         else:
-            Binv = np.ascontiguousarray(np.linalg.inv(np.ascontiguousarray(WT[basis].T)))
+            Binv = np.ascontiguousarray(np.linalg.inv(_basis_matrix(WT, basis, asig)))
         basic_values()
         y = btran(cost[basis])
         xb = x[basis]
@@ -706,13 +718,11 @@ def _farkas_certifies(A, b, sense, lb, ub, ray):
     return float(y @ b) - bound > FEASTOL * (1.0 + abs(bound))
 
 
-def prepare(A, b, sense, artificial=True):
+def prepare(A, b, sense):
     """The kernel data that depends on the program alone, not on its
-    bounds or a start: A, b and sense as the core takes them, the column
-    matrix WT = [A'; I; 0] and the slack bounds ([0, inf) on <= rows,
-    (-inf, 0] on >= rows, [0, 0] on == rows). The m rows after the
-    slacks are kept for a cold start's signed artificial columns;
-    `artificial=False` leaves them out, for a warm start alone.
+    bounds or a start: A, b and sense as the core takes them, the
+    structural columns WT = A' and the slack bounds ([0, inf) on <=
+    rows, (-inf, 0] on >= rows, [0, 0] on == rows).
 
     A caller that solves one program under many bounds, as a
     branch-and-bound tree does, builds this once and hands it to every
@@ -720,11 +730,8 @@ def prepare(A, b, sense, artificial=True):
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     sense = np.ascontiguousarray(sense, dtype=np.int8)
-    m, n = A.shape
-    WT = np.zeros((n + 2 * m if artificial else n + m, m))
-    WT[:n] = A.T
-    WT[n : n + m] = np.eye(m)
-    return A, b, sense, WT, np.where(sense == 1, -np.inf, 0.0), np.where(sense == 0, np.inf, 0.0)
+    slo, shi = np.where(sense == 1, -np.inf, 0.0), np.where(sense == 0, np.inf, 0.0)
+    return A, b, sense, np.ascontiguousarray(A.T), slo, shi
 
 
 def _warm_start(warm, n, m):
@@ -765,8 +772,7 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
 
     `prep` is `prepare(A, b, sense)`, built once by a caller that solves
     the same program many times; A, b and sense are then not read.
-    Without it the set-up is built here, with the artificial rows only
-    when no warm start is given.
+    Without it the set-up is built here.
 
     Returns (status, x, obj, y, ray, iterations, basis); `basis` is the
     final (basis, vstat) pair when the solve is optimal with no
@@ -776,7 +782,7 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
     for the children that start from this basis."""
     carry = prep is not None
     if prep is None:
-        prep = prepare(A, b, sense, artificial=warm is None)
+        prep = prepare(A, b, sense)
     A, b, sense, WT, slo, shi = prep
     c = np.ascontiguousarray(c, dtype=np.float64)
     lb = np.ascontiguousarray(lb, dtype=np.float64)
@@ -815,19 +821,11 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
     if start is not None:
         attempts.insert(0, (False, _REFACTOR_EVERY, start))
     for scaled, refactor_every, start in attempts:
+        bs, cs, lbs, ubs, WTs = b, c, lb, ub, WT
         if scaled:
             R, C = _pow2_scales(A)
-            As = A * np.outer(R, C)
-            bs = b * R
-            cs = c * C
-            lbs, ubs = lb / C, ub / C
-            WTs = prepare(As, bs, sense)[3]
-        else:
-            R = C = None
-            bs, cs, lbs, ubs = b, c, lb, ub
-            if start is None and WT.shape[0] < n + 2 * m:  # cold after a warm attempt
-                WT = prepare(A, b, sense)[3]
-            WTs = WT
+            bs, cs, lbs, ubs = b * R, c * C, lb / C, ub / C
+            WTs = np.ascontiguousarray((A * np.outer(R, C)).T)
         try:
             status, x, obj, y, rayfull, it, basis, vstat, Binv = _lp_core(
                 WTs, bs, sense, cs, lbs, ubs, slo, shi, itmax, refactor_every, start

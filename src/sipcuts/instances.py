@@ -394,8 +394,9 @@ def _dense(coo, rows: str, nrows: int, cols: str, ncols: int) -> np.ndarray:
             f"{rows} has {nrows} entries and {cols} has {ncols}"
         )
     out = np.zeros(shape)
-    for r, c, v in entries:
-        out[r, c] += v
+    with np.errstate(over="ignore"):  # an overflowing sum fails SipInstance's finite check
+        for r, c, v in entries:
+            out[r, c] += v
     return out
 
 

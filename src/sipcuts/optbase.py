@@ -24,11 +24,11 @@ from its own basis. This stays deterministic: identical inputs give
 identical outputs, including the incumbent pool order and node counts.
 
 `solve_mip` builds the kernel's per-program set-up (`_simplex.prepare`:
-the column matrix and the slack bounds) once per tree instead of once
-per node. Below 32 rows a node's final basis inverse rides along with
-its basis, and its children start from a copy of it instead of
-inverting that basis again; the kernel computes the same bits either
-way.
+the structural columns A' and the slack bounds) once per tree instead
+of once per node. Below 32 rows a node's final basis inverse rides
+along with its basis, and its children start from a copy of it instead
+of inverting that basis again; the kernel computes the same bits
+either way.
 """
 
 from __future__ import annotations

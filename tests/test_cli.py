@@ -112,6 +112,7 @@ def test_root_nan_rhs_file_exits_2(tmp_path, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.filterwarnings("error")
 def test_root_overflowing_matrix_file_exits_2(tmp_path, capsys):
     # two finite W entries at one position sum to inf
     path = tmp_path / "inf.sip"

@@ -420,6 +420,7 @@ def test_negative_zero_entry_is_read_as_zero_and_not_written():
     assert lines[i + 1 : i + 3] == ["1 1 0", "scen 1"]
 
 
+@pytest.mark.filterwarnings("error")
 def test_summed_entries_must_stay_finite():
     # each entry is finite, their sum overflows to inf
     bad = _with_block(to_text(toy_instance()), "W", ["1 1 2", "0 0 1e308", "0 0 1e308"])

@@ -856,8 +856,9 @@ def _same_output(a, b):
         assert u.tobytes() == v.tobytes()
 
 
-def test_warm_start_not_dual_feasible_falls_back_to_cold(core_calls):
-    lp, _ = _bounded_lp(3)
+@pytest.mark.parametrize("rows", [None, MASTER], ids=["small", "master"])
+def test_warm_start_not_dual_feasible_falls_back_to_cold(rows, core_calls):
+    lp, _ = _bounded_lp(3, rows)
     parent = _kernel(lp)
     flipped = _lp(-lp.c, lp.A.to_dense(), lp.senses, lp.rhs, lp.lb, lp.ub)
     del core_calls[:]
@@ -1068,9 +1069,9 @@ def test_only_bases_below_block_rows_carry_their_inverse(rows, carries):
     out = _kernel(lp, prepped=True)
     assert out[0] == 0 and len(out[6]) == (3 if carries else 2)
     assert len(_kernel(lp)[6]) == 2, "a one-shot solve hands on no inverse"
-    if carries:  # the dense inverse of the final basis, as the kernel writes WT
-        WT = np.vstack([lp.A.to_dense().T, np.eye(lp.nrows)])
-        ref = np.linalg.inv(np.ascontiguousarray(WT[out[6][0]].T))
+    if carries:  # the dense inverse of the final basis, slack columns as unit vectors
+        cols = np.vstack([lp.A.to_dense().T, np.eye(lp.nrows)])
+        ref = np.linalg.inv(np.ascontiguousarray(cols[out[6][0]].T))
         assert out[6][2].tobytes() == ref.tobytes()
 
 
@@ -1088,17 +1089,25 @@ def test_scaled_attempt_carries_no_inverse(monkeypatch):
 
 
 def _unit_basis_system(m, share, seed):
-    """The kernel's column matrix WT = [A | I | diag(+-1)]' for m rows and
-    a random nonsingular basis with round(share * m) structural columns;
-    every other row is covered by its slack or its artificial."""
+    """The kernel's structural columns WT = A' for m rows, a random
+    nonsingular basis with round(share * m) structural columns, every
+    other row covered by its slack or its artificial, and the signs
+    asig of the artificial columns."""
     rng = np.random.default_rng(seed)
     k = int(round(share * m))
     n = k + 5
-    WT = np.vstack([rng.uniform(-1.0, 1.0, (n, m)), np.eye(m), np.diag(rng.choice([-1.0, 1.0], m))])
+    WT = rng.uniform(-1.0, 1.0, (n, m))
+    asig = rng.choice([-1.0, 1.0], m)
     rows = rng.permutation(m)[: m - k]
     units = np.where(rng.random(m - k) < 0.5, n + rows, n + m + rows)
     basis = rng.permutation(np.concatenate([rng.choice(n, k, replace=False), units]))
-    return WT, basis, n
+    return WT, basis, asig
+
+
+def _columns(WT, asig):
+    """Every column of the kernel's equality system as a row:
+    [A | I | diag(asig)]' for the structural columns WT = A'."""
+    return np.vstack([WT, np.eye(asig.size), np.diag(asig)])
 
 
 @pytest.mark.parametrize("m", [32, 40, 100, 300])
@@ -1106,9 +1115,9 @@ def _unit_basis_system(m, share, seed):
 def test_basis_inverse_matches_dense_inverse(m, share):
     from sipcuts import _simplex
 
-    WT, basis, n = _unit_basis_system(m, share, seed=m)
-    ref = np.linalg.inv(WT[basis].T)
-    got = _simplex._basis_inverse(WT, basis, n)
+    WT, basis, asig = _unit_basis_system(m, share, seed=m)
+    ref = np.linalg.inv(_columns(WT, asig)[basis].T)
+    got = _simplex._basis_inverse(WT, basis, asig)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -1116,9 +1125,10 @@ def test_basis_inverse_matches_dense_inverse(m, share):
 def test_basis_inverse_below_block_rows_is_the_dense_inverse(m):
     from sipcuts import _simplex
 
-    WT, basis, n = _unit_basis_system(m, 0.5, seed=m)
-    got = _simplex._basis_inverse(WT, basis, n)
-    assert got.tobytes() == np.linalg.inv(np.ascontiguousarray(WT[basis].T)).tobytes()
+    WT, basis, asig = _unit_basis_system(m, 0.5, seed=m)
+    got = _simplex._basis_inverse(WT, basis, asig)
+    ref = np.linalg.inv(np.ascontiguousarray(_columns(WT, asig)[basis].T))
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_basis_inverse_rejects_singular_bases():
@@ -1128,7 +1138,7 @@ def test_basis_inverse_rejects_singular_bases():
     rng = np.random.default_rng(0)
     A = rng.uniform(-1.0, 1.0, (m, n))
     A[:10, 0] = 0.0  # column 0 vanishes on rows 0-9
-    WT = np.vstack([A.T, np.eye(m), -np.eye(m)])
+    asig = -np.ones(m)
     # the slack and the artificial of row 11 both basic
     twice = np.concatenate([np.arange(10), n + np.arange(11, m), [n + m + 11]])
     # slacks cover rows 10-39; the block of columns 0-9 on rows 0-9 has a zero column
@@ -1136,7 +1146,7 @@ def test_basis_inverse_rejects_singular_bases():
     for basis in (twice, singular):
         assert basis.size == m
         with pytest.raises(np.linalg.LinAlgError):
-            _simplex._basis_inverse(WT, basis, n)
+            _simplex._basis_inverse(A.T, basis, asig)
 
 
 # ------------------------------------------------------- block pivots
@@ -1232,24 +1242,27 @@ def test_block_exchange_gives_the_factors_of_the_new_basis(share):
     from sipcuts import _simplex
 
     m = 40
-    WT, basis, n = _unit_basis_system(m, share, seed=3)
-    fac = _simplex._block_factors(WT, basis, n)
+    WT, basis, asig = _unit_basis_system(m, share, seed=3)
+    n = WT.shape[0]
+    cols = _columns(WT, asig)
+    fac = _simplex._block_factors(WT, basis, asig)
     rng = np.random.default_rng(4)
     kinds = set()
     for t in range(60):
-        # enter a structural column every other step; leave a structural
-        # one every other pair of steps, when one can leave
+        # enter a structural column every other step, else a slack (an
+        # artificial, never priced, never enters); leave a structural one
+        # every other pair of steps, when one can leave
         pool = np.setdiff1d(np.arange(n), basis)
         if t % 2 == 0 or pool.size == 0:
-            pool = np.setdiff1d(np.arange(n, WT.shape[0]), basis)
+            pool = np.setdiff1d(np.arange(n, n + m), basis)
         e = int(rng.choice(pool))
-        u = np.linalg.solve(WT[basis].T, WT[e])
+        u = np.linalg.solve(cols[basis].T, cols[e])
         can = np.abs(u) >= 0.2 * np.abs(u).max()
         if np.any(can & ((basis < n) == (t % 4 < 2))):
             can &= (basis < n) == (t % 4 < 2)
         leave = int(rng.choice(np.flatnonzero(can)))
         kinds.add((bool(basis[leave] < n), e < n))
-        fac = _simplex._block_exchange(WT, n, fac, leave, e, u)
+        fac = _simplex._block_exchange(WT, fac, leave, e, u)
         basis[leave] = e
         ps, rs, S, Ainv, prow, psig = fac
         unit = basis >= n
@@ -1257,7 +1270,7 @@ def test_block_exchange_gives_the_factors_of_the_new_basis(share):
         assert np.array_equal(np.sort(prow), np.arange(m))
         assert np.array_equal(np.sort(prow[ps]), np.sort(rs))
         assert np.array_equal(prow[unit], (basis[unit] - n) % m)
-        assert np.array_equal(psig, np.where(unit, WT[basis, prow], 0.0))
+        assert np.array_equal(psig, np.where(unit, cols[basis, prow], 0.0))
         assert np.array_equal(S, WT[basis[ps]])
         ref = np.linalg.inv(S[:, rs].T)
         assert np.abs(Ainv - ref).max(initial=0.0) <= 1e-8 * (1.0 + np.abs(ref).max(initial=0.0))
@@ -1275,16 +1288,19 @@ def test_master_warm_solve_keeps_no_m_by_m_array(core_calls):
     A = lp.A.to_dense()
     parent = _kernel(lp)
     ub = 0.5 * (parent[1] + anchor)
-    prep = _simplex.prepare(A, lp.rhs, lp.senses, artificial=False)
-    del core_calls[:]
-    tracemalloc.start()
-    try:
-        out = _simplex.solve_dense(A, lp.rhs, lp.senses, lp.c, lp.lb, ub, warm=parent[6], prep=prep)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(core_calls) == 1 and out[0] == _simplex.OPTIMAL and out[5] > 10
-    assert peak < 8 * m * m
+    prep = _simplex.prepare(A, lp.rhs, lp.senses)
+    # a warm solve with the set-up made first, as a tree's node makes it,
+    # then one-shot cold and warm solves, as `MasterModel.solve` makes them
+    for box, warm, given in ((ub, parent[6], prep), (lp.ub, None, None), (ub, parent[6], None)):
+        del core_calls[:]
+        tracemalloc.start()
+        try:
+            out = _simplex.solve_dense(A, lp.rhs, lp.senses, lp.c, lp.lb, box, warm=warm, prep=given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(core_calls) == 1 and out[0] == _simplex.OPTIMAL and out[5] > 10
+        assert peak < 8 * m * m
 
 
 def test_final_inverse_below_the_cutoff_is_dense(monkeypatch, core_calls):
