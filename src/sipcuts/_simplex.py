@@ -26,10 +26,11 @@ inverse is read out of it, not multiplied out.
 From 200 rows the core forms no m x m matrix. It keeps the basis in that
 block form (`_block_factors`): the k x k block's inverse, the structural
 columns and the rows the basic unit columns cover. A solve with the
-basis (ftran) or its transpose (btran) costs O(k^2 + mk), and so does a
-pivot (`_block_exchange`), which updates the block's inverse as the
-dense form updates the whole one. The factors are made afresh every 64
-pivots, at a start, and for the x and y an optimal solve returns.
+basis (ftran) or its transpose (btran) costs O(k^2 + mk). A pivot makes
+the factors of the new basis afresh, in O(k^3 + mk): at these k,
+inverting the block again costs about as much as updating it would. The
+factors are thus always those of the current basis, and the periodic
+refactorization and the optimal exit only recompute the basic values.
 Branch-and-cut masters grow past the cutoff as lazy cuts pile up, on an
 SSLP master to 508 rows with at most 18 structural columns. The cutoff
 follows what the duals feed. The cut loops build their cuts from the
@@ -173,67 +174,6 @@ def _block_factors(WT, basis, asig):
     return ps, rs, S, np.linalg.inv(np.ascontiguousarray(S[:, rs].T)), prow, psig
 
 
-def _block_exchange(WT, fac, leave, e, u):
-    """`_block_factors` of the basis after position `leave` takes column
-    e, a structural or slack column, from `fac`, those of the basis
-    before, and u = B^-1 a_e under it, in O(k^2 + mk). The block inverse
-    takes the rank-one update of its changed column or row, or, where a
-    structural and a unit column trade places, the bordered inverse of
-    the grown block or Ainv - Ainv[:, i] Ainv[j] / Ainv[j, i] without
-    row j and column i for the shrunk one. The arrays of `fac` are
-    updated in place."""
-    ps, rs, S, Ainv, prow, psig = fac
-    n = WT.shape[0]
-    us = u[ps]  # Ainv @ a_e[rs]
-    j = (ps == leave).nonzero()[0]
-    if e < n:
-        a = WT[e]
-        if j.size:  # structural for structural: column j of the block
-            j = j[0]
-            w = us.copy()
-            w[j] -= 1.0
-            Ainv = Ainv - np.outer(w, Ainv[j] / us[j])
-            S[j] = a
-            return ps, rs, S, Ainv, prow, psig
-        # structural for unit: the unit's row opens and the block grows
-        r = prow[leave]
-        g = S[:, r] @ Ainv
-        sigma = a[r] - S[:, r] @ us
-        k = ps.size
-        grown = np.empty((k + 1, k + 1))
-        grown[:k, :k] = Ainv + np.outer(us / sigma, g)
-        grown[:k, k] = -us / sigma
-        grown[k, :k] = -g / sigma
-        grown[k, k] = 1.0 / sigma
-        psig[leave] = 0.0
-        return np.append(ps, leave), np.append(rs, r), np.vstack((S, a)), grown, prow, psig
-    r = e - n  # the slack's row
-    i = (rs == r).nonzero()[0]  # empty when e takes the place of the unit on its row
-    if i.size:
-        # open row r closes; the structural position that mapped to it
-        # takes the row of `leave`, which maps to r from now on
-        i = i[0]
-        p = (prow == r).nonzero()[0][0]
-        prow[p] = prow[leave]
-        prow[leave] = r
-        if j.size:  # unit for structural: row j and column i leave the block
-            j = j[0]
-            Ainv = Ainv - np.outer(Ainv[:, i], Ainv[j] / Ainv[j, i])
-            k = ps.size - 1
-            Ainv[j] = Ainv[k]
-            Ainv[:, i] = Ainv[:, k]
-            ps[j], rs[i], S[j] = ps[k], rs[k], S[k]
-            ps, rs, S, Ainv = ps[:k], rs[:k], S[:k], Ainv[:k, :k]
-        else:  # unit for unit: row i of the block becomes the leaving unit's row
-            g = S[:, prow[p]] @ Ainv
-            gi = g[i]
-            g[i] -= 1.0
-            Ainv = Ainv - np.outer(Ainv[:, i], g / gi)
-            rs[i] = prow[p]
-    psig[leave] = 1.0
-    return ps, rs, S, Ainv, prow, psig
-
-
 def _basis_inverse(WT, basis, asig):
     """Inverse of the basis matrix of `_basis_matrix`.
 
@@ -336,7 +276,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     def prices(v, rows=ncol):
         """v' a_j for the first `rows` columns j."""
         out = np.empty(rows)
-        out[:n] = WT @ v
+        np.dot(WT, v, out=out[:n])
         out[n:nb] = v
         if rows > nb:
             out[nb:] = asig * v
@@ -430,13 +370,13 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     hib = hi[basis]
 
     def refactor():
-        """Once refactor_every pivots have updated the basis, factor it
-        and compute the basic values afresh."""
-        nonlocal Binv, fac, since_refactor
+        """Once refactor_every pivots have updated the basis, compute the
+        basic values afresh, and below _BLOCK_FINAL_MIN_ROWS rows the
+        inverse too; the block form's factors are always made from the
+        current basis."""
+        nonlocal Binv, since_refactor
         if since_refactor >= refactor_every:
-            if block:
-                fac = _block_factors(WT, basis, asig)
-            else:
+            if not block:
                 Binv = None  # free the old inverse first
                 Binv = _basis_inverse(WT, basis, asig)
             basic_values()
@@ -462,7 +402,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
             free[e] = False
             nfree -= 1
         if block:
-            fac = _block_exchange(WT, fac, leave, e, u)
+            fac = _block_factors(WT, basis, asig)
         else:
             rowl = Binv[leave] / u[leave]
             Binv -= u[:, None] * rowl
@@ -621,10 +561,8 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         pivot(leave, e, u, du[leave] > 0.0)
 
     if status == OPTIMAL and m > 0:
-        Binv = fac = None  # free the old factors first
-        if block:
-            fac = _block_factors(WT, basis, asig)
-        else:
+        if not block:
+            Binv = None  # free the old inverse first
             Binv = np.ascontiguousarray(np.linalg.inv(_basis_matrix(WT, basis, asig)))
         basic_values()
         y = btran(cost[basis])

@@ -93,8 +93,8 @@ class VariantConfig:
             raise ValueError("delta must lie in [0, 1)")
         if self.k < 1:
             raise ValueError("span size must be at least 1")
-        if not (self.alpha > 0.0):
-            raise ValueError("alpha must be positive")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError("alpha must be positive and finite")
         if not (self.time_limit >= 0.0):
             raise ValueError("time limit must be non-negative")
         if self.workers < 1:

@@ -169,10 +169,11 @@ class NormalizationSpec:
     def __post_init__(self):
         if self.kind not in ("ball", "span_coef", "span_weight"):
             raise ValueError(f"unknown normalization kind {self.kind!r}")
-        if not (self.alpha > 0.0):
+        if not (0.0 < self.alpha < math.inf):
             # alpha = 0 would leave pi0 unbounded and the master can
-            # then diverge along the pure-theta direction
-            raise ValueError("normalization needs a positive theta weight")
+            # then diverge along the pure-theta direction; an infinite
+            # one would put inf into the master's matrix
+            raise ValueError("normalization needs a positive, finite theta weight")
         if self.basis is not None:
             self.basis = np.asarray(self.basis, dtype=np.float64)
         if self.kind != "ball" and (self.basis is None or self.basis.size == 0):
@@ -434,8 +435,8 @@ def select_basis_mip(
     The bound is exact for the weight-normalized restricted search over
     the same pool, so a small bound certifies the scenario can be
     skipped."""
-    if not (alpha > 0.0):
-        raise ValueError("basis selection needs a positive theta weight in the norm")
+    if not (0.0 < alpha < math.inf):
+        raise ValueError("basis selection needs a positive, finite theta weight in the norm")
     x_hat = np.asarray(x_hat, dtype=np.float64)
     V = np.asarray(candidates, dtype=np.float64)
     K = V.shape[0]

@@ -131,19 +131,6 @@ class MipProgram(LinearProgram):
             raise ValueError("integrality marker length does not match columns")
 
 
-def lp_relaxation(prog: MipProgram) -> LinearProgram:
-    return LinearProgram(
-        c=prog.c.copy(),
-        A=prog.A.to_dense(),
-        senses=prog.senses.copy(),
-        rhs=prog.rhs.copy(),
-        lb=prog.lb.copy(),
-        ub=prog.ub.copy(),
-        c0=prog.c0,
-        maximize=prog.maximize,
-    )
-
-
 @dataclass
 class SolveOutcome:
     status: str

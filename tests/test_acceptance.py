@@ -61,7 +61,7 @@ from sipcuts.lagrangian import (
     strengthen_benders,
 )
 from sipcuts.model import CONT, SipInstance, build_extensive_form
-from sipcuts.optbase import OPTIMAL, lp_relaxation, solve_lp, solve_mip
+from sipcuts.optbase import OPTIMAL, solve_lp, solve_mip
 
 SUITE = [make_gap_tiny(seed) for seed in range(10)]
 
@@ -111,7 +111,7 @@ def _extensive_bounds(inst: SipInstance) -> tuple[float, float]:
     against full enumeration before being trusted."""
     if id(inst) not in _EXT_CACHE:
         prog = build_extensive_form(inst).program
-        lp = solve_lp(lp_relaxation(prog))
+        lp = solve_lp(prog)
         ip = solve_mip(prog)
         assert lp.status == OPTIMAL and ip.status == OPTIMAL, inst.name
         z_ip = float(ip.objective)

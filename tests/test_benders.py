@@ -22,12 +22,12 @@ from sipcuts.model import (
     recourse_program,
     toy_instance,
 )
-from sipcuts.optbase import OPTIMAL, lp_relaxation
+from sipcuts.optbase import OPTIMAL
 
 
 def q_lp_ref(inst, s, x):
     """Scenario LP relaxation value via scipy (independent of the kernel)."""
-    status, obj = linprog_reference(lp_relaxation(recourse_program(inst, s, x)))
+    status, obj = linprog_reference(recourse_program(inst, s, x))
     return obj if status == OPTIMAL else math.inf
 
 

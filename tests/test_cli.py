@@ -247,6 +247,23 @@ def test_rejected_run_flags_make_no_out_dir(tmp_path, t1_file, capsys, command):
     assert not kv and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["root", "solve"])
+def test_infinite_alpha_is_a_usage_error(tmp_path, capsys, command):
+    code, kv, _ = run_cli(
+        capsys,
+        ["generate", "sslp", "--m", "3", "--n", "5", "--scenarios", "3", "--seed", "7",
+         "--out", str(tmp_path)],
+    )
+    assert code == 0
+    out = tmp_path / "runs"
+    argv = [command, kv["file"][0], "--alpha", "inf", "--out", str(out)]
+    if command == "root":
+        argv += ["--variant", "exact"]
+    code, kv, err = run_cli(capsys, argv)
+    assert code == 2 and "alpha" in err
+    assert not kv and not out.exists(), "no trace file"
+
+
 def test_solve_toy_both_modes(tmp_path, t1_file, capsys):
     for mode in ("lbc", "bbc"):
         code, kv, _ = run_cli(

@@ -21,7 +21,7 @@ from sipcuts.driver import (
     solve_lbc,
 )
 from sipcuts.dualdecomp import maximize_dual
-from sipcuts.instances import SslpParams, gen_sslp
+from sipcuts.instances import SnipParams, SslpParams, gen_snip, gen_sslp
 from sipcuts.model import (
     INT,
     InstanceError,
@@ -30,7 +30,7 @@ from sipcuts.model import (
     build_extensive_form,
     toy_instance,
 )
-from sipcuts.optbase import lp_relaxation, solve_lp
+from sipcuts.optbase import solve_lp
 
 from _oracles import linprog_reference, milp_reference, z_ip_enum
 from conftest import make_tiny, unbounded_master_instance
@@ -53,7 +53,7 @@ def _single_scenario(inst: SipInstance) -> SipInstance:
 
 
 def _extensive_lp(inst) -> float:
-    return solve_lp(lp_relaxation(build_extensive_form(inst).program)).objective
+    return solve_lp(build_extensive_form(inst).program).objective
 
 
 # ------------------------------------------------------------- config/trace
@@ -70,6 +70,8 @@ def test_variant_config_validation():
         VariantConfig(alpha=0.0)
     with pytest.raises(ValueError, match="alpha"):
         VariantConfig(alpha=math.nan)
+    with pytest.raises(ValueError, match="alpha"):
+        VariantConfig(alpha=math.inf)
     with pytest.raises(ValueError, match="time limit"):
         VariantConfig(time_limit=math.nan)
     with pytest.raises(ValueError, match="time limit"):
@@ -129,7 +131,7 @@ def test_root_benders_only_reaches_extensive_lp():
     inst = gen_sslp(SslpParams(3, 5, 3, seed=7))
     _, trace = run_root_loop(inst, VariantConfig(variant="benders_only"))
     zlp = _extensive_lp(inst)
-    status, ref = linprog_reference(lp_relaxation(build_extensive_form(inst).program))
+    status, ref = linprog_reference(build_extensive_form(inst).program)
     assert status == "optimal" and zlp == pytest.approx(ref, abs=1e-7)
     assert trace.final_bound == pytest.approx(zlp, abs=1e-6)
 
@@ -412,6 +414,33 @@ def test_bc_integer_lshaped_requires_binary_first_stage():
     master = MasterModel(wide, np.zeros(wide.nscen))
     with pytest.raises(InstanceError, match="binary"):
         run_branch_and_cut(wide, master)
+
+
+def test_every_lp_in_block_form_meets_the_smoke_pins(monkeypatch):
+    """Every kernel LP in block form, as the tall branch-and-cut masters
+    run it, on the perfbench smoke instances."""
+    from sipcuts import _simplex
+
+    factored = []
+    block_factors = _simplex._block_factors
+
+    def counting(*args):
+        factored.append(1)
+        return block_factors(*args)
+
+    monkeypatch.setattr(_simplex, "_BLOCK_FINAL_MIN_ROWS", 1)
+    monkeypatch.setattr(_simplex, "_block_factors", counting)
+    sslp = gen_sslp(SslpParams(3, 5, 3, seed=7))
+    for solve in (solve_lbc, solve_bbc):
+        res, _ = solve(sslp)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(4.666666666666667, abs=1e-6)
+    snip = gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3))
+    cfg = VariantConfig(variant="exact", delta=0.0, early_stop=False)
+    _, trace = run_root_loop(snip, cfg)
+    assert trace.stop_reason == "saturated"
+    assert trace.final_bound == pytest.approx(0.18212975358773237, abs=1e-6)
+    assert factored, "no LP ran in block form"
 
 
 def test_bc_deterministic():

@@ -13,7 +13,7 @@ from sipcuts.dualdecomp import (
     perfect_information_bound,
 )
 from sipcuts.model import InstanceError, build_extensive_form
-from sipcuts.optbase import OPTIMAL, lp_relaxation, solve_lp
+from sipcuts.optbase import OPTIMAL, solve_lp
 
 
 def z_pi_enum(inst):
@@ -112,7 +112,7 @@ def test_dual_value_matches_convexified_primal(seed):
 def test_bound_chain_theorem_links(seed):
     # z_PI <= z_D <= z_IP and z_LP <= z_D hold unconditionally
     inst = make_tiny(seed)
-    lp = solve_lp(lp_relaxation(build_extensive_form(inst).program))
+    lp = solve_lp(build_extensive_form(inst).program)
     assert lp.status == OPTIMAL
     z_lp = lp.objective
     z_pi = perfect_information_bound(inst)
@@ -130,7 +130,7 @@ def test_lp_vs_pi_not_ordered_in_general():
     This instance has z_LP = 6 > z_PI = 3 (confirmed against scipy), so
     any ordering claim between the two must be suite-specific."""
     inst = make_tiny(2)
-    lp = solve_lp(lp_relaxation(build_extensive_form(inst).program))
+    lp = solve_lp(build_extensive_form(inst).program)
     z_pi = perfect_information_bound(inst)
     assert lp.objective == pytest.approx(6.0)
     assert z_pi == pytest.approx(3.0)

@@ -145,7 +145,7 @@ def test_normalization_validation():
         NormalizationSpec(kind="span_coef", alpha=1.0)
 
 
-@pytest.mark.parametrize(
+_THETA_WEIGHT_USERS = pytest.mark.parametrize(
     "make",
     [
         lambda alpha: NormalizationSpec("ball", alpha),
@@ -154,10 +154,20 @@ def test_normalization_validation():
     ],
     ids=["ball", "span_weight", "select_basis_mip"],
 )
+
+
+@_THETA_WEIGHT_USERS
 def test_nan_theta_weight_is_rejected(make):
     # a NaN weight fails every comparison, so `alpha <= 0` let it through
     with pytest.raises(ValueError, match="positive"):
         make(math.nan)
+
+
+@_THETA_WEIGHT_USERS
+def test_infinite_theta_weight_is_rejected(make):
+    # an infinite weight put inf into the separation master's matrix
+    with pytest.raises(ValueError, match="finite"):
+        make(math.inf)
 
 
 def _full_pool(inst, s):

@@ -28,7 +28,7 @@ from sipcuts.model import (
     vtype_from_string,
     vtype_to_string,
 )
-from sipcuts.optbase import OPTIMAL, lp_relaxation, solve_lp, solve_mip
+from sipcuts.optbase import OPTIMAL, solve_lp, solve_mip
 
 
 # ------------------------------------------------------------- toy instance
@@ -45,7 +45,7 @@ def test_toy_optimal_values(t1):
     ef = build_extensive_form(t1)
     mip = solve_mip(ef.program)
     assert mip.status == OPTIMAL and abs(mip.objective - 1.0) < 1e-9
-    lp = solve_lp(lp_relaxation(ef.program))
+    lp = solve_lp(ef.program)
     assert lp.status == OPTIMAL and abs(lp.objective - 1.0) < 1e-9
     assert abs(z_ip_enum(t1) - 1.0) < 1e-12
 
@@ -234,10 +234,8 @@ def test_recourse_program_rhs_shift(t1):
 
 
 def test_lp_relaxation_of_extensive_form_reference():
-    inst = make_tiny(2)
-    ef = build_extensive_form(inst)
-    lp = lp_relaxation(ef.program)
-    mine = solve_lp(lp)
-    ref_status, ref_obj = linprog_reference(lp)
+    prog = build_extensive_form(make_tiny(2)).program
+    mine = solve_lp(prog)
+    ref_status, ref_obj = linprog_reference(prog)
     assert mine.status == ref_status == OPTIMAL
     assert abs(mine.objective - ref_obj) <= 1e-6 * (1 + abs(ref_obj))

@@ -15,7 +15,6 @@ from sipcuts.optbase import (
     UNBOUNDED,
     LinearProgram,
     MipProgram,
-    lp_relaxation,
     solve_lp,
     solve_mip,
 )
@@ -626,11 +625,12 @@ def test_mip_ignores_a_root_whose_box_rounds():
 
 
 def test_lp_relaxation_drops_integrality():
+    # `solve_lp` solves a MipProgram as its LP relaxation, and so does the
+    # reference, which ignores `is_int`
     mip = _random_mip(3)
-    lp = lp_relaxation(mip)
-    assert not hasattr(lp, "is_int") or not isinstance(lp, MipProgram)
-    out = solve_lp(lp)
-    ref_status, ref_obj = linprog_reference(lp)
+    assert mip.is_int.any()
+    out = solve_lp(mip)
+    ref_status, ref_obj = linprog_reference(mip)
     assert out.status == ref_status
     if ref_status == OPTIMAL:
         assert abs(out.objective - ref_obj) <= 1e-6 * (1 + abs(ref_obj))
@@ -1238,14 +1238,15 @@ def test_tall_cold_solve_matches_reference_and_dense_pivots(seed, kind, core_cal
 
 
 @pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 0.9])
-def test_block_exchange_gives_the_factors_of_the_new_basis(share):
+def test_block_factors_describe_the_basis(share):
+    """The factors of each basis on a walk of pivots that trade every
+    kind of column for every kind, as a block-form pivot makes them."""
     from sipcuts import _simplex
 
     m = 40
     WT, basis, asig = _unit_basis_system(m, share, seed=3)
     n = WT.shape[0]
     cols = _columns(WT, asig)
-    fac = _simplex._block_factors(WT, basis, asig)
     rng = np.random.default_rng(4)
     kinds = set()
     for t in range(60):
@@ -1262,9 +1263,8 @@ def test_block_exchange_gives_the_factors_of_the_new_basis(share):
             can &= (basis < n) == (t % 4 < 2)
         leave = int(rng.choice(np.flatnonzero(can)))
         kinds.add((bool(basis[leave] < n), e < n))
-        fac = _simplex._block_exchange(WT, fac, leave, e, u)
         basis[leave] = e
-        ps, rs, S, Ainv, prow, psig = fac
+        ps, rs, S, Ainv, prow, psig = _simplex._block_factors(WT, basis, asig)
         unit = basis >= n
         assert np.array_equal(np.sort(ps), np.flatnonzero(~unit))
         assert np.array_equal(np.sort(prow), np.arange(m))
