@@ -12,16 +12,12 @@ priced, so they never enter.
 Below _BLOCK_FINAL_MIN_ROWS = 200 rows the basis inverse is kept
 explicitly. A pivot, in either simplex and in phase 1's drive-out of
 basic artificials, is the one exchange step `pivot` of `_lp_core`,
-after the site's own ratio test; it updates the inverse in place. The
-inverse is computed afresh every 64 pivots, and at a warm start unless
-the start brings the inverse of its own basis (see below). Slack and
-artificial columns are signed unit vectors, so for a basis of m >= 32
-rows with k structural columns `_basis_inverse` inverts only the k x k
-block those columns have on the rows no basic unit column covers, and
-fills the unit rows by substitution: O(k^3 + (m-k) k^2) instead of
-O(m^3). Below 32 rows numpy's fixed cost per call outweighs the saving,
-and the dense inverse is used. An entering slack's column of the
-inverse is read out of it, not multiplied out.
+after the site's own ratio test; it updates the inverse in place.
+`_basis_inverse`, numpy's dense inverse of the basis matrix, computes it
+afresh at a warm start unless the start brings the inverse of its own
+basis (see below), every 64 pivots, and at the optimal exit. An
+entering slack's column of the inverse is read out of it, not
+multiplied out.
 
 From 200 rows the core forms no m x m matrix. It keeps the basis in that
 block form (`_block_factors`): the k x k block's inverse, the structural
@@ -79,14 +75,16 @@ as the core takes them, the structural columns WT = A' and the slack
 bounds, n + 2 arrays of m entries. A one-shot `solve_dense` builds it
 per call; `optbase.solve_mip` builds it once per tree and hands it to
 every node. A warm call also skips the cold nonbasic start. When the
-caller passed that set-up, a basis of fewer than _BLOCK_MIN_ROWS rows
-from an optimal solve of the unscaled first attempt carries its final
+caller passed that set-up, a basis of fewer than _BLOCK_FINAL_MIN_ROWS
+rows from an optimal solve of an unscaled attempt carries its final
 inverse as a third element. A child with all of its rows copies that
-inverse instead of inverting the basis, with the same bits: below that
-size the start inverse is the same dense inverse of the same basis
-matrix as the parent's final one. A start with fewer rows than the
-program, a basis of 32 rows or more and the outcome of a scaled attempt
-carry none. At 25 rows a carried inverse is 5 KB per open node.
+inverse instead of inverting the basis, with the same bits: its start
+inverse would be the same dense inverse of the same basis matrix as the
+parent's final one. A start with fewer rows than the program, a basis
+in block form and the outcome of a scaled attempt carry none. The
+carried inverses one tree's heap holds peak at 166 KiB on the benchmark
+workloads: two 103 x 103 inverses, shared by four open oracle nodes on
+snip-root.
 
 The seed panel (`benchmarks/bench_panel.py`) hashes every output of every
 call but the final inverse into one kernel digest per instance.
@@ -115,12 +113,10 @@ _REFACTOR_EVERY = 64
 #: Bland's rule takes over after _BLAND_AFTER * (n + 3m) consecutive
 #: degenerate pivots, n columns and m rows
 _BLAND_AFTER = 2
-#: bases with fewer rows are inverted densely: below about 32 rows the
-#: dense inverse is faster than the block form's fixed numpy overhead
-_BLOCK_MIN_ROWS = 32
-#: from this many rows the core keeps the basis in block form and forms
-#: no m x m matrix; every root-loop master stays under it, so the duals
-#: that cuts are built from keep the dense inverse's last digits
+#: the kernel's one size cutoff: from this many rows the core keeps the
+#: basis in block form and forms no m x m matrix; every root-loop master
+#: stays under it, so the duals that cuts are built from keep the dense
+#: inverse's last digits
 _BLOCK_FINAL_MIN_ROWS = 200
 
 
@@ -175,33 +171,10 @@ def _block_factors(WT, basis, asig):
 
 
 def _basis_inverse(WT, basis, asig):
-    """Inverse of the basis matrix of `_basis_matrix`.
-
-    From the block form of `_block_factors`, the unit rows follow by
-    substitution. That costs O(k^3 + (m - k) k^2) instead of O(m^3).
-    Bases of fewer than _BLOCK_MIN_ROWS rows take the dense inverse. It
-    serves the start and refactorization inverses below
-    _BLOCK_FINAL_MIN_ROWS rows; from there the core keeps the block
-    form itself. Raises LinAlgError as `_block_factors` does."""
-    m = basis.size
-    if m < _BLOCK_MIN_ROWS:
-        return np.ascontiguousarray(np.linalg.inv(_basis_matrix(WT, basis, asig)))
-    ps, rs, S, Ainv, prow, psig = _block_factors(WT, basis, asig)
-    pu, ru, sig = _unit_columns(basis, WT.shape[0], asig)
-    # structural positions: inv(S[:, rs].T) on the open rows, 0 elsewhere;
-    # unit position p on row r: sig_p (e_r - S[:, r]' inv(S[:, rs].T))
-    C = np.empty((m, ps.size))
-    C[ps] = Ainv
-    # column by column: a matrix product makes BLAS touch its level-3
-    # buffers, which added about 0.2 MB to the peak memory of runs that
-    # make no other level-3 call
-    T = S[:, ru] * -sig
-    for j in range(ps.size):
-        C[pu, j] = Ainv[:, j] @ T
-    Binv = np.zeros((m, m))
-    Binv[:, rs] = C
-    Binv[pu, ru] = sig
-    return Binv
+    """The dense inverse of the basis matrix of `_basis_matrix`: the start,
+    refactorization and final inverse below _BLOCK_FINAL_MIN_ROWS rows;
+    from there the core keeps the block form of `_block_factors`."""
+    return np.ascontiguousarray(np.linalg.inv(_basis_matrix(WT, basis, asig)))
 
 
 def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
@@ -372,8 +345,8 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     def refactor():
         """Once refactor_every pivots have updated the basis, compute the
         basic values afresh, and below _BLOCK_FINAL_MIN_ROWS rows the
-        inverse too; the block form's factors are always made from the
-        current basis."""
+        dense inverse too; the block form's factors are always made from
+        the current basis."""
         nonlocal Binv, since_refactor
         if since_refactor >= refactor_every:
             if not block:
@@ -563,7 +536,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     if status == OPTIMAL and m > 0:
         if not block:
             Binv = None  # free the old inverse first
-            Binv = np.ascontiguousarray(np.linalg.inv(_basis_matrix(WT, basis, asig)))
+            Binv = _basis_inverse(WT, basis, asig)
         basic_values()
         y = btran(cost[basis])
         xb = x[basis]
@@ -715,9 +688,12 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
     Returns (status, x, obj, y, ray, iterations, basis); `basis` is the
     final (basis, vstat) pair when the solve is optimal with no
     artificial basic, else None. When the caller passed `prep`, the
-    program has fewer than _BLOCK_MIN_ROWS rows and an unscaled attempt
-    solved it, the final basis inverse rides along as a third element,
-    for the children that start from this basis."""
+    program has fewer than _BLOCK_FINAL_MIN_ROWS rows and an unscaled
+    attempt solved it, the final dense basis inverse rides along as a
+    third element, for the children that start from this basis.
+
+    A column whose lower bound exceeds its upper bound makes the program
+    infeasible, whatever its rows; that is answered before any attempt."""
     carry = prep is not None
     if prep is None:
         prep = prepare(A, b, sense)
@@ -728,12 +704,12 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
     m, n = A.shape
     if itmax <= 0:
         itmax = 500 * (m + n + 20)
+    if np.any(lb > ub):
+        return INFEASIBLE, np.zeros(n), 0.0, np.zeros(m), np.zeros(m), 0, None
     if m == 0:
         x = np.zeros(n)
         ray = np.zeros(n)
         for j in range(n):
-            if lb[j] > ub[j]:
-                return INFEASIBLE, x, 0.0, b.copy(), ray, 0, None
             if c[j] > 0.0:
                 if not np.isfinite(lb[j]):
                     ray[j] = -1.0
@@ -795,6 +771,6 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
     final = None
     if status == OPTIMAL and basis.max() < n + m:
         final = (basis, vstat)
-        if carry and not scaled and m < _BLOCK_MIN_ROWS:
+        if carry and not scaled and m < _BLOCK_FINAL_MIN_ROWS:
             final = (basis, vstat, Binv)
     return status, x, obj, y, ray, it, final

@@ -25,10 +25,10 @@ identical outputs, including the incumbent pool order and node counts.
 
 `solve_mip` builds the kernel's per-program set-up (`_simplex.prepare`:
 the structural columns A' and the slack bounds) once per tree instead
-of once per node. Below 32 rows a node's final basis inverse rides
-along with its basis, and its children start from a copy of it instead
-of inverting that basis again; the kernel computes the same bits
-either way.
+of once per node. Below the kernel's block-form cutoff of 200 rows a
+node's final basis inverse rides along with its basis, and its children
+start from a copy of it instead of inverting that basis again; the
+kernel computes the same bits either way.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class _Matrix:
 
 @dataclass
 class LinearProgram:
-    """min (or max) c'x + c0  s.t.  A x {<=,>=,=} rhs,  lb <= x <= ub."""
+    """min (or max) c'x  s.t.  A x {<=,>=,=} rhs,  lb <= x <= ub."""
 
     c: np.ndarray
     A: _Matrix  # built from any 2-d array; `A.to_dense()` returns it
@@ -83,7 +83,6 @@ class LinearProgram:
     rhs: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    c0: float = 0.0
     maximize: bool = False
 
     def __post_init__(self):
@@ -166,9 +165,7 @@ def solve_lp(prog: LinearProgram, itmax: int = 0, warm=None) -> SolveOutcome:
     if status == _simplex.NUMERIC:
         raise KernelError("simplex reported numerical trouble")
     if status == _simplex.OPTIMAL:
-        return SolveOutcome(
-            status=OPTIMAL, x=x, objective=sign * obj + prog.c0, duals=sign * y, basis=basis
-        )
+        return SolveOutcome(status=OPTIMAL, x=x, objective=sign * obj, duals=sign * y, basis=basis)
     if status == _simplex.INFEASIBLE:
         return SolveOutcome(status=INFEASIBLE, x=x, ray=ray)
     if status == _simplex.UNBOUNDED:
@@ -316,7 +313,7 @@ def solve_mip(
         nonlocal root, prep
         if root is not None:  # the root node, solved by the caller
             out, root = root, None
-            # the value as the kernel computes it: minimizing, without c0
+            # the value as the kernel computes it: minimizing
             value = float(c @ out.x) if out.status == OPTIMAL else 0.0
             return out.status, value, out.x, out.basis
         if prep is None:
@@ -352,11 +349,11 @@ def solve_mip(
     out = SolveOutcome(status=status, node_count=nodes)
     if inc is not None:
         out.x = inc
-        out.objective = sign * inc_val + prog.c0
+        out.objective = sign * inc_val
     if status == OPTIMAL:
         out.bound = out.objective
     elif status == LIMIT:
-        out.bound = sign * min(bound, inc_val) + prog.c0
-    out.incumbent_pool = [(xv, sign * ov + prog.c0) for (xv, ov) in pool]
+        out.bound = sign * min(bound, inc_val)
+    out.incumbent_pool = [(xv, sign * ov) for (xv, ov) in pool]
     return out
 

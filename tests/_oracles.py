@@ -242,7 +242,7 @@ def linprog_reference(prog: LinearProgram):
         method="highs",
     )
     if res.status == 0:
-        return "optimal", sign * res.fun + prog.c0
+        return "optimal", sign * res.fun
     if res.status == 2:
         return "infeasible", None
     if res.status == 3:
@@ -266,7 +266,7 @@ def milp_reference(prog: MipProgram):
         bounds=sopt.Bounds(prog.lb, prog.ub),
     )
     if res.status == 0:
-        return "optimal", sign * res.fun + prog.c0
+        return "optimal", sign * res.fun
     if res.status == 2:
         return "infeasible", None
     if res.status == 3:

@@ -14,6 +14,7 @@ from conftest import make_tiny
 from sipcuts.instances import SnipParams, gen_snip
 from sipcuts.model import (
     BIN,
+    INT,
     EnumerationCapError,
     InstanceError,
     Scenario,
@@ -231,6 +232,31 @@ def test_extensive_form_block_layout(case):
 def test_recourse_program_rhs_shift(t1):
     prog = recourse_program(t1, 0, np.array([0.25]))
     assert prog.rhs[0] == 0.75
+
+
+def test_recourse_with_no_integer_in_its_box_is_infeasible():
+    # y in [0.3, 0.7] is integer, and no integer lies there
+    scen = Scenario(
+        prob=1.0,
+        q=[1.0],
+        W=[[1.0]],
+        h=[0.0],
+        T=[[0.0]],
+        vtype=[INT],
+        lb=[0.3],
+        ub=[0.7],
+    )
+    inst = SipInstance(
+        name="empty-box",
+        c=[0.0],
+        A=np.zeros((0, 1)),
+        b=[],
+        vtype=[BIN],
+        lb=[0.0],
+        ub=[1.0],
+        scenarios=[scen],
+    )
+    assert eval_recourse(inst, 0, np.zeros(1)) == math.inf
 
 
 def test_lp_relaxation_of_extensive_form_reference():

@@ -82,8 +82,8 @@ def test_lp_equality_with_negative_lower_bound():
 
 
 def test_lp_maximize_and_constant_term():
-    lp = _lp([2.0, 1.0], [[1.0, 1.0]], [LE], [4.0], [0, 0], [3, 3], maximize=True)
-    lp.c0 = 10.0
+    # the constant 10 is the cost of a column fixed at 1
+    lp = _lp([2.0, 1.0, 10.0], [[1.0, 1.0, 0.0]], [LE], [4.0], [0, 0, 1], [3, 3, 1], maximize=True)
     out = solve_lp(lp)
     assert out.status == OPTIMAL
     assert abs(out.objective - 17.0) < TOL
@@ -165,7 +165,7 @@ def _check_dual_certificate(lp, out):
         elif d[j] < -1e-9:
             assert np.isfinite(lp.ub[j])
             total += d[j] * lp.ub[j]
-    assert abs(total - sign * (out.objective - lp.c0)) <= 1e-6 * (1 + abs(total))
+    assert abs(total - sign * out.objective) <= 1e-6 * (1 + abs(total))
 
 
 def _check_farkas(lp, out):
@@ -624,6 +624,16 @@ def test_mip_ignores_a_root_whose_box_rounds():
     _same_mip_outcome(solve_mip(mip, root=optbase.SolveOutcome(status=LIMIT)), solve_mip(mip))
 
 
+def test_mip_with_no_integer_in_a_box_is_infeasible():
+    # no integer lies in [0.3, 0.7], with rows or without
+    box = dict(c=[1.0, 1.0], lb=[0.3, 0.0], ub=[0.7, 5.0], is_int=[True, False])
+    rowless = MipProgram(A=np.zeros((0, 2)), senses=[], rhs=[], **box)
+    assert solve_mip(rowless).status == INFEASIBLE
+    mip = MipProgram(A=[[1.0, 1.0]], senses=[GE], rhs=[0.0], **box)
+    out = solve_mip(mip)
+    assert out.status == INFEASIBLE and out.x is None
+
+
 def test_lp_relaxation_drops_integrality():
     # `solve_lp` solves a MipProgram as its LP relaxation, and so does the
     # reference, which ignores `is_int`
@@ -639,8 +649,8 @@ def test_lp_relaxation_drops_integrality():
 # ------------------------------------------------------------ warm starts
 
 
-#: row ranges of tall LPs: the block inverse at start and refactorization
-#: only, and a master tall enough for block pivots
+#: row ranges of tall LPs: one under the block-form cutoff, with a dense
+#: inverse, and a master tall enough for block pivots
 TALL, MASTER = (64, 97), (200, 321)
 
 
@@ -648,8 +658,7 @@ def _bounded_lp(seed, tall=None):
     """Seeded feasible LP on a finite box: every row holds at an anchor
     point inside the box, with slack on the inequalities. A tall one is
     shaped like a cut master, `tall` = (low, high) rows of GE cuts on 8
-    to 20 columns, so its bases are mostly slack and take the kernel's
-    block inverse."""
+    to 20 columns, so its bases are mostly slack, like a master's."""
     rng = np.random.default_rng(seed)
     if tall:
         m, n = int(rng.integers(*tall)), int(rng.integers(8, 21))
@@ -873,14 +882,22 @@ def test_warm_start_not_dual_feasible_falls_back_to_cold(rows, core_calls):
 def test_warm_start_singular_basis_falls_back_to_cold(core_calls):
     # column 1 is twice column 0, so a basis holding both is singular
     lp = _lp([-1.0, -1.0, -1.0], [[1.0, 2.0, 1.0], [1.0, 2.0, -1.0]], [LE, LE], [4.0, 2.0], [0, 0, 0], [3, 3, 3])
-    singular = (np.array([0, 1]), np.array([0, 0, 1, 1, 1], dtype=np.int8))
-    del core_calls[:]
-    cold = _kernel(lp)
-    del core_calls[:]
-    warm = _kernel(lp, warm=singular)
-    assert len(core_calls) == 2
-    _same_output(warm, cold)
-    assert warm[0] == 0
+    small = (np.array([0, 1]), np.array([0, 0, 1, 1, 1], dtype=np.int8))
+    # the 40-row basis whose block has a zero column: its dense inverse is
+    # finite, with entries near 2e15, and leaves the start's rows unmet
+    A, _, basis = _singular_bases()
+    m, n = A.shape
+    tall = _lp(-np.ones(n), A, np.full(m, LE), np.full(m, 5.0), np.zeros(n), np.ones(n))
+    vstat = np.ones(n + m, dtype=np.int8)
+    vstat[basis] = 0
+    for prog, start in ((lp, small), (tall, (basis, vstat))):
+        del core_calls[:]
+        cold = _kernel(prog)
+        del core_calls[:]
+        warm = _kernel(prog, warm=start)
+        assert len(core_calls) == 2
+        _same_output(warm, cold)
+        assert warm[0] == 0
 
 
 @pytest.mark.parametrize("status", [4, -1])
@@ -989,28 +1006,51 @@ def inverse_calls(monkeypatch):
     return calls
 
 
-def _record_mip_nodes(monkeypatch, seeds):
-    """Every kernel call of `solve_mip` on `_random_mip(seed)`: the
-    program, the box, the start and the output."""
-    calls = []
-    kernel = optbase._solve_dense
+def _record_mip_nodes(monkeypatch, programs):
+    """Every kernel call of `solve_mip` on each program: the program, the
+    box, the start, the output and the number of `_basis_inverse` calls
+    the solve made."""
+    from sipcuts import _simplex
+
+    calls, inverses = [], []
+    kernel, inverse = optbase._solve_dense, _simplex._basis_inverse
+
+    def counting(*args):
+        inverses.append(1)
+        return inverse(*args)
 
     def recording(c, A, senses, rhs, lb, ub, *args, warm=None, **kwargs):
+        made = len(inverses)
         out = kernel(c, A, senses, rhs, lb, ub, *args, warm=warm, **kwargs)
-        calls.append(((c, A, senses, rhs, lb.copy(), ub.copy()), warm, out))
+        calls.append(((c, A, senses, rhs, lb.copy(), ub.copy()), warm, out, len(inverses) - made))
         return out
 
+    monkeypatch.setattr(_simplex, "_basis_inverse", counting)
     monkeypatch.setattr(optbase, "_solve_dense", recording)
-    for seed in seeds:
-        solve_mip(_random_mip(seed))
+    for prog in programs:
+        solve_mip(prog)
     return calls
+
+
+def _check_children_copy_the_carried_inverse(calls):
+    """A warm child inverts its final basis when it ends optimal, and no
+    other: it starts from a copy of its parent's final inverse, which
+    rides along with the basis."""
+    warm_children = 0
+    for _, warm, out, inverses in calls:
+        if warm is not None:
+            assert len(warm) == 3
+            assert inverses == (out[0] == 0), "the start basis was inverted"
+            warm_children += 1
+    assert warm_children > 10
 
 
 def test_mip_nodes_match_children_solved_from_the_basis_pair(monkeypatch):
     from sipcuts import _simplex
 
     carried = 0
-    for (c, A, senses, rhs, lb, ub), warm, out in _record_mip_nodes(monkeypatch, range(40)):
+    programs = map(_random_mip, range(40))
+    for (c, A, senses, rhs, lb, ub), warm, out, _ in _record_mip_nodes(monkeypatch, programs):
         carried += warm is not None and len(warm) == 3
         pair = None if warm is None else warm[:2]
         ref = _simplex.solve_dense(A, rhs, senses, c, lb, ub, warm=pair)
@@ -1023,11 +1063,38 @@ def test_mip_nodes_match_children_solved_from_the_basis_pair(monkeypatch):
     assert carried > 10
 
 
-def test_mip_warm_children_below_block_rows_make_no_start_inverse(monkeypatch, inverse_calls):
-    calls = _record_mip_nodes(monkeypatch, range(40))
-    warm_children = sum(warm is not None for _, warm, _ in calls)
-    assert warm_children > 10
-    assert len(inverse_calls) == 0, "every start inverse came from the parent"
+def test_mip_warm_children_below_block_rows_make_no_start_inverse(monkeypatch):
+    calls = _record_mip_nodes(monkeypatch, map(_random_mip, range(40)))
+    _check_children_copy_the_carried_inverse(calls)
+
+
+def _tall_mip(seed):
+    """A seeded integer program of 32 to 199 GE rows on 6 to 10 columns
+    that holds at an integer point of its box, so that its tree branches
+    before it ends optimal."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(32, 200)), int(rng.integers(6, 11))
+    dense = np.round(rng.uniform(-5.0, 5.0, (m, n)))
+    ub = rng.integers(2, 6, n)
+    anchor = rng.integers(0, ub + 1)
+    rhs = dense @ anchor - rng.uniform(0.5, 3.0, m)
+    c = np.round(rng.uniform(-5.0, 5.0, n))
+    senses = np.full(m, GE, dtype=np.int8)
+    is_int = np.ones(n, dtype=bool)
+    return MipProgram(c=c, A=dense, senses=senses, rhs=rhs, lb=np.zeros(n), ub=ub, is_int=is_int)
+
+
+def test_tall_mip_children_copy_the_carried_inverse(monkeypatch):
+    from sipcuts import _simplex
+
+    programs = [_tall_mip(seed) for seed in range(5)]
+    assert all(32 <= p.nrows < _simplex._BLOCK_FINAL_MIN_ROWS for p in programs)
+    calls = _record_mip_nodes(monkeypatch, programs)
+    _check_children_copy_the_carried_inverse(calls)
+    # the copy has the bits the child's own start inverse would have
+    for (c, A, senses, rhs, lb, ub), warm, out, _ in calls:
+        pair = None if warm is None else warm[:2]
+        _same_output(out, _simplex.solve_dense(A, rhs, senses, c, lb, ub, warm=pair))
 
 
 def test_solve_mip_prepares_the_program_once(monkeypatch):
@@ -1056,16 +1123,18 @@ def test_start_with_fewer_rows_ignores_the_carried_inverse(inverse_calls, core_c
     del inverse_calls[:]
     out = _kernel(lp, warm=parent[6], prepped=True)
     assert len(core_calls) == 1, "the warm attempt was accepted"
-    assert len(inverse_calls) == 1, "the start basis was inverted"
+    assert len(inverse_calls) == 2, "the start basis was inverted, then the final one"
     _same_output(out, _kernel(lp, warm=parent[6][:2]))
 
 
-@pytest.mark.parametrize("rows, carries", [((31, 32), True), ((32, 33), False), (TALL, False)])
+@pytest.mark.parametrize(
+    "rows, carries", [((31, 32), True), ((32, 33), True), (TALL, True), (MASTER, False)]
+)
 def test_only_bases_below_block_rows_carry_their_inverse(rows, carries):
     from sipcuts import _simplex
 
     lp, _ = _bounded_lp(0, rows)
-    assert (lp.nrows < _simplex._BLOCK_MIN_ROWS) == carries
+    assert (lp.nrows < _simplex._BLOCK_FINAL_MIN_ROWS) == carries
     out = _kernel(lp, prepped=True)
     assert out[0] == 0 and len(out[6]) == (3 if carries else 2)
     assert len(_kernel(lp)[6]) == 2, "a one-shot solve hands on no inverse"
@@ -1121,7 +1190,7 @@ def test_basis_inverse_matches_dense_inverse(m, share):
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("m", [1, 5, 12, 25, 31])
+@pytest.mark.parametrize("m", [1, 5, 12, 25, 31, 32, 100, 199])
 def test_basis_inverse_below_block_rows_is_the_dense_inverse(m):
     from sipcuts import _simplex
 
@@ -1131,22 +1200,29 @@ def test_basis_inverse_below_block_rows_is_the_dense_inverse(m):
     assert got.tobytes() == ref.tobytes()
 
 
-def test_basis_inverse_rejects_singular_bases():
-    from sipcuts import _simplex
-
+def _singular_bases():
+    """A 40 x 12 matrix A whose column 0 vanishes on rows 0-9, and two
+    singular bases of it for artificial signs -1: in `twice` the slack
+    and the artificial of row 11 are both basic, in `singular` slacks
+    cover rows 10-39 and the block of columns 0-9 on rows 0-9 has a zero
+    column."""
     m, n = 40, 12
     rng = np.random.default_rng(0)
     A = rng.uniform(-1.0, 1.0, (m, n))
-    A[:10, 0] = 0.0  # column 0 vanishes on rows 0-9
-    asig = -np.ones(m)
-    # the slack and the artificial of row 11 both basic
+    A[:10, 0] = 0.0
     twice = np.concatenate([np.arange(10), n + np.arange(11, m), [n + m + 11]])
-    # slacks cover rows 10-39; the block of columns 0-9 on rows 0-9 has a zero column
     singular = np.concatenate([np.arange(10), n + np.arange(10, m)])
+    return A, twice, singular
+
+
+def test_block_factors_reject_singular_bases():
+    from sipcuts import _simplex
+
+    A, twice, singular = _singular_bases()
     for basis in (twice, singular):
-        assert basis.size == m
+        assert basis.size == A.shape[0]
         with pytest.raises(np.linalg.LinAlgError):
-            _simplex._basis_inverse(A.T, basis, asig)
+            _simplex._block_factors(A.T, basis, -np.ones(A.shape[0]))
 
 
 # ------------------------------------------------------- block pivots
