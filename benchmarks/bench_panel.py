@@ -80,6 +80,7 @@ PANEL = (
 )
 SMOKE = (
     ("lbc", "SSLP(3,5,3)", lambda seed: gen_sslp(SslpParams(3, 5, 3, seed=seed)), (7,)),
+    ("bbc", "SSLP(3,5,3)", lambda seed: gen_sslp(SslpParams(3, 5, 3, seed=seed)), (7,)),
     (
         "exact",
         "SNIP(12,30,8,b10,S4)",
@@ -244,7 +245,7 @@ def _change(a: float, b: float) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3, help="timed runs per instance")
-    parser.add_argument("--smoke", action="store_true", help="two small instances, a few seconds")
+    parser.add_argument("--smoke", action="store_true", help="three small instances, a few seconds")
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)

@@ -30,6 +30,7 @@ from .driver import (
     VARIANTS,
     gap_closed_profile,
     profile_to_csv,
+    require_binary_first_stage,
     run_root_loop,
     solve_root_then_bc,
 )
@@ -181,6 +182,7 @@ def cmd_solve(args) -> int:
     if args.node_limit < 1:
         raise ValueError("node limit must be at least 1")
     inst = read_instance(args.instance)
+    require_binary_first_stage(inst)  # a usage error, before any trace is written
     cfg = VariantConfig(
         variant="span_mip" if args.mode == "lbc" else "benders_only",
         delta=args.delta,

@@ -29,7 +29,11 @@ solves a question about a scenario class and a point once, and repeats,
 from an identical scenario or a revisited point, get copies of that
 answer. A call made inside an open memo for the same instance shares
 it; nothing outlives the call, so solving an instance twice does the
-same work twice.
+same work twice. Branch-and-cut and the ``benders_only`` root loop open
+their memo with warm starts: each scenario LP relaxation starts from
+the last optimal basis of scenarios with the same q, W and bounds. The
+multiplier root loops keep those LPs cold, since another dual vertex at
+a degenerate point changes the classical cuts and the span they search.
 """
 
 from __future__ import annotations
@@ -194,7 +198,7 @@ def run_root_loop(
     start = time.monotonic()
     if trace is None:
         trace = BoundTrace()
-    with oracle_memo(inst):
+    with oracle_memo(inst, warm_starts=cfg.variant == "benders_only"):
         theta_lb = np.array([compute_theta_lower_bound(inst, s) for s in range(inst.nscen)])
         master = MasterModel(inst, theta_lb)
         pools = [ScenarioPool() for _ in range(inst.nscen)]
@@ -332,6 +336,13 @@ def relative_gap(upper: float, lower: float) -> float:
 BC_GAP_TOL = 1e-6
 
 
+def require_binary_first_stage(inst: SipInstance) -> None:
+    """Raise InstanceError unless every first-stage variable is binary,
+    as branch-and-cut's integer optimality cuts need."""
+    if np.any(inst.vtype != BIN):
+        raise InstanceError("integer optimality cuts require a pure-binary first stage")
+
+
 def run_branch_and_cut(
     inst: SipInstance,
     root: MasterModel,
@@ -345,8 +356,7 @@ def run_branch_and_cut(
     value, integer optimality cuts at the exact value) and re-solved
     until clean before the incumbent is accepted. Exactness needs a
     binary first stage, which the integer optimality cuts require."""
-    if np.any(inst.vtype != BIN):
-        raise InstanceError("integer optimality cuts require a pure-binary first stage")
+    require_binary_first_stage(inst)
     n = inst.nx
 
     def relax(lb, ub, warm):
@@ -382,7 +392,7 @@ def run_branch_and_cut(
         return None
 
     int_idx = np.nonzero(inst.vtype != 0)[0]
-    with oracle_memo(inst):
+    with oracle_memo(inst, warm_starts=True):
         status, best_x, upper, bound, nodes = optbase.best_bound_search(
             inst.lb, inst.ub, int_idx, relax, closed, on_integral, node_limit, time_limit,
             root.basis,
@@ -404,7 +414,9 @@ def solve_root_then_bc(
 
     Returns the B&C result, the root bound trace and the root seconds.
     Passing `trace` lets the caller keep the partial record if a solve
-    fails."""
+    fails. A first stage that is not binary is refused before the root
+    loop."""
+    require_binary_first_stage(inst)
     start = time.monotonic()
     master, trace = run_root_loop(inst, cfg, trace)
     root_s = time.monotonic() - start

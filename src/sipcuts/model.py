@@ -29,6 +29,17 @@ branch-and-cut asks both, one LP serves the two. `eval_recourse` asks
 for it only when rounding the integer recourse bounds leaves the box as
 it is (`optbase.root_is_relaxation`); otherwise the MIP's root is
 another LP. Each caller turns an unbounded LP into its own error.
+
+A memo opened with `warm_starts` also keeps, per dual class
+(`dual_classes`: scenarios with byte-identical q, W and bounds), the
+last optimal basis of a relaxation it solved, and starts the class's
+next relaxation from it. That is the bunching of the L-shaped method
+(Wets 1988): only h - T x differs within a class, so the basis stays
+dual feasible and the dual simplex repairs its primal side in a few
+pivots. The value is a cold solve's up to rounding, but at a degenerate
+point the shared answer may be another dual vertex than a cold solve
+would return, so the cut and the root node built from it may differ.
+The starts die with the memo, so consecutive solves do the same work.
 """
 
 from __future__ import annotations
@@ -219,49 +230,72 @@ def toy_instance() -> SipInstance:
 
 #: the scenario fields an oracle reads; `prob` is not one of them
 _ORACLE_FIELDS = ("q", "h", "lb", "ub", "vtype", "W", "T")
+#: the fields that fix a scenario LP's dual feasible bases
+_DUAL_FIELDS = ("q", "W", "lb", "ub")
 
 
-def _same_oracle_data(a: Scenario, b: Scenario) -> bool:
+def _same_data(a: Scenario, b: Scenario, fields: tuple[str, ...]) -> bool:
     def same(u: np.ndarray, v: np.ndarray) -> bool:
         return u is v or (u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes())
 
-    return all(same(getattr(a, f), getattr(b, f)) for f in _ORACLE_FIELDS)
+    return all(same(getattr(a, f), getattr(b, f)) for f in fields)
 
 
-def scenario_classes(inst: SipInstance) -> list[int]:
-    """Per scenario, the index of the first scenario whose oracle data
-    (q, W, h, T, types and bounds) is byte-identical to its own."""
+def _classes(inst: SipInstance, fields: tuple[str, ...]) -> list[int]:
+    """Per scenario, the index of the first scenario whose `fields` are
+    byte-identical to its own."""
     firsts: list[int] = []  # the first scenario of each class
     classes = []
     for s, scen in enumerate(inst.scenarios):
-        r = next((r for r in firsts if _same_oracle_data(scen, inst.scenarios[r])), s)
+        r = next((r for r in firsts if _same_data(scen, inst.scenarios[r], fields)), s)
         if r == s:
             firsts.append(s)
         classes.append(r)
     return classes
 
 
+def scenario_classes(inst: SipInstance) -> list[int]:
+    """Per scenario, the index of the first scenario whose oracle data
+    (q, W, h, T, types and bounds) is byte-identical to its own."""
+    return _classes(inst, _ORACLE_FIELDS)
+
+
+def dual_classes(inst: SipInstance) -> list[int]:
+    """Per scenario, the index of the first scenario with byte-identical
+    q, W and bounds: an optimal basis of one's LP relaxation, at any x,
+    is dual feasible for every other's at every x."""
+    return _classes(inst, _DUAL_FIELDS)
+
+
 class _OracleMemo:
-    def __init__(self, inst: SipInstance):
+    def __init__(self, inst: SipInstance, warm_starts: bool):
         self.inst = inst
         self.classes = scenario_classes(inst)
         self.answers: dict = {}
+        self.warm_starts = warm_starts
+        self.dual_classes = dual_classes(inst)
+        #: dual class -> (basis, vstat) of the last optimal relaxation solved
+        self.starts: dict[int, tuple] = {}
 
 
 _open_memo: _OracleMemo | None = None
 
 
 @contextmanager
-def oracle_memo(inst: SipInstance):
+def oracle_memo(inst: SipInstance, warm_starts: bool = False):
     """Answer each scenario-oracle question about `inst` once inside the
     block. A block nested in one already open for `inst` shares its
-    memo; nothing outlives the outermost block. The open memo is module
-    state: one solve runs at a time per process."""
+    memo, `warm_starts` included; nothing outlives the outermost block.
+    The open memo is module state: one solve runs at a time per process.
+
+    With `warm_starts`, each scenario LP relaxation the memo solves
+    starts from the last optimal basis of its dual class
+    (`dual_classes`), the bunching of the L-shaped method."""
     global _open_memo
     if _open_memo is not None and _open_memo.inst is inst:
         yield
         return
-    outer, _open_memo = _open_memo, _OracleMemo(inst)
+    outer, _open_memo = _open_memo, _OracleMemo(inst, warm_starts)
     try:
         yield
     finally:
@@ -310,7 +344,8 @@ def recourse_relaxation(inst: SipInstance, s: int, x: np.ndarray) -> SolveOutcom
     answer is shared: read it, never change it. It keeps only what the
     classical cut and the recourse MIP's root node read: status,
     objective, duals, x, (basis, vstat), and the Farkas ray of an
-    infeasible LP."""
+    infeasible LP. Inside a memo with warm starts, at a degenerate point,
+    its duals may be another optimal vertex than a cold solve's."""
     return _relaxation(inst, s, first_stage_point(inst, x), None)
 
 
@@ -318,10 +353,22 @@ def _relaxation(
     inst: SipInstance, s: int, x: np.ndarray, prog: MipProgram | None
 ) -> SolveOutcome:
     """`recourse_relaxation` at a checked x; `prog` is its recourse
-    program when the caller built it already."""
+    program when the caller built it already. Inside an `oracle_memo`
+    with warm starts, the LP starts from the last optimal basis of the
+    scenario's dual class and leaves its own there; a start that is not
+    dual feasible falls back to the cold solve in the kernel. At a
+    degenerate point the answer may then be another dual vertex than a
+    cold solve's."""
+    memo = _open_memo
+    if memo is None or memo.inst is not inst or not memo.warm_starts:
+        memo = None
 
     def solve() -> SolveOutcome:
-        out = solve_lp(recourse_program(inst, s, x) if prog is None else prog)
+        key = memo.dual_classes[s] if memo is not None else None
+        warm = memo.starts.get(key) if memo is not None else None
+        out = solve_lp(recourse_program(inst, s, x) if prog is None else prog, warm=warm)
+        if memo is not None and out.basis is not None:
+            memo.starts[key] = out.basis
         ray = out.ray if out.status == optbase.INFEASIBLE else None
         return SolveOutcome(out.status, out.x, out.objective, out.duals, ray, basis=out.basis)
 

@@ -55,23 +55,27 @@ def smoke(tmp_path_factory):
 
 def test_smoke_panel_and_self_compare(smoke, tmp_path):
     rows = json.loads(smoke.read_text())["instances"]
-    assert [row["key"].split()[0] for row in rows] == ["lbc", "exact"]
+    assert [row["key"].split()[0] for row in rows] == ["lbc", "bbc", "exact"]
     for row in rows:
         assert set(row) == FIELDS
         assert set(row["root_cuts"]) == {"benders", "lagrangian", "integer_lshaped"}
         assert len(row["cpu_s"]) == 2 and min(row["cpu_s"]) > 0.0
-        assert row["kernel_lps"] >= row["oracle_lps"] > 0 and row["pivots"] > 0
+        assert row["kernel_lps"] >= row["oracle_lps"] and row["pivots"] > 0
         assert row["root_stop"] == "saturated" and row["root_gap"] > 0.0
         assert re.fullmatch(r"[0-9a-f]{64}", row["kernel_digest"])
-    lbc, exact = rows
-    assert lbc["status"] == "optimal" and lbc["bc_nodes"] >= 1
-    assert abs(lbc["objective"] - 4.666666666666667) <= 1e-6
+    lbc, bbc, exact = rows
+    for row in (lbc, bbc):
+        assert row["status"] == "optimal" and row["bc_nodes"] >= 1
+        assert abs(row["objective"] - 4.666666666666667) <= 1e-6
+    assert lbc["oracle_lps"] > 0 and exact["oracle_lps"] > 0
+    # the classical root asks no qbar oracle and adds no Lagrangian cut
+    assert bbc["oracle_lps"] == 0 and bbc["root_cuts"]["lagrangian"] == 0
     assert exact["objective"] is None and exact["bc_nodes"] == 0
 
     proc = _run(["--compare", str(smoke), str(smoke)], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "paired 2 instances; unpaired: []" in proc.stdout
-    assert "kernel bits kept on 2 of 2 instances" in proc.stdout
+    assert "paired 3 instances; unpaired: []" in proc.stdout
+    assert "kernel bits kept on 3 of 3 instances" in proc.stdout
     assert "FAIL" not in proc.stdout
 
 
@@ -94,6 +98,6 @@ def test_moved_digest_is_reported_and_sets_no_exit_code(smoke, tmp_path):
     proc = _run(["--compare", str(smoke), str(moved)], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split()[-1] for line in lines[1:3]] == ["moved", "same"]
-    assert "kernel bits kept on 1 of 2 instances" in lines
+    assert [line.split()[-1] for line in lines[1:4]] == ["moved", "same", "same"]
+    assert "kernel bits kept on 2 of 3 instances" in lines
     assert "FAIL" not in proc.stdout

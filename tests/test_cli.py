@@ -2,13 +2,15 @@
 
 import math
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sipcuts.cli import main
 from sipcuts.driver import BoundTrace, TraceRecord
 from sipcuts.instances import SslpParams, gen_sslp, to_text, write_instance
-from sipcuts.model import toy_instance
+from sipcuts.model import INT, toy_instance
 
 from conftest import unbounded_master_instance
 
@@ -289,6 +291,24 @@ def test_solve_time_limit_exits_4(tmp_path, t1_file, capsys):
     # B&C got no time, but the root master's bound is still proven
     bound, root_bound = float(kv["bound"][0]), float(kv["root_bound"][0])
     assert math.isfinite(bound) and bound >= root_bound
+
+
+def test_solve_non_binary_first_stage_exits_2_before_any_kernel_call(
+    tmp_path, capsys, monkeypatch
+):
+    from sipcuts import optbase
+
+    path = tmp_path / "toyint.sip"
+    toyint = replace(toy_instance(), vtype=np.array([INT], dtype=np.int8), ub=np.array([2.0]))
+    write_instance(toyint, str(path))
+    calls = []
+    solve = optbase._solve_dense
+    monkeypatch.setattr(optbase, "_solve_dense", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    out = tmp_path / "runs"
+    code, kv, err = run_cli(capsys, ["solve", str(path), "--mode", "bbc", "--out", str(out)])
+    assert code == 2 and "error=" in err and "binary" in err
+    assert not kv and not out.exists(), "no trace file"
+    assert not calls
 
 
 def test_solve_node_limit_below_one_exits_2(tmp_path, t1_file, capsys):

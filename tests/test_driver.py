@@ -3,6 +3,7 @@
 import math
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -414,6 +415,20 @@ def test_bc_integer_lshaped_requires_binary_first_stage():
     master = MasterModel(wide, np.zeros(wide.nscen))
     with pytest.raises(InstanceError, match="binary"):
         run_branch_and_cut(wide, master)
+
+
+def test_root_then_bc_refuses_a_non_binary_first_stage_before_the_root_loop(monkeypatch):
+    from sipcuts import optbase
+
+    t1 = toy_instance()
+    wide = replace(t1, vtype=np.array([INT], dtype=np.int8), ub=np.array([2.0]))
+    calls = []
+    solve = optbase._solve_dense
+    monkeypatch.setattr(optbase, "_solve_dense", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    for mode in ("benders_only", "span_mip"):
+        with pytest.raises(InstanceError, match="binary"):
+            driver.solve_root_then_bc(wide, VariantConfig(variant=mode))
+    assert not calls
 
 
 def test_every_lp_in_block_form_meets_the_smoke_pins(monkeypatch):

@@ -254,3 +254,121 @@ def test_separation_reuses_an_unchanged_master(snip, monkeypatch):
         plain.pi0,
     )
     assert reused.pi.tobytes() == plain.pi.tobytes()
+
+
+# ------------------------------------------------ warm-started relaxations
+
+
+@pytest.fixture
+def relaxation_solves(monkeypatch):
+    """(program, warm, outcome) of every scenario LP relaxation solved."""
+    solves = []
+    solve = model.solve_lp
+
+    def recording(prog, *args, warm=None, **kwargs):
+        out = solve(prog, *args, warm=warm, **kwargs)
+        solves.append((prog, warm, out))
+        return out
+
+    monkeypatch.setattr(model, "solve_lp", recording)
+    return solves
+
+
+def _kernel_outputs(monkeypatch):
+    """Digests of every `optbase._solve_dense` output, in call order."""
+    digests = []
+    solve = optbase._solve_dense
+
+    def hashed(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        status, x, obj, y, ray, it, basis = out
+        parts = [x, y, ray] + ([] if basis is None else list(basis[:2]))
+        digests.append((status, repr(obj), it, tuple(np.asarray(a).tobytes() for a in parts)))
+        return out
+
+    monkeypatch.setattr(optbase, "_solve_dense", hashed)
+    return digests
+
+
+def test_bbc_warm_relaxations_match_cold_solves_and_every_cut_holds(
+    relaxation_solves, monkeypatch
+):
+    inst = gen_sslp(SslpParams(3, 5, 3, seed=7))  # the SSLP smoke instance
+    cuts = []
+    add_cut = driver.MasterModel.add_cut
+
+    def collecting(self, cut):
+        cuts.append(cut)
+        return add_cut(self, cut)
+
+    monkeypatch.setattr(driver.MasterModel, "add_cut", collecting)
+    res, _ = driver.solve_bbc(inst)
+    assert res.status == "optimal"
+    warm = [(prog, out) for prog, start, out in relaxation_solves if start is not None]
+    assert len(warm) > 10
+    for prog, out in warm:
+        cold = optbase.solve_lp(prog)
+        assert out.status == cold.status
+        if cold.status == optbase.OPTIMAL:
+            assert abs(out.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+    assert {c.family for c in cuts} == {"benders", "integer_lshaped"}
+    epigraphs = {s: model.brute_force_epigraph(inst, s) for s in range(inst.nscen)}
+    for cut in cuts:
+        X, Q = epigraphs[cut.scenario]
+        finite = np.isfinite(Q)
+        slack = X[finite] @ cut.coef_x + cut.coef_theta * Q[finite] - cut.rhs
+        assert slack.min() >= -1e-7, (cut.family, cut.scenario, slack.min())
+
+
+@pytest.mark.parametrize(
+    "variant, make",
+    [
+        ("span_mip", lambda: gen_sslp(SslpParams(3, 5, 3, seed=7))),
+        ("strengthened", lambda: gen_sslp(SslpParams(3, 5, 3, seed=7))),
+        ("exact", lambda: gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3))),
+    ],
+)
+def test_multiplier_root_loops_start_no_relaxation_warm(
+    variant, make, relaxation_solves, monkeypatch
+):
+    cfg = VariantConfig(variant=variant, delta=0.0, early_stop=False)
+    digests = _kernel_outputs(monkeypatch)
+    run_root_loop(make(), cfg)
+    assert relaxation_solves and all(warm is None for _, warm, _ in relaxation_solves)
+    kept = list(digests)
+    digests.clear()
+    memo = model.oracle_memo
+    monkeypatch.setattr(driver, "oracle_memo", lambda inst, warm_starts=False: memo(inst))
+    run_root_loop(make(), cfg)  # every memo cold, as before warm starts
+    assert digests == kept
+
+
+def test_consecutive_bbc_solves_make_the_same_kernel_calls(monkeypatch):
+    inst = gen_sslp(SslpParams(3, 5, 3, seed=7))
+    digests = _kernel_outputs(monkeypatch)
+    runs = []
+    for _ in range(2):
+        digests.clear()
+        res, _ = driver.solve_bbc(inst)
+        runs.append((list(digests), res.node_count, repr(res.objective)))
+    assert runs[0] == runs[1] and runs[0][0]
+
+
+@pytest.mark.parametrize("outer_warm", [False, True])
+def test_nested_memo_keeps_the_open_warm_setting(outer_warm, relaxation_solves):
+    inst = gen_sslp(SslpParams(3, 5, 3, seed=7))
+    points = [np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])]
+    with oracle_memo(inst, warm_starts=outer_warm):
+        with oracle_memo(inst, warm_starts=not outer_warm):
+            for s, x in enumerate(points):
+                model.recourse_relaxation(inst, s, x)
+        model.recourse_relaxation(inst, 2, points[0])
+    starts = [warm is not None for _, warm, _ in relaxation_solves]
+    assert starts == [False, outer_warm, outer_warm]
+
+
+def test_dual_classes_ignore_the_right_hand_side(snip):
+    inst = gen_sslp(SslpParams(3, 5, 3, seed=7))
+    assert model.dual_classes(inst) == [0, 0, 0]
+    assert scenario_classes(inst) == [0, 1, 2]
+    assert model.dual_classes(snip) == scenario_classes(snip) == [0, 0, 2, 0]
