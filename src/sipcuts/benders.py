@@ -210,20 +210,20 @@ def separate_integer_lshaped(
     x_hat: np.ndarray,
     theta_hat: float,
     theta_lb: float,
-    q_exact: float | None = None,
 ) -> Cut | None:
     """Exact-value cut at a binary first-stage point.
 
     With S1 = {i : x_hat_i = 1} and Q = Q_s(x_hat), the inequality
         theta_s + (Q - L) * (sum_{i not in S1} x_i - sum_{i in S1} x_i)
             >= Q - (Q - L) * |S1|
-    is tight at x_hat and relaxes to theta_s >= L elsewhere."""
+    is tight at x_hat and relaxes to theta_s >= L elsewhere. Q is
+    `eval_recourse`'s, shared through an open `oracle_memo`."""
     if np.any(inst.vtype != BIN):
         raise InstanceError("integer optimality cuts require a pure-binary first stage")
     x_bin = np.round(x_hat)
     if np.max(np.abs(x_bin - x_hat)) > optbase.INTTOL:
         raise InstanceError("integer optimality cut requested at a fractional point")
-    q_val = eval_recourse(inst, s, x_bin) if q_exact is None else q_exact
+    q_val = eval_recourse(inst, s, x_bin)
     if q_val == math.inf:
         return None
     gap = q_val - theta_lb

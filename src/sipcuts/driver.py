@@ -1,12 +1,15 @@
 """Root-node cutting-plane loop and branch-and-cut.
 
-The root loop alternates two blocks on the master LP relaxation:
-classical (LP-dual) cuts until none is violated, then one round of the
-configured multiplier-based block per scenario. It stops when a round
-adds nothing, when bound progress stalls (early stop), on the round
-cap, or on the time limit. Branch-and-cut then drives the cut-carrying
-master to integer optimality with lazy classical and integer optimality
-cuts at integer-feasible candidates.
+The root loop is one loop over master re-solves. Each round separates
+a classical (LP-dual) cut per scenario; when none is new, the configured
+multiplier-based block runs per scenario at the same point. It stops
+when a round adds nothing (``saturated``), when bound progress stalls
+after the first multiplier block (``early_stop``), after `MAX_ROUNDS`
+re-solves (``round_cap``), or on the time limit (``time_limit``),
+checked before every scenario separation: a round it cuts short adds
+none of its cuts. Branch-and-cut then drives the cut-carrying master to
+integer optimality with lazy classical and integer optimality cuts at
+integer-feasible candidates.
 
 Variants of the multiplier block:
   * ``benders_only``   no second block; classical saturation only.
@@ -70,10 +73,8 @@ from .model import BIN, InstanceError, SipInstance, eval_recourse, oracle_memo
 VARIANTS = ("benders_only", "strengthened", "exact", "span_coef", "span_weight", "span_mip")
 
 TRACE_HEADER = ("time_s", "lower_bound", "iter", "n_benders", "n_lagrangian", "n_intL")
-#: classical rounds before the first multiplier block
-BENDERS_CAP = 500
-#: multiplier rounds (safety cap)
-MAX_ROUNDS = 200
+#: master re-solves of the root loop (safety cap)
+MAX_ROUNDS = 700
 #: early stop: rounds in the window, and the share of the total bound
 #: gain the window must add to keep going
 EARLY_WINDOW = 5
@@ -204,9 +205,6 @@ def run_root_loop(
         pools = [ScenarioPool() for _ in range(inst.nscen)]
         iteration = 0
 
-        def out_of_time() -> bool:
-            return time.monotonic() - start >= cfg.time_limit
-
         def resolve() -> tuple[float, np.ndarray, np.ndarray]:
             nonlocal iteration
             iteration += 1
@@ -217,44 +215,31 @@ def run_root_loop(
             trace.record(out.objective, iteration, master.counts())
             return out.objective, x, theta
 
-        def classical_round(x, theta) -> bool:
-            cuts = [separate_classical(inst, s, x, theta[s]) for s in range(inst.nscen)]
-            added = [master.add_cut(c) for c in cuts if c is not None]
-            return any(added)
+        def add_round(separate) -> bool | None:
+            """Separate every scenario, then add the cuts in scenario
+            order; whether one was new. None, with no cut added, when
+            the deadline comes before a scenario."""
+            cuts = []
+            for s in range(inst.nscen):
+                if time.monotonic() - start >= cfg.time_limit:
+                    return None
+                cuts.append(separate(s))
+            return any([master.add_cut(c) for c in cuts if c is not None])
 
         bound, x, theta = resolve()
-        classical_clean = False
-        for _ in range(BENDERS_CAP):
-            if out_of_time():
-                trace.stop_reason = "time_limit"
-                return master, trace
-            if not classical_round(x, theta):
-                classical_clean = True
-                break
-            bound, x, theta = resolve()
-
-        if cfg.variant == "benders_only":
-            trace.stop_reason = "saturated" if classical_clean else "iteration_cap"
-            return master, trace
-
-        phase_bounds = [bound]
+        phase_bounds: list[float] = []  # from the first multiplier block on
         for _ in range(MAX_ROUNDS):
-            if out_of_time():
-                trace.stop_reason = "time_limit"
+            added = add_round(lambda s: separate_classical(inst, s, x, theta[s]))
+            if added is False and cfg.variant != "benders_only":
+                phase_bounds = phase_bounds or [bound]
+                added = add_round(
+                    lambda s: _multiplier_cut(inst, s, x, theta[s], master.cuts, pools[s], cfg)
+                )
+            if not added:
+                trace.stop_reason = "time_limit" if added is None else "saturated"
                 return master, trace
-            if classical_round(x, theta):
-                bound, x, theta = resolve()
-                phase_bounds.append(bound)
-            else:
-                new_cuts = [
-                    _multiplier_cut(inst, s, x, theta[s], master.cuts, pools[s], cfg)
-                    for s in range(inst.nscen)
-                ]
-                added = [master.add_cut(c) for c in new_cuts if c is not None]
-                if not any(added):
-                    trace.stop_reason = "saturated"
-                    return master, trace
-                bound, x, theta = resolve()
+            bound, x, theta = resolve()
+            if phase_bounds:
                 phase_bounds.append(bound)
             if cfg.early_stop and len(phase_bounds) > EARLY_WINDOW:
                 total = phase_bounds[-1] - phase_bounds[0]
@@ -371,20 +356,17 @@ def run_branch_and_cut(
     def on_integral(z, _value, _lb, _ub, upper):
         x, theta = z[:n], z[n:]
         xint = xy_round_first_stage(inst, x)
-        qvals = np.array([eval_recourse(inst, s, xint) for s in range(inst.nscen)])
         added = False
         for s in range(inst.nscen):
-            cut = separate_classical(inst, s, xint, theta[s])
-            if cut is not None and root.add_cut(cut):
-                added = True
-            if math.isfinite(qvals[s]):
-                cut = separate_integer_lshaped(
-                    inst, s, xint, theta[s], root.theta_lb[s], q_exact=qvals[s]
-                )
+            for cut in (
+                separate_classical(inst, s, xint, theta[s]),
+                separate_integer_lshaped(inst, s, xint, theta[s], root.theta_lb[s]),
+            ):
                 if cut is not None and root.add_cut(cut):
                     added = True
         if added:
             return optbase.RESOLVE
+        qvals = np.array([eval_recourse(inst, s, xint) for s in range(inst.nscen)])
         if np.all(np.isfinite(qvals)):
             cand = float(inst.c @ xint + inst.probs @ qvals)
             if cand < upper - 1e-12:

@@ -344,21 +344,12 @@ def recourse_relaxation(inst: SipInstance, s: int, x: np.ndarray) -> SolveOutcom
     answer is shared: read it, never change it. It keeps only what the
     classical cut and the recourse MIP's root node read: status,
     objective, duals, x, (basis, vstat), and the Farkas ray of an
-    infeasible LP. Inside a memo with warm starts, at a degenerate point,
-    its duals may be another optimal vertex than a cold solve's."""
-    return _relaxation(inst, s, first_stage_point(inst, x), None)
-
-
-def _relaxation(
-    inst: SipInstance, s: int, x: np.ndarray, prog: MipProgram | None
-) -> SolveOutcome:
-    """`recourse_relaxation` at a checked x; `prog` is its recourse
-    program when the caller built it already. Inside an `oracle_memo`
-    with warm starts, the LP starts from the last optimal basis of the
-    scenario's dual class and leaves its own there; a start that is not
-    dual feasible falls back to the cold solve in the kernel. At a
-    degenerate point the answer may then be another dual vertex than a
-    cold solve's."""
+    infeasible LP. Inside an `oracle_memo` with warm starts, the LP
+    starts from the last optimal basis of the scenario's dual class and
+    leaves its own there; a start that is not dual feasible falls back
+    to the cold solve in the kernel. At a degenerate point the answer
+    may then be another dual vertex than a cold solve's."""
+    x = first_stage_point(inst, x)
     memo = _open_memo
     if memo is None or memo.inst is not inst or not memo.warm_starts:
         memo = None
@@ -366,7 +357,7 @@ def _relaxation(
     def solve() -> SolveOutcome:
         key = memo.dual_classes[s] if memo is not None else None
         warm = memo.starts.get(key) if memo is not None else None
-        out = solve_lp(recourse_program(inst, s, x) if prog is None else prog, warm=warm)
+        out = solve_lp(recourse_program(inst, s, x), warm=warm)
         if memo is not None and out.basis is not None:
             memo.starts[key] = out.basis
         ray = out.ray if out.status == optbase.INFEASIBLE else None
@@ -384,7 +375,7 @@ def eval_recourse(inst: SipInstance, s: int, x: np.ndarray) -> float:
 def _recourse_value(inst: SipInstance, s: int, x: np.ndarray) -> float:
     prog = recourse_program(inst, s, x)
     # the shared relaxation is the MIP's root only while rounding keeps the box
-    root = _relaxation(inst, s, x, prog) if optbase.root_is_relaxation(prog) else None
+    root = recourse_relaxation(inst, s, x) if optbase.root_is_relaxation(prog) else None
     out = solve_mip(prog, root=root)
     if out.status == optbase.OPTIMAL:
         return float(out.objective)

@@ -140,9 +140,7 @@ def test_integer_lshaped_valid_everywhere_tight_at_anchor(seed):
         L = compute_theta_lower_bound(inst, s)
         assert L <= min(table[s]) + 1e-7
         for k, xh in enumerate(pts):
-            cut = separate_integer_lshaped(
-                inst, s, xh, theta_hat=L - 10.0, theta_lb=L, q_exact=table[s][k]
-            )
+            cut = separate_integer_lshaped(inst, s, xh, theta_hat=L - 10.0, theta_lb=L)
             if cut is None:
                 continue
             assert cut.slack(xh, table[s][k]) == pytest.approx(0.0, abs=1e-9)

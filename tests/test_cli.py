@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,3 +452,44 @@ def test_profile_trace_without_a_finite_bound_exits_2(tmp_path, capsys, points):
     code, kv, err = run_cli(capsys, ["profile", str(manifest), "--out", str(out)])
     assert code == 2 and "method 'b' for 'p1'" in err
     assert "profile" not in kv and not out.exists()
+
+
+#: README session keys compared as numbers (within 1e-6), and keys whose
+#: values vary from run to run
+README_NUMBERS = ("final_bound", "baseline_lp", "gap_closed", "objective")
+README_UNCHECKED = ("wall_time_s",)
+
+
+def _readme_session():
+    """The generate, root and solve commands of README's command-line
+    section, each with the key=value lines README shows under it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    session = []
+    for line in block.splitlines():
+        if line.startswith("sipcuts "):
+            session.append((line.split()[1:], {}))
+        elif line.startswith("# ") and "=" in line:
+            key, _, value = line[2:].partition("=")
+            session[-1][1].setdefault(key, []).append(value)
+    return [(argv, shown) for argv, shown in session if argv[0] in ("generate", "root", "solve")]
+
+
+def test_readme_session_prints_what_readme_shows(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    session = _readme_session()
+    assert [argv[0] for argv, _ in session] == ["generate", "root", "solve"]
+    shown_keys = {key for _, shown in session for key in shown}
+    assert {"final_bound", "baseline_lp", "stop", "n_benders", "n_lagrangian"} <= shown_keys
+    assert {"status", "objective", "nodes"} <= shown_keys
+    for argv, shown in session:
+        code, kv, err = run_cli(capsys, argv)
+        assert code == 0, err
+        for key, values in shown.items():
+            if key in README_UNCHECKED:
+                continue
+            if key in README_NUMBERS:
+                got = [float(v) for v in kv[key]]
+                assert got == pytest.approx([float(v) for v in values], abs=1e-6), key
+            else:
+                assert kv[key] == values, key

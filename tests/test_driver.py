@@ -4,6 +4,7 @@ import math
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -197,6 +198,66 @@ def test_root_time_limit_zero_stops_immediately():
     _, trace = run_root_loop(inst, VariantConfig(variant="exact", time_limit=0.0))
     assert trace.stop_reason == "time_limit"
     assert len(trace.records) == 1
+
+
+@pytest.mark.parametrize(
+    "inst,limit",
+    [
+        (gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3)), 5.5),
+        (gen_sslp(SslpParams(3, 5, 3, seed=7)), 7.5),
+    ],
+    ids=["snip", "sslp"],
+)
+def test_root_deadline_is_checked_between_scenarios(monkeypatch, inst, limit):
+    # a fake clock that advances one second per scenario separation
+    now = [0.0]
+    starts = []
+
+    def ticking(fn):
+        def separate(*args):
+            starts.append(now[0])
+            now[0] += 1.0
+            return fn(*args)
+
+        return separate
+
+    monkeypatch.setattr(driver, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(driver, "separate_classical", ticking(driver.separate_classical))
+    monkeypatch.setattr(driver, "_multiplier_cut", ticking(driver._multiplier_cut))
+    master, trace = run_root_loop(
+        inst, VariantConfig(variant="exact", time_limit=limit, early_stop=False)
+    )
+    assert trace.stop_reason == "time_limit"
+    assert max(starts) < limit
+    last, counts = trace.records[-1], master.counts()
+    assert (last.n_benders, last.n_lagrangian, last.n_intl) == (
+        counts.get("benders", 0),
+        counts.get("lagrangian", 0),
+        counts.get("integer_lshaped", 0),
+    )
+
+
+@pytest.mark.parametrize(
+    "inst,variant",
+    [
+        (gen_sslp(SslpParams(3, 5, 3, seed=7)), "span_mip"),
+        (gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3)), "exact"),
+    ],
+    ids=["sslp-span_mip", "snip-exact"],
+)
+def test_root_loop_separates_no_point_twice(monkeypatch, inst, variant):
+    # the multiplier block runs at the point where the classical cuts ran dry
+    seen = []
+    real = driver.separate_classical
+
+    def recording(inst, s, x, theta_s):
+        seen.append((s, np.asarray(x).tobytes(), float(theta_s)))
+        return real(inst, s, x, theta_s)
+
+    monkeypatch.setattr(driver, "separate_classical", recording)
+    _, trace = run_root_loop(inst, VariantConfig(variant=variant, early_stop=False))
+    assert trace.stop_reason == "saturated"
+    assert len(seen) == len(set(seen))
 
 
 def test_root_unbounded_master_raises_and_keeps_the_trace():
