@@ -64,11 +64,14 @@ When no column qualifies, the signed row of the basis inverse is a
 Farkas certificate. Once the basis is primal feasible, primal phase 2
 confirms optimality. This is dual re-optimization after a bound change
 or a new row, as in branch and bound and cutting-plane loops. A start
-that is not dual feasible, is singular, or ends in numerical trouble
-makes the attempt report status 4. `solve_dense` then runs the cold
-attempts, so a warm start never changes which problems are solved. A
-warm start carries no artificial columns: they would sit at 0 and never
-be priced.
+that is not dual feasible but primal feasible (every basic value within
+FEASTOL of its bounds) goes to primal phase 2 directly: primal
+re-optimization after an objective change, as when the qbar oracle asks
+a scenario's MIP again under new multipliers. A start that is neither,
+is singular, or ends in numerical trouble makes the attempt report
+status 4. `solve_dense` then runs the cold attempts, so a warm start
+never changes which problems are solved. A warm start carries no
+artificial columns: they would sit at 0 and never be priced.
 
 What depends on the program alone is built by `prepare`: A, b and sense
 as the core takes them, the structural columns WT = A' and the slack
@@ -385,11 +388,17 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     if warm:
         y = btran(cost[basis])
         d = cost - prices(y)
-        if (sgn * d < -_TOL_DFEAS).any() or (nfree > 0 and (np.abs(d[free]) > _TOL_DFEAS).any()):
-            return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
-        # bounded dual simplex until the basic values fit their bounds;
-        # primal phase 2 below then confirms optimality
-        while True:
+        dual_ok = not (sgn * d < -_TOL_DFEAS).any()
+        if dual_ok and nfree > 0:
+            dual_ok = not (np.abs(d[free]) > _TOL_DFEAS).any()
+        if not dual_ok:
+            xb = x[basis]
+            if np.maximum(lob - xb, xb - hib).max() > FEASTOL:
+                return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
+        # a dual feasible start: bounded dual simplex until the basic values
+        # fit their bounds; primal phase 2 below then confirms optimality.
+        # A primal feasible one goes to primal phase 2 directly.
+        while dual_ok:
             refactor()
             xb = x[basis]
             viol = np.maximum(lob - xb, xb - hib)
@@ -674,10 +683,10 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
 
     `warm` is an optional (basis, vstat) pair returned by an earlier solve
     of the same columns with the same or fewer leading rows. It is tried
-    first; if it is not dual feasible or the attempt fails, the cold
-    attempts follow. A run that ends in numerical trouble is retried on an
-    equilibrated copy of the data with more frequent basis
-    refactorization; solutions, duals, and rays are mapped back to the
+    first; if it is neither dual nor primal feasible or the attempt
+    fails, the cold attempts follow. A run that ends in numerical
+    trouble is retried on an equilibrated copy of the data with more
+    frequent basis refactorization; solutions, duals, and rays are mapped back to the
     original scaling. Infeasible and unbounded exits are only accepted
     when their certificates check out against the original data.
 

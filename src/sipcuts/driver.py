@@ -37,6 +37,8 @@ their memo with warm starts: each scenario LP relaxation starts from
 the last optimal basis of scenarios with the same q, W and bounds. The
 multiplier root loops keep those LPs cold, since another dual vertex at
 a degenerate point changes the classical cuts and the span they search.
+In every memo each qbar MIP's root LP starts from the last one of its
+scenario class; its value stays exact.
 """
 
 from __future__ import annotations

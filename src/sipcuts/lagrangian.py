@@ -22,10 +22,11 @@ with pi0 >= 0 throughout; V stacks reference coefficient vectors.
 `eval_qbar` answers through the oracle memo of `model`: within one root
 loop or branch-and-cut, a question (scenario class, pi, pi0) asked again,
 by the same scenario or an identical one, replays the first solve's
-incumbents into the asking scenario's pool instead of solving the MIP.
-Within one separation the master is re-solved only after its pool
-changed (`ScenarioPool.version`) or, for the trust-region master, its
-region moved.
+incumbents into the asking scenario's pool instead of solving the MIP,
+and a MIP it does solve starts its root LP from the last qbar root basis
+of the scenario's class. Within one separation the master is re-solved
+only after its pool changed (`ScenarioPool.version`) or, for the
+trust-region master, its region moved.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .model import (
     eval_recourse,
     joint_scenario_program,
     memo_answer,
+    solve_from_start,
 )
 from .optbase import GE, LE, LinearProgram, solve_lp, solve_mip
 
@@ -133,10 +135,16 @@ def _qbar(inst: SipInstance, s: int, pi: np.ndarray, pi0: float):
     The tree branches on a fractional first-stage column before any
     recourse column: a fractional x can buy recourse capacity (an SSLP
     server at 0.5 serves half a client), which keeps the LP bound far
-    below the optimum until x is integral."""
+    below the optimum until x is integral.
+
+    Inside an open oracle memo the root LP starts from the root basis of
+    the class's last qbar MIP: only the objective differs, so that basis
+    is primal feasible and the kernel goes to primal phase 2 with it."""
     scen = inst.scenarios[s]
     n = inst.nx
-    out = solve_mip(joint_scenario_program(inst, s, pi, pi0 * scen.q), first=np.arange(n))
+    prog = joint_scenario_program(inst, s, pi, pi0 * scen.q)
+    first = np.arange(n)
+    out = solve_from_start(inst, "qbar", s, lambda warm: solve_mip(prog, first=first, warm=warm))
     if out.status == optbase.UNBOUNDED:
         raise InstanceError(f"scenario {s} weighted value is unbounded for pi0={pi0!r}")
     if out.status != optbase.OPTIMAL:

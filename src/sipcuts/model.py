@@ -39,7 +39,20 @@ dual feasible and the dual simplex repairs its primal side in a few
 pivots. The value is a cold solve's up to rounding, but at a degenerate
 point the shared answer may be another dual vertex than a cold solve
 would return, so the cut and the root node built from it may differ.
-The starts die with the memo, so consecutive solves do the same work.
+
+Every open memo, with `warm_starts` or not, also keeps per scenario
+class the root (basis, vstat) of the last qbar MIP it solved, and
+`lagrangian` starts the class's next qbar root from it
+(`solve_from_start`). Between two such MIPs only the objective
+(pi, pi0 q) changes, so the basis is primal feasible and the kernel
+goes to primal phase 2 with it: MIP reoptimization (Gamrath, Hiller &
+Witzig 2015). The oracle value stays exact; the optimizer and
+incumbents may be other optima than a cold solve's. The key is the
+scenario class, not a class of equal W, h and T: SNIP's scenarios share
+those, and at pi0 = 0, where y has no cost, a start from another q
+keeps that scenario's y, whose recourse cost loosens the pool. All
+starts, one dict keyed by (oracle, class), die with the memo, so
+consecutive solves do the same work.
 """
 
 from __future__ import annotations
@@ -274,8 +287,9 @@ class _OracleMemo:
         self.answers: dict = {}
         self.warm_starts = warm_starts
         self.dual_classes = dual_classes(inst)
-        #: dual class -> (basis, vstat) of the last optimal relaxation solved
-        self.starts: dict[int, tuple] = {}
+        #: (oracle, class) -> (basis, vstat) of the oracle's last optimal LP
+        #: of that class: the relaxation by dual class, qbar by scenario class
+        self.starts: dict[tuple, tuple] = {}
 
 
 _open_memo: _OracleMemo | None = None
@@ -290,7 +304,8 @@ def oracle_memo(inst: SipInstance, warm_starts: bool = False):
 
     With `warm_starts`, each scenario LP relaxation the memo solves
     starts from the last optimal basis of its dual class
-    (`dual_classes`), the bunching of the L-shaped method."""
+    (`dual_classes`), the bunching of the L-shaped method. Each qbar
+    MIP's root starts from its scenario class's last one either way."""
     global _open_memo
     if _open_memo is not None and _open_memo.inst is inst:
         yield
@@ -313,6 +328,23 @@ def memo_answer(inst: SipInstance, oracle: str, s: int, point: bytes, solve):
     if key not in memo.answers:
         memo.answers[key] = solve()
     return memo.answers[key]
+
+
+def solve_from_start(inst: SipInstance, oracle: str, s: int, solve) -> SolveOutcome:
+    """`solve(warm)`, `warm` being the start the open `oracle_memo` for
+    `inst` keeps for (oracle, class of scenario s), or None without one;
+    the outcome's `basis`, when it has one, becomes that class's next
+    start. The relaxation keys by dual class, other oracles by scenario
+    class."""
+    memo = _open_memo
+    if memo is None or memo.inst is not inst:
+        return solve(None)
+    classes = memo.dual_classes if oracle == "relaxation" else memo.classes
+    key = (oracle, classes[s])
+    out = solve(memo.starts.get(key))
+    if out.basis is not None:
+        memo.starts[key] = out.basis
+    return out
 
 
 def first_stage_point(inst: SipInstance, x: np.ndarray) -> np.ndarray:
@@ -346,20 +378,19 @@ def recourse_relaxation(inst: SipInstance, s: int, x: np.ndarray) -> SolveOutcom
     objective, duals, x, (basis, vstat), and the Farkas ray of an
     infeasible LP. Inside an `oracle_memo` with warm starts, the LP
     starts from the last optimal basis of the scenario's dual class and
-    leaves its own there; a start that is not dual feasible falls back
-    to the cold solve in the kernel. At a degenerate point the answer
-    may then be another dual vertex than a cold solve's."""
+    leaves its own there; a start the kernel cannot use falls back to
+    the cold solve. At a degenerate point the answer may then be another
+    dual vertex than a cold solve's."""
     x = first_stage_point(inst, x)
     memo = _open_memo
-    if memo is None or memo.inst is not inst or not memo.warm_starts:
-        memo = None
+    warm = memo is not None and memo.inst is inst and memo.warm_starts
 
     def solve() -> SolveOutcome:
-        key = memo.dual_classes[s] if memo is not None else None
-        warm = memo.starts.get(key) if memo is not None else None
-        out = solve_lp(recourse_program(inst, s, x), warm=warm)
-        if memo is not None and out.basis is not None:
-            memo.starts[key] = out.basis
+        prog = recourse_program(inst, s, x)
+        if warm:
+            out = solve_from_start(inst, "relaxation", s, lambda start: solve_lp(prog, warm=start))
+        else:
+            out = solve_lp(prog)
         ray = out.ray if out.status == optbase.INFEASIBLE else None
         return SolveOutcome(out.status, out.x, out.objective, out.duals, ray, basis=out.basis)
 

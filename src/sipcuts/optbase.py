@@ -13,11 +13,14 @@ Nodes branch on the most fractional integer column; a caller may name
 columns to branch on first (the qbar oracle names the first stage).
 
 The root starts the kernel from the caller's basis when one is given
-(branch-and-cut passes the root loop's last master basis). `solve_mip`
-takes the root node's LP already solved as `root`, the outcome of
-`solve_lp` on the same program (the exact recourse value passes the
-Benders subproblem's LP); it ignores it when rounding the integer
-columns' bounds changes their values. Every later
+(branch-and-cut passes the root loop's last master basis; the qbar
+oracle passes the scenario's last oracle root basis as `solve_mip`'s
+`warm`, which stays primal feasible when only the objective changed,
+and `solve_mip` returns its root LP's final basis for the next call).
+`solve_mip` takes the root node's LP already solved as `root`, the
+outcome of `solve_lp` on the same program (the exact recourse value
+passes the Benders subproblem's LP); it ignores it when rounding the
+integer columns' bounds changes their values. Every later
 node starts from its parent's final basis (dual simplex after the bound
 change), and a branch-and-cut node solved again after lazy cuts starts
 from its own basis. This stays deterministic: identical inputs give
@@ -140,9 +143,10 @@ class SolveOutcome:
     bound: float | None = None
     incumbent_pool: list = field(default_factory=list)
     node_count: int = 0
-    # final (basis, vstat) of an optimal LP, a warm start for a later solve;
-    # the basis inverse that `solve_mip`'s nodes hand their children as a
-    # third element stays inside the tree
+    # final (basis, vstat) of an optimal LP, a warm start for a later solve:
+    # `solve_lp`'s LP, or `solve_mip`'s root LP. The basis inverse that
+    # `solve_mip`'s nodes hand their children as a third element stays
+    # inside the tree
     basis: tuple | None = None
 
 
@@ -280,6 +284,7 @@ def solve_mip(
     time_limit: float = math.inf,
     first=None,
     root: SolveOutcome | None = None,
+    warm=None,
 ) -> SolveOutcome:
     """`best_bound_search` on the simplex kernel.
 
@@ -294,6 +299,11 @@ def solve_mip(
     It is ignored, and the root solved here, when `root_is_relaxation`
     is false (rounding the integer columns' bounds made the root node
     another LP) or when its status is "limit".
+
+    `warm` is a (basis, vstat) pair the root LP's kernel solve starts
+    from, the `basis` of an earlier outcome on the same columns and
+    rows; a `root` in use takes precedence. The outcome's `basis` is
+    the root LP's final (basis, vstat) when that LP ended optimal.
     """
     sign = -1.0 if prog.maximize else 1.0
     c = sign * prog.c
@@ -308,11 +318,13 @@ def solve_mip(
     prep = None  # one kernel set-up for the whole tree, made at its first LP
     if root is not None and (root.status == LIMIT or not root_is_relaxation(prog)):
         root = None
+    root_basis = []  # the root LP's final (basis, vstat), once it is solved
 
     def relax(lb, ub, warm):
         nonlocal root, prep
         if root is not None:  # the root node, solved by the caller
             out, root = root, None
+            root_basis.append(out.basis)
             # the value as the kernel computes it: minimizing
             value = float(c @ out.x) if out.status == OPTIMAL else 0.0
             return out.status, value, out.x, out.basis
@@ -323,6 +335,8 @@ def solve_mip(
         )
         if status == _simplex.NUMERIC or status == _simplex.ITER_LIMIT:
             raise KernelError("simplex failure inside branch and bound")
+        if not root_basis:
+            root_basis.append(None if basis is None else basis[:2])
         return (OPTIMAL, INFEASIBLE, UNBOUNDED)[status], obj, x, basis
 
     def closed(bound, inc_val):
@@ -344,9 +358,11 @@ def solve_mip(
         return None
 
     status, inc, inc_val, bound, nodes = best_bound_search(
-        lb0, ub0, int_idx, relax, closed, on_integral, node_limit, time_limit, first=first
+        lb0, ub0, int_idx, relax, closed, on_integral, node_limit, time_limit, warm, first
     )
     out = SolveOutcome(status=status, node_count=nodes)
+    if root_basis:
+        out.basis = root_basis[0]
     if inc is not None:
         out.x = inc
         out.objective = sign * inc_val

@@ -44,10 +44,10 @@ def test_generate_sslp_writes_deterministic_files(tmp_path, capsys):
     assert kv["count"] == ["2"]
     files = kv["file"]
     assert len(files) == 2 and files[0].endswith("sslp1-2-3-2.sip")
-    first = [open(f, "rb").read() for f in files]
+    first = [Path(f).read_bytes() for f in files]
     code, kv, _ = run_cli(capsys, argv)
     assert code == 0
-    assert [open(f, "rb").read() for f in kv["file"]] == first
+    assert [Path(f).read_bytes() for f in kv["file"]] == first
 
 
 def test_generate_snip_one_file_per_budget(tmp_path, capsys):
@@ -153,7 +153,7 @@ def test_root_unbounded_master_exits_3_and_writes_the_trace(tmp_path, capsys):
     code, kv, err = run_cli(capsys, ["root", str(path), "--out", str(tmp_path / "runs")])
     assert code == 3 and "cut master is unbounded" in err
     assert kv["status"] == ["solver_failure"]
-    lines = open(kv["trace"][0]).read().strip().splitlines()
+    lines = Path(kv["trace"][0]).read_text().strip().splitlines()
     assert lines == ["time_s,lower_bound,iter,n_benders,n_lagrangian,n_intL"]
 
 
@@ -178,7 +178,7 @@ def test_root_toy_exact_reports_closure(tmp_path, t1_file, capsys):
     assert float(kv["gap_closed"][0]) == pytest.approx(0.0, abs=1e-9)
     assert kv["stop"] == ["saturated"]
     trace = kv["trace"][0]
-    lines = open(trace).read().strip().splitlines()
+    lines = Path(trace).read_text().strip().splitlines()
     assert lines[0] == "time_s,lower_bound,iter,n_benders,n_lagrangian,n_intL"
     assert len(lines) >= 2
 
@@ -213,7 +213,7 @@ def test_root_baseline_failure_still_writes_the_trace(tmp_path, t1_file, capsys,
     )
     assert code == 3 and "error=" in err
     assert kv["status"] == ["solver_failure"]
-    lines = open(kv["trace"][0]).read().strip().splitlines()
+    lines = Path(kv["trace"][0]).read_text().strip().splitlines()
     assert lines[0] == "time_s,lower_bound,iter,n_benders,n_lagrangian,n_intL"
     assert len(lines) >= 2, "the root loop's records are kept"
 
@@ -342,7 +342,7 @@ def test_profile_from_manifest(tmp_path, capsys):
     )
     assert code == 0
     assert len(kv["profile"]) == 2
-    lines = open(kv["profile"][0]).read().strip().splitlines()
+    lines = Path(kv["profile"][0]).read_text().strip().splitlines()
     assert lines[0] == "time_s,fast,slow"
     # fast reaches 7.5 (=0.75*10) at t=1, slow at t=2
     rows = [ln.split(",") for ln in lines[1:]]

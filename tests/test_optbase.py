@@ -611,6 +611,43 @@ def test_mip_from_a_solved_root_matches_the_cold_tree(monkeypatch):
             assert np.array_equal(xa, xb) and va == vb
 
 
+def test_mip_hands_out_its_root_basis_and_starts_from_a_warm_one(core_calls):
+    starts = 0
+    for seed in range(40):
+        mip = _random_mip(seed)
+        if not optbase.root_is_relaxation(mip):
+            continue
+        out = solve_mip(mip)
+        root = solve_lp(mip)
+        assert (out.basis is None) == (root.basis is None)
+        if out.basis is None:
+            continue
+        assert len(out.basis) == 2, "the inverse stays inside the tree"
+        for a, b in zip(out.basis, root.basis):
+            assert np.array_equal(a, b)
+        # the root basis stays primal feasible under another objective
+        flipped = MipProgram(
+            c=-mip.c,
+            A=mip.A.to_dense(),
+            senses=mip.senses,
+            rhs=mip.rhs,
+            lb=mip.lb,
+            ub=mip.ub,
+            is_int=mip.is_int,
+        )
+        cold = solve_mip(flipped)
+        del core_calls[:]
+        warm = solve_mip(flipped, warm=out.basis)
+        assert len(core_calls) == warm.node_count, "every node LP is one kernel attempt"
+        assert warm.status == cold.status
+        if cold.status == OPTIMAL:
+            assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+        # a solved root takes precedence over the warm start
+        assert solve_mip(mip, root=root, warm=warm.basis).basis is root.basis
+        starts += 1
+    assert starts >= 10
+
+
 def test_mip_ignores_a_root_whose_box_rounds():
     mip = _random_mip(17)
     wrong = optbase.SolveOutcome(status=INFEASIBLE)
@@ -866,13 +903,37 @@ def _same_output(a, b):
 
 
 @pytest.mark.parametrize("rows", [None, MASTER], ids=["small", "master"])
-def test_warm_start_not_dual_feasible_falls_back_to_cold(rows, core_calls):
+def test_warm_start_primal_feasible_only_runs_primal_phase_2(rows, core_calls):
+    # the parent's optimal basis stays primal feasible under the flipped
+    # objective, and is not dual feasible there
     lp, _ = _bounded_lp(3, rows)
     parent = _kernel(lp)
     flipped = _lp(-lp.c, lp.A.to_dense(), lp.senses, lp.rhs, lp.lb, lp.ub)
+    cold = _kernel(flipped)
+    del core_calls[:]
+    out = solve_lp(flipped, warm=parent[6])
+    assert len(core_calls) == 1, "the warm attempt was accepted"
+    assert out.status == OPTIMAL
+    assert abs(out.objective - cold[2]) <= 1e-9 * (1.0 + abs(cold[2]))
+    _check_dual_certificate(flipped, out)
+
+
+@pytest.mark.parametrize("rows", [None, MASTER], ids=["small", "master"])
+def test_warm_start_neither_primal_nor_dual_feasible_falls_back_to_cold(rows, core_calls):
+    lp, _ = _bounded_lp(3, rows)
+    parent = _kernel(lp)
+    basis, x = parent[6][0], parent[1]
+    # push the basic slack of an inequality row 0.5 past its bound: only
+    # that basic value moves, so the start is primal infeasible as well
+    act = lp.A.to_dense() @ x
+    slack = [j - lp.nvars for j in basis if j >= lp.nvars]
+    r = next(r for r in slack if lp.senses[r] != EQ and abs(act[r] - lp.rhs[r]) > 1e-6)
+    rhs = lp.rhs.copy()
+    rhs[r] = act[r] - 0.5 if lp.senses[r] == LE else act[r] + 0.5
+    flipped = _lp(-lp.c, lp.A.to_dense(), lp.senses, rhs, lp.lb, lp.ub)
     del core_calls[:]
     cold = _kernel(flipped)
-    assert len(core_calls) == 1
+    assert len(core_calls) == 1 and cold[0] == 0
     del core_calls[:]
     warm = _kernel(flipped, warm=parent[6])
     assert len(core_calls) == 2

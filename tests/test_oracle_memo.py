@@ -372,3 +372,109 @@ def test_dual_classes_ignore_the_right_hand_side(snip):
     assert model.dual_classes(inst) == [0, 0, 0]
     assert scenario_classes(inst) == [0, 1, 2]
     assert model.dual_classes(snip) == scenario_classes(snip) == [0, 0, 2, 0]
+
+
+# ------------------------------------------------- warm-started qbar roots
+
+
+def _qbar_answers(monkeypatch):
+    """(s, pi, pi0, value, incumbents) of every qbar MIP solved."""
+    answers = []
+    qbar = lagrangian._qbar
+
+    def recording(inst, s, pi, pi0):
+        out = qbar(inst, s, pi, pi0)
+        answers.append((s, pi.copy(), pi0, out[0], out[2]))
+        return out
+
+    monkeypatch.setattr(lagrangian, "_qbar", recording)
+    return answers
+
+
+def _in_first_stage(inst, x):
+    integral = (np.abs(x - np.round(x)) <= 1e-9) | (inst.vtype == CONT)
+    return (
+        np.all(inst.A @ x >= inst.b - 1e-7)
+        and np.all(x >= inst.lb - 1e-9)
+        and np.all(x <= inst.ub + 1e-9)
+        and np.all(integral)
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3)),
+        lambda: gen_sslp(SslpParams(3, 5, 3, seed=7)),
+    ],
+    ids=["snip", "sslp"],
+)
+def test_warm_qbar_values_match_cold_solves_and_every_pool_point_is_feasible(
+    make, monkeypatch
+):
+    inst = make()
+    answers = _qbar_answers(monkeypatch)
+    pools = []
+
+    def pool():
+        pools.append(ScenarioPool())
+        return pools[-1]
+
+    monkeypatch.setattr(driver, "ScenarioPool", pool)
+    run_root_loop(inst, VariantConfig(variant="exact", delta=0.0, early_stop=False))
+    monkeypatch.undo()
+    assert len(answers) >= 5 and len(pools) == inst.nscen
+    for s, pi, pi0, value, _ in answers:  # no memo is open: cold solves
+        cold = lagrangian._qbar(inst, s, pi, pi0)[0]
+        assert abs(value - cold) <= 1e-9 * (1.0 + abs(cold)), (s, value, cold)
+    points = [(s, x, th) for s, _, _, _, inc in answers for x, th in inc]
+    for s, p in enumerate(pools):
+        points += [(s, x, th) for x, th in zip(*p.arrays())]
+    for s, x, theta in points:
+        assert _in_first_stage(inst, x)
+        q = model.eval_recourse(inst, s, x)
+        assert theta >= q - 1e-9 * (1.0 + abs(theta)), (s, theta, q)
+
+
+def test_scenarios_that_differ_in_q_alone_never_share_a_qbar_start(snip, monkeypatch):
+    # scenario 2 has the other scenarios' W, h, T and bounds, and its own q
+    assert model._classes(snip, ("W", "h", "T", "lb", "ub", "vtype")) == [0, 0, 0, 0]
+    classes = scenario_classes(snip)
+    assert classes == [0, 0, 2, 0]
+    asked = []
+    made = lagrangian.joint_scenario_program
+
+    def program(inst, s, *args):
+        asked.append(s)
+        return made(inst, s, *args)
+
+    solves = []  # (class, warm, outcome) of every qbar MIP
+    solve = lagrangian.solve_mip
+
+    def recording(prog, *args, warm=None, **kwargs):
+        out = solve(prog, *args, warm=warm, **kwargs)
+        solves.append((classes[asked[-1]], warm, out))
+        return out
+
+    monkeypatch.setattr(lagrangian, "joint_scenario_program", program)
+    monkeypatch.setattr(lagrangian, "solve_mip", recording)
+    run_root_loop(snip, VariantConfig(variant="exact", delta=0.0, early_stop=False))
+    warm_classes = set()
+    for k, (cls, warm, _) in enumerate(solves):
+        if warm is None:
+            continue
+        maker = [c for c, _, out in solves[:k] if out.basis is warm]
+        assert maker and maker[-1] == cls
+        warm_classes.add(cls)
+    assert warm_classes == {0, 2}
+
+
+def test_consecutive_lbc_solves_make_the_same_kernel_calls(monkeypatch):
+    inst = gen_sslp(SslpParams(3, 5, 3, seed=7))
+    digests = _kernel_outputs(monkeypatch)
+    runs = []
+    for _ in range(2):
+        digests.clear()
+        res, _ = driver.solve_lbc(inst)
+        runs.append((list(digests), res.node_count, repr(res.objective)))
+    assert runs[0] == runs[1] and runs[0][0]
