@@ -15,9 +15,10 @@ basic artificials, is the one exchange step `pivot` of `_lp_core`,
 after the site's own ratio test; it updates the inverse in place.
 `_basis_inverse`, numpy's dense inverse of the basis matrix, computes it
 afresh at a warm start unless the start brings the inverse of its own
-basis (see below), every 64 pivots, and at the optimal exit. An
-entering slack's column of the inverse is read out of it, not
-multiplied out.
+basis (see below), every 64 pivots, and at the optimal exit unless no
+pivot has changed the basis since the inverse was made that way or
+copied from the start: it would be the same bits. An entering slack's
+column of the inverse is read out of it, not multiplied out.
 
 From 200 rows the core forms no m x m matrix. It keeps the basis in that
 block form (`_block_factors`): the k x k block's inverse, the structural
@@ -27,14 +28,16 @@ the factors of the new basis afresh, in O(k^3 + mk): at these k,
 inverting the block again costs about as much as updating it would. The
 factors are thus always those of the current basis, and the periodic
 refactorization and the optimal exit only recompute the basic values.
-Branch-and-cut masters grow past the cutoff as lazy cuts pile up, on an
-SSLP master to 508 rows with at most 18 structural columns. The cutoff
-follows what the duals feed. The cut loops build their cuts from the
-root-loop master's duals, and on the SSLP(5,10,5) Lagrangian root the
-block form's different last digits changed which cuts entered and slowed
-the loop; no root-loop master of the benchmark workloads reaches 200
-rows (the largest has 157), so their solves keep the dense inverse's
-bits.
+Branch-and-cut node LPs carry only their active cuts
+(`driver.run_branch_and_cut`), so no LP of the benchmark workloads or
+the seed panel reaches the cutoff: the largest has 167 rows, a
+root-loop master, and the largest node LP 116. The block form serves
+larger instances, whose masters grow past it with few structural
+columns. The cutoff follows what the duals feed. The cut loops build
+their cuts from the root-loop master's duals, and on the SSLP(5,10,5)
+Lagrangian root the block form's different last digits changed which
+cuts entered and slowed the loop, so root-loop masters under 200 rows
+keep the dense inverse's bits.
 
 Cold start: two-phase primal simplex from the slack/artificial basis;
 phase 1 minimizes the artificial sum. Entering variable: Dantzig rule,
@@ -194,6 +197,10 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
     # closures below read either
     block = m >= _BLOCK_FINAL_MIN_ROWS
     Binv = fac = None
+    # Binv is `_basis_inverse` of the current basis, or a copy of the
+    # start's own, with no pivot since; the cold start's diag(asig) is
+    # not, since numpy's inverse may give its zeros another sign
+    exact_inv = False
     # columns [structural | slack | artificial] of A x + slack = b: WT[j]
     # for j < n, the unit vector of row r for slack n + r, and that vector
     # times asig[r] for artificial nb + r, which only a cold start has
@@ -324,6 +331,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
             Binv = Binv0.copy()
         else:
             Binv = _basis_inverse(WT, basis, asig)
+        exact_inv = not block
         basic_values()
         if np.abs(lhs() - b).max() > 1e-6 * (1.0 + np.abs(b).max()):  # near singular
             return NUMERIC, x[:n].copy(), 0.0, y, ray, it, basis, vstat[:nb].copy(), None
@@ -350,18 +358,20 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         basic values afresh, and below _BLOCK_FINAL_MIN_ROWS rows the
         dense inverse too; the block form's factors are always made from
         the current basis."""
-        nonlocal Binv, since_refactor
+        nonlocal Binv, exact_inv, since_refactor
         if since_refactor >= refactor_every:
             if not block:
                 Binv = None  # free the old inverse first
                 Binv = _basis_inverse(WT, basis, asig)
+                exact_inv = True
             basic_values()
             since_refactor = 0
 
     def pivot(leave, e, u, low):
         """Column e, u = column(e), takes basis position `leave`, whose
         variable goes to its lower bound if `low`, else to its upper."""
-        nonlocal Binv, fac, nfree, since_refactor
+        nonlocal Binv, exact_inv, fac, nfree, since_refactor
+        exact_inv = False
         lv = basis[leave]
         x[lv] = lo[lv] if low else hi[lv]
         vstat[lv] = 1 if low else 2
@@ -543,7 +553,7 @@ def _lp_core(WT, b, sense, c, lb, ub, slo, shi, itmax, refactor_every, start):
         pivot(leave, e, u, du[leave] > 0.0)
 
     if status == OPTIMAL and m > 0:
-        if not block:
+        if not exact_inv and not block:
             Binv = None  # free the old inverse first
             Binv = _basis_inverse(WT, basis, asig)
         basic_values()

@@ -55,9 +55,11 @@ class Cut:
 
 
 def _cut_key(cut: Cut):
+    # + 0.0 turns the -0.0 that rounding leaves into +0.0, so equal cuts
+    # have equal bytes
     return (
         cut.scenario,
-        np.round(cut.coef_x, 12).tobytes(),
+        (np.round(cut.coef_x, 12) + 0.0).tobytes(),
         round(cut.coef_theta, 12),
         round(cut.rhs, 12),
     )
@@ -65,15 +67,26 @@ def _cut_key(cut: Cut):
 
 @dataclass
 class MasterModel:
-    """First-stage program plus accumulated cuts."""
+    """First-stage program plus a pool of cuts.
+
+    The pool is the matrix G, one row g' + g0 e_s' over (x, theta) per
+    cut, and its right-hand sides, in the order `add_cut` accepted the
+    cuts; `cuts` lists the same cuts as `Cut` objects. A master program
+    holds the first-stage rows and then pool rows: all of them in the
+    root loop, whose duals feed the cuts, and in branch-and-cut the
+    subset a node LP carries."""
 
     inst: SipInstance
     theta_lb: np.ndarray
-    cuts: list[Cut] = field(default_factory=list)
-    _seen: set = field(default_factory=set)
-    #: final (basis, vstat) of the root loop's last master solve; cuts
-    #: only append rows, so it still starts the branch-and-cut root
+    cuts: list[Cut] = field(default_factory=list, init=False)
+    _seen: set = field(default_factory=set, init=False)
+    #: final (basis, vstat) of the root loop's last master solve;
+    #: restricted to the cuts tight there, it starts the branch-and-cut root
     basis: tuple | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        self._G = np.zeros((0, self.inst.nx + self.inst.nscen))
+        self._rhs = np.zeros(0)
 
     def add_cut(self, cut: Cut) -> bool:
         """Append the cut unless an identical one is already present."""
@@ -81,8 +94,21 @@ class MasterModel:
         if key in self._seen:
             return False
         self._seen.add(key)
+        k, n = len(self.cuts), self.inst.nx
+        if k == self._rhs.size:  # double the capacity
+            grow = max(k, 16)
+            self._G = np.concatenate([self._G, np.zeros((grow, self._G.shape[1]))])
+            self._rhs = np.concatenate([self._rhs, np.zeros(grow)])
+        self._G[k, :n] = cut.coef_x
+        self._G[k, n + cut.scenario] = cut.coef_theta
+        self._rhs[k] = cut.rhs
         self.cuts.append(cut)
         return True
+
+    def pool(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pool (G, rhs): cut i is G[i] @ (x, theta) >= rhs[i]."""
+        k = len(self.cuts)
+        return self._G[:k], self._rhs[:k]
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -91,33 +117,37 @@ class MasterModel:
         return out
 
     def build_program(
-        self, lb: np.ndarray | None = None, ub: np.ndarray | None = None
+        self, lb: np.ndarray | None = None, ub: np.ndarray | None = None, rows=None
     ) -> LinearProgram:
-        """Master LP over (x, theta); optional first-stage bound overrides."""
+        """Master LP over (x, theta): the first-stage rows, then the pool
+        rows `rows` (indices, in that order; None: every cut in pool
+        order); optional first-stage bound overrides."""
         inst = self.inst
+        G, rhs = self.pool()
+        if rows is not None:
+            G, rhs = G[rows], rhs[rows]
         n, m = inst.nx, inst.A.shape[0]
-        A = np.zeros((m + len(self.cuts), n + inst.nscen))
+        A = np.zeros((m + rhs.size, n + inst.nscen))
         A[:m, :n] = inst.A
-        for i, cut in enumerate(self.cuts, start=m):
-            A[i, :n] = cut.coef_x
-            A[i, n + cut.scenario] = cut.coef_theta
+        A[m:] = G
         xlb = inst.lb if lb is None else np.asarray(lb, dtype=np.float64)
         xub = inst.ub if ub is None else np.asarray(ub, dtype=np.float64)
         return LinearProgram(
             c=np.concatenate([inst.c, inst.probs]),
             A=A,
             senses=np.full(A.shape[0], GE, dtype=np.int8),
-            rhs=np.concatenate([inst.b, [cut.rhs for cut in self.cuts]]),
+            rhs=np.concatenate([inst.b, rhs]),
             lb=np.concatenate([xlb, self.theta_lb]),
             ub=np.concatenate([xub, np.full(inst.nscen, np.inf)]),
         )
 
     def solve(
-        self, lb: np.ndarray | None = None, ub: np.ndarray | None = None, warm=None
+        self, lb: np.ndarray | None = None, ub: np.ndarray | None = None, warm=None, rows=None
     ) -> tuple[SolveOutcome, np.ndarray, np.ndarray]:
-        """Solve the master LP, from the `basis` of an earlier outcome
-        when `warm` is given; returns (outcome, x, theta)."""
-        out = solve_lp(self.build_program(lb, ub), warm=warm)
+        """Solve the master LP over the pool rows `rows` (see
+        `build_program`), from the `basis` of an earlier outcome when
+        `warm` is given; returns (outcome, x, theta)."""
+        out = solve_lp(self.build_program(lb, ub, rows), warm=warm)
         if out.status != optbase.OPTIMAL:
             return out, np.zeros(self.inst.nx), np.zeros(self.inst.nscen)
         n = self.inst.nx

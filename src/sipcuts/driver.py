@@ -9,7 +9,10 @@ re-solves (``round_cap``), or on the time limit (``time_limit``),
 checked before every scenario separation: a round it cuts short adds
 none of its cuts. Branch-and-cut then drives the cut-carrying master to
 integer optimality with lazy classical and integer optimality cuts at
-integer-feasible candidates.
+integer-feasible candidates. The master keeps every cut in its pool,
+but a node LP carries only the cuts tight at its parent's basis and
+those added at the node; a check of the whole pool at the LP point adds
+back any cut it violates, so each node bound is the whole pool's.
 
 Variants of the multiplier block:
   * ``benders_only``   no second block; classical saturation only.
@@ -321,6 +324,9 @@ def relative_gap(upper: float, lower: float) -> float:
 
 
 BC_GAP_TOL = 1e-6
+#: a pooled cut a node LP leaves out joins it when the LP point violates
+#: it by more than this, relative to 1 + |rhs|
+POOL_TOL = 1e-9
 
 
 def require_binary_first_stage(inst: SipInstance) -> None:
@@ -328,6 +334,24 @@ def require_binary_first_stage(inst: SipInstance) -> None:
     as branch-and-cut's integer optimality cuts need."""
     if np.any(inst.vtype != BIN):
         raise InstanceError("integer optimality cuts require a pure-binary first stage")
+
+
+def _tight_start(m0: int, rows: np.ndarray, basis) -> tuple:
+    """Restrict a node LP to its tight cuts. The LP has `m0` first-stage
+    rows, then the pool rows `rows`; `basis` is its final (basis,
+    vstat). Returns the pool rows whose slack is nonbasic and the basis
+    mapped onto them: every other row leaves with its basic slack, so
+    the mapped basis is optimal for the smaller LP too. A None basis
+    keeps every row."""
+    if basis is None:
+        return rows, None
+    bas, vstat = basis[0], basis[1]
+    nz = vstat.size - bas.size  # the (x, theta) columns
+    keep = np.ones(vstat.size, dtype=bool)  # by column; slack nz + r is row r's
+    keep[nz + m0 :] = vstat[nz + m0 :] != 0
+    col = np.cumsum(keep) - 1  # a kept column's index in the smaller LP
+    bas = col[bas[keep[bas]]]
+    return rows[keep[nz + m0 :]], (bas, vstat[keep])
 
 
 def run_branch_and_cut(
@@ -339,18 +363,41 @@ def run_branch_and_cut(
     """Best-bound search on the cut master with lazy cuts, its root node
     started from the root loop's last master basis.
 
+    A node LP carries the first-stage rows, the cuts tight at its
+    parent's final basis (slack nonbasic) and the cuts added at the node.
+    After an optimal solve one product of the pool with the point checks
+    every other cut; the violated ones join the LP, which is solved again
+    from its last basis until none is violated. The point is then
+    feasible for every cut and optimal over a subset of them, so the node
+    bound is that of the LP over the whole pool; an infeasible subset
+    proves the whole LP infeasible. The root node starts from
+    `root.basis` restricted the same way.
+
     Integer-feasible candidates are re-cut (classical cuts at the LP
     value, integer optimality cuts at the exact value) and re-solved
     until clean before the incumbent is accepted. Exactness needs a
     binary first stage, which the integer optimality cuts require."""
     require_binary_first_stage(inst)
-    n = inst.nx
+    n, m0 = inst.nx, inst.A.shape[0]
+    fresh: list[int] = []  # pool indices of the cuts added at this node
 
     def relax(lb, ub, warm):
-        out, _, _ = root.solve(lb, ub, warm)
-        if out.status not in (optbase.OPTIMAL, optbase.INFEASIBLE):
-            raise optbase.KernelError(f"node relaxation came back {out.status}")
-        return out.status, out.objective, out.x, out.basis
+        rows, start = warm
+        rows = np.concatenate([rows, fresh]).astype(np.int64)
+        fresh.clear()
+        while True:
+            out, _, _ = root.solve(lb, ub, start, rows)
+            if out.status == optbase.INFEASIBLE:
+                return out.status, None, None, None
+            if out.status != optbase.OPTIMAL:
+                raise optbase.KernelError(f"node relaxation came back {out.status}")
+            G, rhs = root.pool()
+            slack = G @ out.x - rhs
+            slack[rows] = 0.0
+            viol = (slack < -POOL_TOL * (1.0 + np.abs(rhs))).nonzero()[0]
+            if viol.size == 0:
+                return out.status, out.objective, out.x, _tight_start(m0, rows, out.basis)
+            rows, start = np.concatenate([rows, viol]), out.basis
 
     def closed(bound, upper):
         return upper < math.inf and relative_gap(upper, bound) <= BC_GAP_TOL
@@ -358,15 +405,14 @@ def run_branch_and_cut(
     def on_integral(z, _value, _lb, _ub, upper):
         x, theta = z[:n], z[n:]
         xint = xy_round_first_stage(inst, x)
-        added = False
         for s in range(inst.nscen):
             for cut in (
                 separate_classical(inst, s, xint, theta[s]),
                 separate_integer_lshaped(inst, s, xint, theta[s], root.theta_lb[s]),
             ):
                 if cut is not None and root.add_cut(cut):
-                    added = True
-        if added:
+                    fresh.append(len(root.cuts) - 1)
+        if fresh:
             return optbase.RESOLVE
         qvals = np.array([eval_recourse(inst, s, xint) for s in range(inst.nscen)])
         if np.all(np.isfinite(qvals)):
@@ -376,10 +422,11 @@ def run_branch_and_cut(
         return None
 
     int_idx = np.nonzero(inst.vtype != 0)[0]
+    nrows = len(root.cuts) if root.basis is None else root.basis[0].size - m0
+    warm = _tight_start(m0, np.arange(nrows), root.basis)
     with oracle_memo(inst, warm_starts=True):
         status, best_x, upper, bound, nodes = optbase.best_bound_search(
-            inst.lb, inst.ub, int_idx, relax, closed, on_integral, node_limit, time_limit,
-            root.basis,
+            inst.lb, inst.ub, int_idx, relax, closed, on_integral, node_limit, time_limit, warm
         )
     if status == optbase.INFEASIBLE:
         return BcResult("infeasible", None, math.inf, math.inf, nodes, 0.0)

@@ -13,7 +13,8 @@ Nodes branch on the most fractional integer column; a caller may name
 columns to branch on first (the qbar oracle names the first stage).
 
 The root starts the kernel from the caller's basis when one is given
-(branch-and-cut passes the root loop's last master basis; the qbar
+(branch-and-cut passes the root loop's last master basis, restricted
+to the cuts tight there; the qbar
 oracle passes the scenario's last oracle root basis as `solve_mip`'s
 `warm`, which stays primal feasible when only the objective changed,
 and `solve_mip` returns its root LP's final basis for the next call).

@@ -197,6 +197,30 @@ def test_master_dedup_and_counts(t1):
     assert master.counts() == {"benders": 2}
 
 
+def test_master_dedup_treats_negative_zero_as_zero(t1):
+    master = MasterModel(t1, theta_lb=np.zeros(2))
+    assert master.add_cut(Cut("benders", 0, np.array([-1e-15]), 1.0, 2.0))
+    assert not master.add_cut(Cut("benders", 0, np.array([0.0]), 1.0, 2.0))
+    assert len(master.cuts) == 1 and master.pool()[0].shape == (1, 3)
+
+
+def test_master_program_rows_follow_the_pool(t1):
+    master = MasterModel(t1, theta_lb=np.zeros(2))
+    cuts = [Cut("benders", k % 2, np.array([k + 1.0]), 1.0, k + 2.0) for k in range(40)]
+    assert all(master.add_cut(c) for c in cuts)
+    full = master.build_program()
+    m0 = t1.A.shape[0]
+    assert full.nrows == m0 + 40
+    for i, cut in enumerate(cuts):
+        row = np.zeros(t1.nx + t1.nscen)
+        row[: t1.nx], row[t1.nx + cut.scenario] = cut.coef_x, cut.coef_theta
+        assert full.A.to_dense()[m0 + i].tobytes() == row.tobytes()
+        assert full.rhs[m0 + i] == cut.rhs
+    sub = master.build_program(rows=[7, 3])
+    assert sub.A.to_dense()[m0:].tobytes() == full.A.to_dense()[[m0 + 7, m0 + 3]].tobytes()
+    assert list(sub.rhs[m0:]) == [cuts[7].rhs, cuts[3].rhs]
+
+
 def test_master_one_round_closes_toy(t1):
     L = np.array([compute_theta_lower_bound(t1, s) for s in range(2)])
     master = MasterModel(t1, theta_lb=L)

@@ -369,55 +369,110 @@ def test_qbar_oracle_lps_warm_start_to_few_pivots(monkeypatch):
     assert sum(pivots) / len(lps) <= 8.0
 
 
-def test_bc_resolve_after_lazy_cuts_warm_starts_from_shorter_basis(monkeypatch):
+def test_bc_resolve_after_lazy_cuts_starts_from_the_node_basis(monkeypatch):
     calls = []
     solve = MasterModel.solve
 
-    def recording(self, lb=None, ub=None, warm=None):
-        out = solve(self, lb, ub, warm)
+    def recording(self, lb=None, ub=None, warm=None, rows=None):
+        out = solve(self, lb, ub, warm, rows)
         if lb is not None:  # a branch-and-cut node
-            rows = self.inst.A.shape[0] + len(self.cuts)
-            calls.append((lb.copy(), ub.copy(), warm, out[0].basis, rows))
+            calls.append((lb.copy(), ub.copy(), warm, rows, len(self.cuts), out[0]))
         return out
 
     monkeypatch.setattr(MasterModel, "solve", recording)
-    res, _ = solve_bbc(gen_sslp(SslpParams(3, 5, 3, seed=7)))
+    inst = gen_sslp(SslpParams(3, 5, 3, seed=7))
+    res, _ = solve_bbc(inst)
     assert res.status == "optimal" and res.node_count > 1
-    resolves = [
-        k
-        for k in range(1, len(calls))
-        if np.array_equal(calls[k][0], calls[k - 1][0])
-        and np.array_equal(calls[k][1], calls[k - 1][1])
-        and calls[k][2] is calls[k - 1][3]
-        and calls[k][2][0].size < calls[k][4]
-    ]
-    assert resolves, "a node solved again after lazy cuts starts from its own shorter basis"
-    assert all(w is None or w[0].size <= rows for _, _, w, _, rows in calls)
+    resolves = 0
+    for prev, call in zip(calls, calls[1:]):
+        lb, ub, warm, rows, pool, _ = call
+        plb, pub, _, prows, ppool, out = prev
+        if not (np.array_equal(lb, plb) and np.array_equal(ub, pub) and pool > ppool):
+            continue
+        # lazy cuts were added at this node: it is solved again over its
+        # tight rows and the new cuts, from its own final basis
+        tight, basis = driver._tight_start(inst.A.shape[0], prows, out.basis)
+        assert np.array_equal(rows, np.concatenate([tight, np.arange(ppool, pool)]))
+        assert all(np.array_equal(a, b) for a, b in zip(warm, basis))
+        assert rows.size < pool
+        resolves += 1
+    assert resolves, "no node was solved again after lazy cuts"
 
 
-def test_bc_root_starts_from_the_root_loop_basis(monkeypatch):
-    from sipcuts import driver, optbase
+def test_bc_root_starts_from_the_tight_rows_of_the_root_loop_basis(monkeypatch):
+    from sipcuts import optbase
 
-    starts, lps = [], []
+    roots, lps = [], []
     kernel, bc = optbase._solve_dense, driver.run_branch_and_cut
 
-    def recording(*args, warm=None, **kwargs):
-        out = kernel(*args, warm=warm, **kwargs)
-        if starts:
-            lps.append((warm, out[5]))
+    def recording(c, A, *args, warm=None, **kwargs):
+        out = kernel(c, A, *args, warm=warm, **kwargs)
+        if roots:
+            lps.append((A.shape[0], warm, out[5]))
         return out
 
     def marked(inst, root, *args, **kwargs):
-        starts.append(root.basis)
+        roots.append((root.basis, len(root.cuts)))
         return bc(inst, root, *args, **kwargs)
 
     monkeypatch.setattr(optbase, "_solve_dense", recording)
     monkeypatch.setattr(driver, "run_branch_and_cut", marked)
-    res, _ = solve_bbc(gen_sslp(SslpParams(3, 5, 3, seed=7)))
+    inst = gen_sslp(SslpParams(3, 5, 3, seed=7))
+    res, _ = solve_bbc(inst)
     assert res.status == "optimal" and len(lps) > 1
-    warm, iterations = lps[0]  # the B&C root LP
-    assert warm is not None and warm is starts[0]
+    (basis, ncuts), = roots
+    m0 = inst.A.shape[0]
+    assert basis[0].size == m0 + ncuts
+    tight, start = driver._tight_start(m0, np.arange(ncuts), basis)
+    nz = inst.nx + inst.nscen
+    assert np.array_equal(tight, np.nonzero(basis[1][nz + m0 :] != 0)[0])
+    assert 0 < tight.size < ncuts
+    nrows, warm, iterations = lps[0]  # the B&C root LP
+    assert nrows == m0 + tight.size
+    assert all(np.array_equal(a, b) for a, b in zip(warm, start))
     assert iterations <= 1, "no pivot: the one pass is the pricing that proves the start optimal"
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [gen_sslp(SslpParams(3, 5, 3, seed=7)), gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3))],
+    ids=["sslp", "snip"],
+)
+def test_bc_node_bounds_are_those_of_the_lp_over_the_whole_pool(monkeypatch, inst):
+    """A node LP carries a subset of the pooled cuts; its bound must be
+    the LP's over all of them, and a subset LP may be infeasible only
+    when the whole one is."""
+    from sipcuts import optbase
+
+    roots, checked = [], {optbase.OPTIMAL: 0, optbase.INFEASIBLE: 0}
+    bc, search = driver.run_branch_and_cut, optbase.best_bound_search
+
+    def marked(inst, root, *args, **kwargs):
+        roots.append(root)
+        return bc(inst, root, *args, **kwargs)
+
+    def checking(lb, ub, int_idx, relax, *args, **kwargs):
+        def relax_and_check(nlb, nub, warm):
+            got = relax(nlb, nub, warm)
+            full = solve_lp(roots[0].build_program(nlb, nub))
+            assert full.status == got[0]
+            if got[0] == optbase.OPTIMAL:
+                assert abs(got[1] - full.objective) <= 1e-9 * (1.0 + abs(full.objective))
+            checked[got[0]] += 1
+            return got
+
+        if relax.__qualname__.startswith("run_branch_and_cut"):
+            return search(lb, ub, int_idx, relax_and_check, *args, **kwargs)
+        return search(lb, ub, int_idx, relax, *args, **kwargs)  # a recourse MIP
+
+    monkeypatch.setattr(driver, "run_branch_and_cut", marked)
+    monkeypatch.setattr(optbase, "best_bound_search", checking)
+    res, _ = solve_bbc(inst)
+    _, ref = milp_reference(build_extensive_form(inst).program)
+    assert res.status == "optimal" and res.objective == pytest.approx(ref, rel=1e-9)
+    assert res.node_count > 1 and sum(checked.values()) >= res.node_count
+    if inst.name.startswith("snip"):
+        assert checked[optbase.INFEASIBLE] > 0
 
 
 def test_lbc_survives_wide_coefficient_ranges():

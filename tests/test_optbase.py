@@ -1106,6 +1106,22 @@ def _check_children_copy_the_carried_inverse(calls):
     assert warm_children > 10
 
 
+@pytest.mark.parametrize("rows", [None, TALL], ids=["small", "tall"])
+def test_already_optimal_warm_start_inverts_its_basis_once(rows, inverse_calls, core_calls):
+    from sipcuts import _simplex
+
+    lp, _ = _bounded_lp(3, rows)
+    parent = _kernel(lp)
+    del inverse_calls[:], core_calls[:]
+    out = _kernel(lp, warm=parent[6], prepped=True)
+    assert len(core_calls) == 1 and out[0] == _simplex.OPTIMAL
+    assert len(inverse_calls) == 1, "the optimal exit inverted the start basis again"
+    basis, _, Binv = out[6]
+    WT = np.ascontiguousarray(lp.A.to_dense().T)
+    assert Binv.tobytes() == _simplex._basis_inverse(WT, basis, np.ones(lp.nrows)).tobytes()
+    assert out[5] == 1 and np.array_equal(basis, parent[6][0])
+
+
 def test_mip_nodes_match_children_solved_from_the_basis_pair(monkeypatch):
     from sipcuts import _simplex
 
