@@ -9,7 +9,8 @@ sign the cold start picks; the dense and the block form both read such a
 column from its row and sign (`_unit_columns`). Artificials are never
 priced, so they never enter.
 
-Below _BLOCK_FINAL_MIN_ROWS = 200 rows the basis inverse is kept
+The kernel has one size cutoff, _BLOCK_FINAL_MIN_ROWS = 200 rows, and
+only `_lp_core` reads it. Below it the basis inverse is kept
 explicitly. A pivot, in either simplex and in phase 1's drive-out of
 basic artificials, is the one exchange step `pivot` of `_lp_core`,
 after the site's own ratio test; it updates the inverse in place.
@@ -26,18 +27,17 @@ columns and the rows the basic unit columns cover. A solve with the
 basis (ftran) or its transpose (btran) costs O(k^2 + mk). A pivot makes
 the factors of the new basis afresh, in O(k^3 + mk): at these k,
 inverting the block again costs about as much as updating it would. The
-factors are thus always those of the current basis, and the periodic
-refactorization and the optimal exit only recompute the basic values.
-Branch-and-cut node LPs carry only their active cuts
-(`driver.run_branch_and_cut`), so no LP of the benchmark workloads or
-the seed panel reaches the cutoff: the largest has 167 rows, a
-root-loop master, and the largest node LP 116. The block form serves
-larger instances, whose masters grow past it with few structural
-columns. The cutoff follows what the duals feed. The cut loops build
-their cuts from the root-loop master's duals, and on the SSLP(5,10,5)
-Lagrangian root the block form's different last digits changed which
-cuts entered and slowed the loop, so root-loop masters under 200 rows
-keep the dense inverse's bits.
+factors are thus always those of the current basis; the periodic
+refactorization and the optimal exit only recompute the basic values,
+and the core returns no inverse. Branch-and-cut node LPs carry only
+their active cuts (`driver.run_branch_and_cut`), so on small instances
+no LP reaches the cutoff; the block form serves larger ones, whose
+masters grow past it with few structural columns. The cutoff follows
+what the duals feed. The cut loops build their cuts from the root-loop
+master's duals, and on the SSLP(5,10,5) Lagrangian root the block
+form's different last digits changed which cuts entered and slowed the
+loop, so root-loop masters under 200 rows keep the dense inverse's
+bits.
 
 Cold start: two-phase primal simplex from the slack/artificial basis;
 phase 1 minimizes the artificial sum. Entering variable: Dantzig rule,
@@ -81,16 +81,14 @@ as the core takes them, the structural columns WT = A' and the slack
 bounds, n + 2 arrays of m entries. A one-shot `solve_dense` builds it
 per call; `optbase.solve_mip` builds it once per tree and hands it to
 every node. A warm call also skips the cold nonbasic start. When the
-caller passed that set-up, a basis of fewer than _BLOCK_FINAL_MIN_ROWS
-rows from an optimal solve of an unscaled attempt carries its final
-inverse as a third element. A child with all of its rows copies that
-inverse instead of inverting the basis, with the same bits: its start
-inverse would be the same dense inverse of the same basis matrix as the
-parent's final one. A start with fewer rows than the program, a basis
-in block form and the outcome of a scaled attempt carry none. The
-carried inverses one tree's heap holds peak at 166 KiB on the benchmark
-workloads: two 103 x 103 inverses, shared by four open oracle nodes on
-snip-root.
+caller passed that set-up, a basis from an optimal solve of an unscaled
+attempt carries the final inverse the core returned, if any, as a third
+element. A child with all of its rows copies that inverse instead of
+inverting the basis, with the same bits: its start inverse would be the
+same dense inverse of the same basis matrix as the parent's final one.
+A start with fewer rows than the program, a basis in block form and the
+outcome of a scaled attempt carry none. Siblings share their parent's
+inverse, so a tree's heap holds one per parent with a child still open.
 
 The seed panel (`benchmarks/bench_panel.py`) hashes every output of every
 call but the final inverse into one kernel digest per instance.
@@ -119,10 +117,10 @@ _REFACTOR_EVERY = 64
 #: Bland's rule takes over after _BLAND_AFTER * (n + 3m) consecutive
 #: degenerate pivots, n columns and m rows
 _BLAND_AFTER = 2
-#: the kernel's one size cutoff: from this many rows the core keeps the
-#: basis in block form and forms no m x m matrix; every root-loop master
-#: stays under it, so the duals that cuts are built from keep the dense
-#: inverse's last digits
+#: the kernel's one size cutoff, read by `_lp_core` alone: from this many
+#: rows the core keeps the basis in block form and forms no m x m matrix;
+#: root-loop masters under it, whose duals cuts are built from, keep the
+#: dense inverse's last digits
 _BLOCK_FINAL_MIN_ROWS = 200
 
 
@@ -706,10 +704,11 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
 
     Returns (status, x, obj, y, ray, iterations, basis); `basis` is the
     final (basis, vstat) pair when the solve is optimal with no
-    artificial basic, else None. When the caller passed `prep`, the
-    program has fewer than _BLOCK_FINAL_MIN_ROWS rows and an unscaled
-    attempt solved it, the final dense basis inverse rides along as a
-    third element, for the children that start from this basis.
+    artificial basic, else None. When the caller passed `prep` and an
+    unscaled attempt solved the program, the final dense inverse that
+    `_lp_core` returned rides along as a third element, for the children
+    that start from this basis; the core returns none in block form, the
+    form its size cutoff picks.
 
     A column whose lower bound exceeds its upper bound makes the program
     infeasible, whatever its rows; that is answered before any attempt."""
@@ -790,6 +789,6 @@ def solve_dense(A, b, sense, c, lb, ub, itmax=0, warm=None, prep=None):
     final = None
     if status == OPTIMAL and basis.max() < n + m:
         final = (basis, vstat)
-        if carry and not scaled and m < _BLOCK_FINAL_MIN_ROWS:
+        if carry and not scaled and Binv is not None:
             final = (basis, vstat, Binv)
     return status, x, obj, y, ray, it, final

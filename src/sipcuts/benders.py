@@ -30,6 +30,7 @@ from .model import (
     joint_scenario_program,
     memo_answer,
     recourse_relaxation,
+    rounded_key,
 )
 from .optbase import GE, LinearProgram, SolveOutcome, solve_lp
 
@@ -55,14 +56,7 @@ class Cut:
 
 
 def _cut_key(cut: Cut):
-    # + 0.0 turns the -0.0 that rounding leaves into +0.0, so equal cuts
-    # have equal bytes
-    return (
-        cut.scenario,
-        (np.round(cut.coef_x, 12) + 0.0).tobytes(),
-        round(cut.coef_theta, 12),
-        round(cut.rhs, 12),
-    )
+    return cut.scenario, rounded_key(cut.coef_x, 12), round(cut.coef_theta, 12), round(cut.rhs, 12)
 
 
 @dataclass
@@ -74,7 +68,14 @@ class MasterModel:
     cuts; `cuts` lists the same cuts as `Cut` objects. A master program
     holds the first-stage rows and then pool rows: all of them in the
     root loop, whose duals feed the cuts, and in branch-and-cut the
-    subset a node LP carries."""
+    subset a node LP carries: the cuts tight at its parent's final
+    basis (`tight_rows`), those added at the node, and those the pool
+    check adds. That check multiplies the pool with an optimal LP
+    point; the violated cuts join the LP, which is solved again from
+    its last basis until none is violated. The point is then feasible
+    for every cut and optimal over a subset of them, so the node bound
+    is that of the LP over the whole pool, and an infeasible subset
+    proves the whole LP infeasible."""
 
     inst: SipInstance
     theta_lb: np.ndarray
@@ -140,6 +141,25 @@ class MasterModel:
             lb=np.concatenate([xlb, self.theta_lb]),
             ub=np.concatenate([xub, np.full(inst.nscen, np.inf)]),
         )
+
+    def tight_rows(self, basis, rows=None) -> tuple[np.ndarray, tuple | None]:
+        """The pool rows of a master LP whose slack is nonbasic in its
+        final (basis, vstat) `basis`, and that basis mapped onto them:
+        every other row leaves with its basic slack, so the mapped basis
+        is optimal for the smaller LP too. The LP is `build_program`'s
+        over the pool rows `rows`; None means the cuts `basis` covers,
+        or every cut when there is no basis. No basis keeps every row."""
+        m0, nz = self.inst.A.shape[0], self.inst.nx + self.inst.nscen
+        if rows is None:
+            rows = np.arange(len(self.cuts) if basis is None else basis[0].size - m0)
+        if basis is None:
+            return rows, None
+        bas, vstat = basis[0], basis[1]
+        keep = np.ones(vstat.size, dtype=bool)  # by column; slack nz + r is row r's
+        keep[nz + m0 :] = vstat[nz + m0 :] != 0
+        col = np.cumsum(keep) - 1  # a kept column's index in the smaller LP
+        bas = col[bas[keep[bas]]]
+        return rows[keep[nz + m0 :]], (bas, vstat[keep])
 
     def solve(
         self, lb: np.ndarray | None = None, ub: np.ndarray | None = None, warm=None, rows=None
@@ -234,6 +254,13 @@ def solve_benders_subproblem(inst: SipInstance, s: int, x_hat: np.ndarray) -> Su
     return SubproblemResult(value=float(out.objective), cut=cut, feas_cut=None)
 
 
+def require_binary_first_stage(inst: SipInstance) -> None:
+    """Raise InstanceError unless every first-stage variable is binary,
+    as the integer optimality cuts need."""
+    if np.any(inst.vtype != BIN):
+        raise InstanceError("integer optimality cuts require a pure-binary first stage")
+
+
 def separate_integer_lshaped(
     inst: SipInstance,
     s: int,
@@ -248,8 +275,7 @@ def separate_integer_lshaped(
             >= Q - (Q - L) * |S1|
     is tight at x_hat and relaxes to theta_s >= L elsewhere. Q is
     `eval_recourse`'s, shared through an open `oracle_memo`."""
-    if np.any(inst.vtype != BIN):
-        raise InstanceError("integer optimality cuts require a pure-binary first stage")
+    require_binary_first_stage(inst)
     x_bin = np.round(x_hat)
     if np.max(np.abs(x_bin - x_hat)) > optbase.INTTOL:
         raise InstanceError("integer optimality cut requested at a fractional point")

@@ -136,6 +136,14 @@ def _baseline_lp(inst) -> float:
     return out.objective if out.status == OPTIMAL else math.nan
 
 
+def _solver_failure(trace: BoundTrace, path: str, exc: Exception) -> int:
+    """Write a failed run's partial trace, report the error, exit 3."""
+    trace.to_csv(path)
+    print(f"error={exc}", file=sys.stderr)
+    _emit(trace=path, status="solver_failure")
+    return 3
+
+
 def cmd_root(args) -> int:
     inst = read_instance(args.instance)
     cfg = VariantConfig(
@@ -151,16 +159,13 @@ def cmd_root(args) -> int:
     trace_path = os.path.join(args.out, f"{inst.name}.{args.variant}.trace.csv")
     t0 = time.monotonic()
     try:
-        master, trace = run_root_loop(inst, cfg, trace=trace)
+        _, trace = run_root_loop(inst, cfg, trace=trace)
         wall = time.monotonic() - t0
         trace.to_csv(trace_path)  # before the baseline LP, which may fail too
         trace.baseline = _baseline_lp(inst)
     except (KernelError, InstanceError) as exc:
-        trace.to_csv(trace_path)
-        print(f"error={exc}", file=sys.stderr)
-        _emit(trace=trace_path, status="solver_failure")
-        return 3
-    counts = master.counts()
+        return _solver_failure(trace, trace_path, exc)
+    last = trace.records[-1]
     _emit(
         instance=inst.name,
         variant=args.variant,
@@ -171,8 +176,8 @@ def cmd_root(args) -> int:
         else math.nan,
         wall_time_s=wall,
         stop=trace.stop_reason,
-        n_benders=counts.get("benders", 0) + counts.get("strengthened", 0),
-        n_lagrangian=counts.get("lagrangian", 0),
+        n_benders=last.n_benders,
+        n_lagrangian=last.n_lagrangian,
         trace=trace_path,
     )
     return 4 if trace.stop_reason == "time_limit" else 0
@@ -197,10 +202,7 @@ def cmd_solve(args) -> int:
     try:
         res, trace, root_time = solve_root_then_bc(inst, cfg, args.node_limit, trace)
     except (KernelError, InstanceError) as exc:
-        trace.to_csv(trace_path)
-        print(f"error={exc}", file=sys.stderr)
-        _emit(trace=trace_path, status="solver_failure")
-        return 3
+        return _solver_failure(trace, trace_path, exc)
     bc_time = time.monotonic() - t0 - root_time
     trace.to_csv(trace_path)
     _emit(

@@ -9,10 +9,9 @@ re-solves (``round_cap``), or on the time limit (``time_limit``),
 checked before every scenario separation: a round it cuts short adds
 none of its cuts. Branch-and-cut then drives the cut-carrying master to
 integer optimality with lazy classical and integer optimality cuts at
-integer-feasible candidates. The master keeps every cut in its pool,
-but a node LP carries only the cuts tight at its parent's basis and
-those added at the node; a check of the whole pool at the LP point adds
-back any cut it violates, so each node bound is the whole pool's.
+integer-feasible candidates. A node LP carries a subset of the
+master's cut pool, and its bound is the whole pool's
+(`benders.MasterModel` describes how).
 
 Variants of the multiplier block:
   * ``benders_only``   no second block; classical saturation only.
@@ -59,6 +58,7 @@ from .benders import (
     Cut,
     MasterModel,
     compute_theta_lower_bound,
+    require_binary_first_stage,
     separate_integer_lshaped,
     solve_benders_subproblem,
 )
@@ -73,7 +73,7 @@ from .lagrangian import (
     strengthen_benders,
     xy_round_first_stage,
 )
-from .model import BIN, InstanceError, SipInstance, eval_recourse, oracle_memo
+from .model import InstanceError, SipInstance, eval_recourse, oracle_memo
 
 VARIANTS = ("benders_only", "strengthened", "exact", "span_coef", "span_weight", "span_mip")
 
@@ -329,31 +329,6 @@ BC_GAP_TOL = 1e-6
 POOL_TOL = 1e-9
 
 
-def require_binary_first_stage(inst: SipInstance) -> None:
-    """Raise InstanceError unless every first-stage variable is binary,
-    as branch-and-cut's integer optimality cuts need."""
-    if np.any(inst.vtype != BIN):
-        raise InstanceError("integer optimality cuts require a pure-binary first stage")
-
-
-def _tight_start(m0: int, rows: np.ndarray, basis) -> tuple:
-    """Restrict a node LP to its tight cuts. The LP has `m0` first-stage
-    rows, then the pool rows `rows`; `basis` is its final (basis,
-    vstat). Returns the pool rows whose slack is nonbasic and the basis
-    mapped onto them: every other row leaves with its basic slack, so
-    the mapped basis is optimal for the smaller LP too. A None basis
-    keeps every row."""
-    if basis is None:
-        return rows, None
-    bas, vstat = basis[0], basis[1]
-    nz = vstat.size - bas.size  # the (x, theta) columns
-    keep = np.ones(vstat.size, dtype=bool)  # by column; slack nz + r is row r's
-    keep[nz + m0 :] = vstat[nz + m0 :] != 0
-    col = np.cumsum(keep) - 1  # a kept column's index in the smaller LP
-    bas = col[bas[keep[bas]]]
-    return rows[keep[nz + m0 :]], (bas, vstat[keep])
-
-
 def run_branch_and_cut(
     inst: SipInstance,
     root: MasterModel,
@@ -363,22 +338,17 @@ def run_branch_and_cut(
     """Best-bound search on the cut master with lazy cuts, its root node
     started from the root loop's last master basis.
 
-    A node LP carries the first-stage rows, the cuts tight at its
-    parent's final basis (slack nonbasic) and the cuts added at the node.
-    After an optimal solve one product of the pool with the point checks
-    every other cut; the violated ones join the LP, which is solved again
-    from its last basis until none is violated. The point is then
-    feasible for every cut and optimal over a subset of them, so the node
-    bound is that of the LP over the whole pool; an infeasible subset
-    proves the whole LP infeasible. The root node starts from
-    `root.basis` restricted the same way.
+    Each node LP carries the cuts of the pool that `MasterModel`
+    describes: the tight cuts of its parent's final basis, the cuts
+    added at the node, and every pooled cut its point violates. The
+    root node starts from `root.basis`, restricted to its tight cuts.
 
     Integer-feasible candidates are re-cut (classical cuts at the LP
     value, integer optimality cuts at the exact value) and re-solved
     until clean before the incumbent is accepted. Exactness needs a
     binary first stage, which the integer optimality cuts require."""
     require_binary_first_stage(inst)
-    n, m0 = inst.nx, inst.A.shape[0]
+    n = inst.nx
     fresh: list[int] = []  # pool indices of the cuts added at this node
 
     def relax(lb, ub, warm):
@@ -396,7 +366,7 @@ def run_branch_and_cut(
             slack[rows] = 0.0
             viol = (slack < -POOL_TOL * (1.0 + np.abs(rhs))).nonzero()[0]
             if viol.size == 0:
-                return out.status, out.objective, out.x, _tight_start(m0, rows, out.basis)
+                return out.status, out.objective, out.x, root.tight_rows(out.basis, rows)
             rows, start = np.concatenate([rows, viol]), out.basis
 
     def closed(bound, upper):
@@ -422,8 +392,7 @@ def run_branch_and_cut(
         return None
 
     int_idx = np.nonzero(inst.vtype != 0)[0]
-    nrows = len(root.cuts) if root.basis is None else root.basis[0].size - m0
-    warm = _tight_start(m0, np.arange(nrows), root.basis)
+    warm = root.tight_rows(root.basis)
     with oracle_memo(inst, warm_starts=True):
         status, best_x, upper, bound, nodes = optbase.best_bound_search(
             inst.lb, inst.ub, int_idx, relax, closed, on_integral, node_limit, time_limit, warm

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optbase
-from .model import InstanceError, SipInstance, brute_force_epigraph, joint_scenario_program
+from .model import InstanceError, SipInstance, brute_force_epigraph, joint_scenario_program, rounded_key
 from .optbase import EQ, LE, LinearProgram, solve_lp, solve_mip
 
 #: relative gap at which the ascent declares the dual maximized
@@ -134,7 +134,7 @@ def maximize_dual(inst: SipInstance, max_iters: int = 300, gap_tol: float = DUAL
     def absorb(pts):
         for s in range(S):
             x, cost = pts[s]
-            key = (np.round(x, 9).tobytes(), round(cost, 9))
+            key = (rounded_key(x, 9), round(cost, 9))
             if key not in seen[s]:
                 seen[s].add(key)
                 pools[s].append((x, cost))

@@ -45,6 +45,7 @@ from .model import (
     eval_recourse,
     joint_scenario_program,
     memo_answer,
+    rounded_key,
     solve_from_start,
 )
 from .optbase import GE, LE, LinearProgram, solve_lp, solve_mip
@@ -81,7 +82,7 @@ class ScenarioPool:
     def add(self, x: np.ndarray, theta: float) -> bool:
         """True when the pool tightened (new point or smaller theta)."""
         x = np.asarray(x, dtype=np.float64) + 0.0
-        key = np.round(x, 9).tobytes()
+        key = rounded_key(x, 9)
         pos = self._index.get(key)
         if pos is None:
             self._index[key] = len(self._points)
@@ -276,17 +277,6 @@ def _solve_master(x_hat, theta_hat, pool, norm, trust=None, last=None):
     return ans
 
 
-def restricted_model_max(
-    x_hat: np.ndarray,
-    theta_hat: float,
-    pool: ScenarioPool,
-    norm: NormalizationSpec,
-) -> float:
-    """Pool-model bound on the best violation over the multiplier set."""
-    val, _, _, _ = _solve_master(np.asarray(x_hat, dtype=float), theta_hat, pool, norm)
-    return val
-
-
 @dataclass
 class SeparationResult:
     cut: Cut | None
@@ -419,7 +409,7 @@ def benders_basis(cuts: list[Cut], s: int, k_max: int, nx: int) -> np.ndarray:
     for cut in cuts:
         if cut.scenario != s or cut.family not in ("benders", "strengthened"):
             continue
-        key = np.round(cut.coef_x, 12).tobytes()
+        key = rounded_key(cut.coef_x, 12)
         if key in seen:
             continue
         seen.add(key)

@@ -98,6 +98,13 @@ def vtype_to_string(v: np.ndarray) -> str:
     return "".join(_VTYPE_LETTER[int(code)] for code in v)
 
 
+def rounded_key(v: np.ndarray, decimals: int) -> bytes:
+    """The bytes of `v` rounded to `decimals` places, the key under which
+    cut and point collections treat vectors as equal; + 0.0 turns the
+    -0.0 that rounding leaves into +0.0."""
+    return (np.round(v, decimals) + 0.0).tobytes()
+
+
 def _matrix(prefix, name, m) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:

@@ -14,6 +14,7 @@ from sipcuts.benders import MasterModel
 from sipcuts.driver import (
     BoundTrace,
     TraceRecord,
+    VARIANTS,
     VariantConfig,
     gap_closed_profile,
     profile_to_csv,
@@ -127,6 +128,23 @@ def test_root_toy_all_variants_close(variant):
     assert trace.final_bound == pytest.approx(1.0, abs=1e-9)
     assert master.counts() == {"benders": 2}
     assert trace.stop_reason == "saturated"
+
+
+@pytest.mark.parametrize(
+    "inst", [toy_instance(), gen_sslp(SslpParams(3, 5, 3, seed=7))], ids=["toy", "sslp"]
+)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_root_trace_counts_are_the_masters(inst, variant):
+    # no round adds a cut after its last re-solve, so the last trace
+    # record groups the master's final cuts
+    master, trace = run_root_loop(inst, VariantConfig(variant=variant, k=5))
+    counts = master.counts()
+    last = trace.records[-1]
+    assert (last.n_benders, last.n_lagrangian, last.n_intl) == (
+        counts.get("benders", 0) + counts.get("strengthened", 0),
+        counts.get("lagrangian", 0),
+        counts.get("integer_lshaped", 0),
+    )
 
 
 def test_root_benders_only_reaches_extensive_lp():
@@ -370,19 +388,21 @@ def test_qbar_oracle_lps_warm_start_to_few_pivots(monkeypatch):
 
 
 def test_bc_resolve_after_lazy_cuts_starts_from_the_node_basis(monkeypatch):
-    calls = []
+    calls, masters = [], {}
     solve = MasterModel.solve
 
     def recording(self, lb=None, ub=None, warm=None, rows=None):
         out = solve(self, lb, ub, warm, rows)
         if lb is not None:  # a branch-and-cut node
             calls.append((lb.copy(), ub.copy(), warm, rows, len(self.cuts), out[0]))
+            masters[id(self)] = self
         return out
 
     monkeypatch.setattr(MasterModel, "solve", recording)
     inst = gen_sslp(SslpParams(3, 5, 3, seed=7))
     res, _ = solve_bbc(inst)
     assert res.status == "optimal" and res.node_count > 1
+    (master,) = masters.values()
     resolves = 0
     for prev, call in zip(calls, calls[1:]):
         lb, ub, warm, rows, pool, _ = call
@@ -391,7 +411,7 @@ def test_bc_resolve_after_lazy_cuts_starts_from_the_node_basis(monkeypatch):
             continue
         # lazy cuts were added at this node: it is solved again over its
         # tight rows and the new cuts, from its own final basis
-        tight, basis = driver._tight_start(inst.A.shape[0], prows, out.basis)
+        tight, basis = master.tight_rows(out.basis, prows)
         assert np.array_equal(rows, np.concatenate([tight, np.arange(ppool, pool)]))
         assert all(np.array_equal(a, b) for a, b in zip(warm, basis))
         assert rows.size < pool
@@ -412,7 +432,7 @@ def test_bc_root_starts_from_the_tight_rows_of_the_root_loop_basis(monkeypatch):
         return out
 
     def marked(inst, root, *args, **kwargs):
-        roots.append((root.basis, len(root.cuts)))
+        roots.append((root, root.basis, len(root.cuts)))
         return bc(inst, root, *args, **kwargs)
 
     monkeypatch.setattr(optbase, "_solve_dense", recording)
@@ -420,10 +440,10 @@ def test_bc_root_starts_from_the_tight_rows_of_the_root_loop_basis(monkeypatch):
     inst = gen_sslp(SslpParams(3, 5, 3, seed=7))
     res, _ = solve_bbc(inst)
     assert res.status == "optimal" and len(lps) > 1
-    (basis, ncuts), = roots
+    (master, basis, ncuts), = roots
     m0 = inst.A.shape[0]
     assert basis[0].size == m0 + ncuts
-    tight, start = driver._tight_start(m0, np.arange(ncuts), basis)
+    tight, start = master.tight_rows(basis)
     nz = inst.nx + inst.nscen
     assert np.array_equal(tight, np.nonzero(basis[1][nz + m0 :] != 0)[0])
     assert 0 < tight.size < ncuts

@@ -16,13 +16,13 @@ from _oracles import (
     span_weight_boundary,
 )
 from conftest import make_tiny
+from sipcuts import lagrangian
 from sipcuts.benders import Cut, compute_theta_lower_bound, solve_benders_subproblem
 from sipcuts.lagrangian import (
     NormalizationSpec,
     ScenarioPool,
     benders_basis,
     eval_qbar,
-    restricted_model_max,
     seed_pool,
     select_basis_mip,
     separate_restricted,
@@ -105,6 +105,14 @@ def test_pool_keeps_min_theta():
     assert X.shape == (1, 2) and th[0] == 3.0
 
 
+def test_pool_keys_minus_and_plus_zero_alike():
+    # coordinates that round to -0.0 and +0.0 are one point
+    pool = ScenarioPool()
+    assert pool.add(np.array([-1e-12, 1.0]), 2.0)
+    assert not pool.add(np.array([1e-12, 1.0]), 2.0)
+    assert len(pool) == 1
+
+
 def test_pool_grows_from_incumbents(t1):
     pool = ScenarioPool()
     eval_qbar(t1, 0, np.array([2.0]), 1.0, pool)
@@ -183,7 +191,7 @@ def test_model_max_with_exact_pool_matches_grid(t1):
     pool = _full_pool(t1, 0)
     x_hat, theta_hat = np.array([0.0]), 0.0
     norm = NormalizationSpec(kind="ball", alpha=1.0)
-    got = restricted_model_max(x_hat, theta_hat, pool, norm)
+    got = lagrangian._solve_master(x_hat, theta_hat, pool, norm)[0]
     PI, P0 = ball_boundary(1, 1.0, 1e-3)
     want = max_violation_on_grid(t1, 0, x_hat, theta_hat, PI, P0)
     assert got == pytest.approx(2.0 / 3.0, abs=1e-9)
@@ -208,7 +216,7 @@ def test_model_max_with_exact_pool_matches_grid_2d(kind, seed):
         norm = NormalizationSpec(kind, 1.0, basis=V)
         boundary = span_coef_boundary if kind == "span_coef" else span_weight_boundary
         PI, P0 = boundary(V, 1.0, resolution)
-    got = restricted_model_max(x_hat, theta_hat, pool, norm)
+    got = lagrangian._solve_master(x_hat, theta_hat, pool, norm)[0]
     want = max_violation_on_grid(inst, 0, x_hat, theta_hat, PI, P0)
     assert want > 0.1
     assert want - 1e-9 <= got <= want + resolution
@@ -371,6 +379,15 @@ def test_benders_basis_dedup_and_order():
     assert benders_basis([], 0, 3, nx=2).shape == (0, 2)
 
 
+def test_benders_basis_keys_minus_and_plus_zero_alike():
+    # coefficients that round to -0.0 and +0.0 span one direction
+    cuts = [
+        Cut("benders", 0, np.array([-1e-14, 1.0]), 1.0, 1.0),
+        Cut("benders", 0, np.array([1e-14, 1.0]), 1.0, 2.0),
+    ]
+    assert benders_basis(cuts, 0, k_max=5, nx=2).shape == (1, 2)
+
+
 def test_select_basis_matches_subset_enumeration():
     inst = make_tiny(6, nx=3)
     pool = _full_pool(inst, 0)
@@ -390,19 +407,19 @@ def test_select_basis_matches_subset_enumeration():
     best = 0.0  # empty selection: pi = 0, value max(0, ...) with t<=pi0*theta
     best = max(
         best,
-        restricted_model_max(
+        lagrangian._solve_master(
             x_hat, theta_hat, pool, NormalizationSpec("span_weight", 1.0, np.zeros((1, 3)))
-        ),
+        )[0],
     )
     for r in (1, 2):
         for sub in itertools.combinations(range(len(cands)), r):
-            val = restricted_model_max(
+            val = lagrangian._solve_master(
                 x_hat, theta_hat, pool, NormalizationSpec("span_weight", 1.0, cands[list(sub)])
-            )
+            )[0]
             best = max(best, val)
     assert bound == pytest.approx(best, abs=1e-7)
     if idx.size:
-        chosen = restricted_model_max(
+        chosen = lagrangian._solve_master(
             x_hat, theta_hat, pool, NormalizationSpec("span_weight", 1.0, cands[idx])
-        )
+        )[0]
         assert chosen == pytest.approx(bound, abs=1e-7)
