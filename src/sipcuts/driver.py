@@ -34,13 +34,17 @@ solves a question about a scenario class and a point once, and repeats,
 from an identical scenario or a revisited point, get copies of that
 answer. A call made inside an open memo for the same instance shares
 it; nothing outlives the call, so solving an instance twice does the
-same work twice. Branch-and-cut and the ``benders_only`` root loop open
-their memo with warm starts: each scenario LP relaxation starts from
-the last optimal basis of scenarios with the same q, W and bounds. The
-multiplier root loops keep those LPs cold, since another dual vertex at
-a degenerate point changes the classical cuts and the span they search.
-In every memo each qbar MIP's root LP starts from the last one of its
-scenario class; its value stays exact.
+same work twice. Branch-and-cut and the ``benders_only`` and ``exact``
+root loops open their memo with warm starts: each scenario LP
+relaxation starts from the last optimal basis of scenarios with the
+same q, W and bounds. The span and ``strengthened`` loops keep those
+LPs cold, since they build cuts from the classical duals, and another
+dual vertex at a degenerate point changes the span they search and the
+cut they lift; ``exact`` searches the whole ball. In every memo each
+qbar MIP's root LP starts from the last one of its scenario class; its
+value stays exact. A multiplier search asked again by a scenario of the
+same class, at the same point and with the same pool, which twins
+usually have, replays the first one (`lagrangian.separate_restricted`).
 """
 
 from __future__ import annotations
@@ -204,7 +208,7 @@ def run_root_loop(
     start = time.monotonic()
     if trace is None:
         trace = BoundTrace()
-    with oracle_memo(inst, warm_starts=cfg.variant == "benders_only"):
+    with oracle_memo(inst, warm_starts=cfg.variant in ("benders_only", "exact")):
         theta_lb = np.array([compute_theta_lower_bound(inst, s) for s in range(inst.nscen)])
         master = MasterModel(inst, theta_lb)
         pools = [ScenarioPool() for _ in range(inst.nscen)]

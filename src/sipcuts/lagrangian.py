@@ -24,15 +24,19 @@ loop or branch-and-cut, a question (scenario class, pi, pi0) asked again,
 by the same scenario or an identical one, replays the first solve's
 incumbents into the asking scenario's pool instead of solving the MIP,
 and a MIP it does solve starts its root LP from the last qbar root basis
-of the scenario's class. Within one separation the master is re-solved
-only after its pool changed (`ScenarioPool.version`) or, for the
-trust-region master, its region moved.
+of the scenario's class. `separate_restricted` answers through the same
+memo: a scenario of the first asker's class that asks at the same
+candidate with the same normalization, delta and pool contents gets the
+first search's result, and its pool is fed the first search's points.
+Within one separation the master is re-solved only after its pool
+changed (`ScenarioPool.version`) or, for the trust-region master, its
+region moved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,6 +102,20 @@ class ScenarioPool:
         X = np.array([p[0] for p in self._points])
         th = np.array([p[1] for p in self._points])
         return X, th
+
+
+class _RecordingPool(ScenarioPool):
+    """A copy of `pool` that logs every (x, theta) fed to `add`, in order."""
+
+    def __init__(self, pool: ScenarioPool):
+        super().__init__()
+        self._points, self._index = list(pool._points), dict(pool._index)
+        self.version = pool.version
+        self.fed: list[tuple[np.ndarray, float]] = []
+
+    def add(self, x: np.ndarray, theta: float) -> bool:
+        self.fed.append((x, theta))
+        return super().add(x, theta)
 
 
 def eval_qbar(
@@ -220,20 +238,17 @@ def _master_program(
         pool_cols, hat_cols = pool_x @ proj.T, proj @ x_hat  # row z: V x_z
         N = proj.T if norm.kind == "span_coef" else np.eye(proj.shape[0])
     nabs, k = N.shape
-    sign = np.tile([[1.0], [-1.0]], (nabs, 1))
-    A = np.block(
-        [
-            [np.ones((z, 1)), -pool_cols, np.zeros((z, nabs)), -pool_th[:, None]],
-            [
-                np.zeros((2 * nabs, 1)),
-                sign * np.repeat(N, 2, axis=0),
-                np.repeat(np.eye(nabs), 2, axis=0),
-                np.zeros((2 * nabs, 1)),
-            ],
-            [np.zeros((1, 1 + k)), np.ones((1, nabs)), np.full((1, 1), norm.alpha)],
-        ]
-    )
     msl, p0 = slice(1, 1 + k), 1 + k + nabs
+    A = np.zeros((z + 2 * nabs + 1, p0 + 1))
+    A[:z, 0] = 1.0
+    A[:z, msl] = -pool_cols
+    A[:z, p0] = -pool_th
+    A[z : z + 2 * nabs : 2, msl] = N
+    A[z + 1 : z + 2 * nabs : 2, msl] = -N
+    pair = np.arange(2 * nabs)
+    A[z + pair, 1 + k + pair // 2] = 1.0
+    A[-1, 1 + k : p0] = 1.0
+    A[-1, p0] = norm.alpha
     c = np.concatenate([[1.0], -hat_cols, np.zeros(nabs), [-theta_hat]])
     lb = np.concatenate([np.full(1 + k, -np.inf), np.zeros(nabs + 1)])
     ub = np.full(p0 + 1, np.inf)
@@ -304,11 +319,43 @@ def separate_restricted(
     trust-region-restricted for the ball set, plain model argmax
     otherwise — which also tightens the model. Stops when the bound and
     the best exact violation are delta-close, when the bound proves no
-    usable cut exists, when queries stall, or on oracle budget."""
+    usable cut exists, when queries stall, or on oracle budget.
+
+    The search answers through the oracle memo of `model`: a scenario of
+    the same class asking with the same x_hat, theta_hat, norm, delta
+    and pool contents gets the first search's result, its cut
+    attributed to the asking scenario, and its pool is fed the points
+    the first search fed, in order, so it ends as a fresh search would
+    leave it."""
     x_hat = np.asarray(x_hat, dtype=np.float64)
-    scen_tol = LAGR_VIOL_TOL * (abs(theta_hat) + 1.0)
     if pool is None:
         pool = ScenarioPool()
+    pool_x, pool_th = pool.arrays()
+    point = (
+        x_hat.tobytes(),
+        np.float64(theta_hat).tobytes(),
+        norm.kind.encode(),
+        np.float64(norm.alpha).tobytes(),
+        b"" if norm.basis is None else norm.basis.tobytes(),
+        np.float64(delta).tobytes(),
+        pool_x.tobytes(),
+        pool_th.tobytes(),
+    )
+
+    def search():
+        copy = _RecordingPool(pool)
+        return _search(inst, s, x_hat, theta_hat, norm, copy, delta), copy.fed
+
+    res, fed = memo_answer(inst, "separation", s, point, search)
+    for x_z, theta_z in fed:
+        pool.add(x_z, theta_z)
+    cut = None if res.cut is None else replace(res.cut, scenario=s, coef_x=res.cut.coef_x.copy())
+    return replace(res, cut=cut, pi=None if res.pi is None else res.pi.copy())
+
+
+def _search(inst, s, x_hat, theta_hat, norm, pool, delta) -> SeparationResult:
+    """`separate_restricted`'s search, feeding `pool`."""
+    scen_tol = LAGR_VIOL_TOL * (abs(theta_hat) + 1.0)
     if len(pool) == 0:
         seed_pool(inst, s, pool)
 

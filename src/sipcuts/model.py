@@ -12,15 +12,17 @@ The blocks A, W_s and T_s are dense 2-d float arrays.
 Scenario oracles answer through `memo_answer`: here the exact recourse
 value `eval_recourse` and the scenario LP relaxation
 `recourse_relaxation`, in `benders` the theta bound, in `lagrangian`
-the weighted value `eval_qbar`. While an `oracle_memo` is open for an
+the weighted value `eval_qbar` and the multiplier search
+`separate_restricted`. While an `oracle_memo` is open for an
 instance, each question is solved once: the key is the oracle's name,
 the scenario's class (`scenario_classes`: scenarios with byte-identical
-data share one) and the exact bytes of the point asked about. Sampled
+data share one) and the exact bytes of the point asked about (for the
+search, of its candidate, normalization, delta and pool). Sampled
 scenario sets often repeat a scenario, and cutting-plane loops ask
 again at points they have seen. Keys are exact bytes, not digests, so
 a repeat gets the very answer a fresh solve would give and no
-collision needs ruling out; the points are short vectors, while keying
-whole programs would hold megabytes.
+collision needs ruling out; the points are short vectors and pools,
+while keying whole programs would hold megabytes.
 
 Two questions share the relaxation. The classical (Benders)
 subproblem builds its cut from it, and `eval_recourse` hands it to
@@ -324,10 +326,11 @@ def oracle_memo(inst: SipInstance, warm_starts: bool = False):
         _open_memo = outer
 
 
-def memo_answer(inst: SipInstance, oracle: str, s: int, point: bytes, solve):
+def memo_answer(inst: SipInstance, oracle: str, s: int, point, solve):
     """`solve()`, or its stored answer when (oracle, class of scenario s,
-    point) was asked before inside the open `oracle_memo` for `inst`.
-    Callers hand out copies of a mutable answer, never the answer."""
+    point) was asked before inside the open `oracle_memo` for `inst`;
+    `point` is bytes or a tuple of them. Callers hand out copies of a
+    mutable answer, never the answer."""
     memo = _open_memo
     if memo is None or memo.inst is not inst:
         return solve()

@@ -101,7 +101,7 @@ class LinearProgram:
         senses = np.asarray(self.senses)
         if senses.shape != (self.A.nrows,):
             raise ValueError("sense count does not match row count")
-        if not np.isin(senses, (LE, GE, EQ)).all():
+        if not np.all((senses == LE) | (senses == GE) | (senses == EQ)):
             raise ValueError("row senses must be LE, GE or EQ")
         self.senses = senses.astype(np.int8)
         if self.rhs.size != self.A.nrows:

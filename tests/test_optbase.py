@@ -111,7 +111,7 @@ def test_lp_unbounded_ray():
     assert out.ray is not None and out.ray[0] > 0
 
 
-@pytest.mark.parametrize("senses", [[7], [-1], [1.5], ["<="]])
+@pytest.mark.parametrize("senses", [[7], [-1], [1.5], ["<="], [np.nan]])
 def test_lp_rejects_unknown_sense_codes(senses):
     # max x, 0 <= x <= 10, one row x [?] 2: only LE, GE and EQ are senses
     with pytest.raises(ValueError, match="senses must be"):

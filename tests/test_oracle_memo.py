@@ -256,6 +256,44 @@ def test_separation_reuses_an_unchanged_master(snip, monkeypatch):
     assert reused.pi.tobytes() == plain.pi.tobytes()
 
 
+def _separation_bytes(res, pool):
+    cut = res.cut
+    return (
+        res.lower,
+        res.upper,
+        res.stop,
+        res.oracle_calls,
+        res.pi0,
+        res.pi.tobytes(),
+        (cut.family, cut.coef_x.tobytes(), cut.coef_theta, cut.rhs),
+        tuple(a.tobytes() for a in pool.arrays()),
+        pool.version,
+    )
+
+
+def test_twin_scenarios_share_one_separation(kernel_calls):
+    base = gen_sslp(SslpParams(3, 5, 3, seed=7))
+    first, *rest = base.scenarios
+    half = replace(first, prob=first.prob / 2)
+    inst = replace(base, scenarios=[half, replace(half), *rest])
+    assert scenario_classes(inst) == [0, 0, 2, 3]
+    x_hat, theta_hat, norm = np.array([0.5, 0.5, 0.0]), -60.0, NormalizationSpec("ball")
+    pools = [ScenarioPool() for _ in range(3)]
+    with oracle_memo(inst):
+        one = separate_restricted(inst, 0, x_hat, theta_hat, norm, pools[0])
+        solved = len(kernel_calls)
+        twin = separate_restricted(inst, 1, x_hat, theta_hat, norm, pools[1])
+        assert len(kernel_calls) == solved  # the twin's search is the first one's
+    # no memo open: every qbar MIP is solved cold, and at this point they
+    # reach the optima and incumbents of the warm ones
+    fresh = separate_restricted(inst, 1, x_hat, theta_hat, norm, pools[2])
+    assert one.cut is not None and one.oracle_calls > 2
+    assert (one.cut.scenario, twin.cut.scenario, fresh.cut.scenario) == (0, 1, 1)
+    assert twin.cut.coef_x is not one.cut.coef_x and twin.pi is not one.pi
+    digests = [_separation_bytes(r, p) for r, p in zip((one, twin, fresh), pools)]
+    assert digests[0] == digests[1] == digests[2]
+
+
 # ------------------------------------------------ warm-started relaxations
 
 
@@ -325,12 +363,14 @@ def test_bbc_warm_relaxations_match_cold_solves_and_every_cut_holds(
     [
         ("span_mip", lambda: gen_sslp(SslpParams(3, 5, 3, seed=7))),
         ("strengthened", lambda: gen_sslp(SslpParams(3, 5, 3, seed=7))),
-        ("exact", lambda: gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3))),
     ],
 )
 def test_multiplier_root_loops_start_no_relaxation_warm(
     variant, make, relaxation_solves, monkeypatch
 ):
+    # the span loops search the span of the classical duals and the
+    # strengthened loop lifts them, so another dual vertex moves their
+    # path; `exact` searches the whole ball and runs warm (below)
     cfg = VariantConfig(variant=variant, delta=0.0, early_stop=False)
     digests = _kernel_outputs(monkeypatch)
     run_root_loop(make(), cfg)
@@ -341,6 +381,51 @@ def test_multiplier_root_loops_start_no_relaxation_warm(
     monkeypatch.setattr(driver, "oracle_memo", lambda inst, warm_starts=False: memo(inst))
     run_root_loop(make(), cfg)  # every memo cold, as before warm starts
     assert digests == kept
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3)),
+        lambda: gen_sslp(SslpParams(3, 5, 3, seed=7)),
+    ],
+    ids=["snip", "sslp"],
+)
+def test_warm_exact_root_loop_matches_cold_solves_and_every_cut_holds(
+    make, relaxation_solves, monkeypatch
+):
+    inst = make()
+    cuts = []
+    add_cut = driver.MasterModel.add_cut
+
+    def collecting(self, cut):
+        cuts.append(cut)
+        return add_cut(self, cut)
+
+    monkeypatch.setattr(driver.MasterModel, "add_cut", collecting)
+    cfg = VariantConfig(variant="exact", delta=0.0, early_stop=False)
+    _, warm_trace = run_root_loop(inst, cfg)
+    warm = [(prog, out) for prog, start, out in relaxation_solves if start is not None]
+    assert len(warm) >= 5
+    for prog, out in warm:
+        cold = optbase.solve_lp(prog)
+        assert out.status == cold.status
+        if cold.status == optbase.OPTIMAL:
+            v = cold.objective
+            assert abs(out.objective - v) <= 1e-9 * (1.0 + abs(v))
+    epigraphs = {s: model.brute_force_epigraph(inst, s) for s in range(inst.nscen)}
+    for cut in cuts:
+        X, Q = epigraphs[cut.scenario]
+        finite = np.isfinite(Q)
+        slack = X[finite] @ cut.coef_x + cut.coef_theta * Q[finite] - cut.rhs
+        assert slack.min() >= -1e-7, (cut.family, cut.scenario, slack.min())
+    relaxation_solves.clear()
+    memo = model.oracle_memo
+    monkeypatch.setattr(driver, "oracle_memo", lambda inst, warm_starts=False: memo(inst))
+    _, cold_trace = run_root_loop(inst, cfg)
+    assert all(start is None for _, start, _ in relaxation_solves)
+    assert warm_trace.stop_reason == cold_trace.stop_reason == "saturated"
+    assert abs(warm_trace.final_bound - cold_trace.final_bound) <= 1e-6
 
 
 def test_consecutive_bbc_solves_make_the_same_kernel_calls(monkeypatch):
