@@ -9,7 +9,7 @@ sign the cold start picks; the dense and the block form both read such a
 column from its row and sign (`_unit_columns`). Artificials are never
 priced, so they never enter.
 
-The kernel has one size cutoff, _BLOCK_FINAL_MIN_ROWS = 200 rows, and
+The kernel has one size cutoff, _BLOCK_FINAL_MIN_ROWS = 100 rows, and
 only `_lp_core` reads it. Below it the basis inverse is kept
 explicitly. A pivot, in either simplex and in phase 1's drive-out of
 basic artificials, is the one exchange step `pivot` of `_lp_core`,
@@ -21,7 +21,7 @@ pivot has changed the basis since the inverse was made that way or
 copied from the start: it would be the same bits. An entering slack's
 column of the inverse is read out of it, not multiplied out.
 
-From 200 rows the core forms no m x m matrix. It keeps the basis in that
+From 100 rows the core forms no m x m matrix. It keeps the basis in that
 block form (`_block_factors`): the k x k block's inverse, the structural
 columns and the rows the basic unit columns cover. A solve with the
 basis (ftran) or its transpose (btran) costs O(k^2 + mk). A pivot makes
@@ -29,15 +29,35 @@ the factors of the new basis afresh, in O(k^3 + mk): at these k,
 inverting the block again costs about as much as updating it would. The
 factors are thus always those of the current basis; the periodic
 refactorization and the optimal exit only recompute the basic values,
-and the core returns no inverse. Branch-and-cut node LPs carry only
-their active cuts (`driver.run_branch_and_cut`), so on small instances
-no LP reaches the cutoff; the block form serves larger ones, whose
-masters grow past it with few structural columns. The cutoff follows
-what the duals feed. The cut loops build their cuts from the root-loop
-master's duals, and on the SSLP(5,10,5) Lagrangian root the block
-form's different last digits changed which cuts entered and slowed the
-loop, so root-loop masters under 200 rows keep the dense inverse's
-bits.
+and the core returns no inverse.
+
+The cutoff is where the block form stops losing, picked by measured
+cost, as Koberstein (2005, The dual simplex method, PhD thesis,
+Paderborn) picks a factorization. Per solve, dense -> block, in us, on
+one CPU of a shared 2-vCPU Intel Xeon with one BLAS thread, the same LP
+in both forms:
+
+    SNIP(30,80) joint LP, 103 rows, warm objective change, 1 pivot      504 ->  187
+    SNIP(30,80) recourse LP, 102 rows, bunched warm, 1 pivot            488 ->  194
+    SNIP(30,80) recourse LP, 102 rows, warm at a new x, 7 pivots       1151 ->  684
+    SNIP(30,80) recourse LP, 102 rows, cold, 32 pivots                 2058 -> 2166
+    SNIP(30,80,30), 112-113 rows, the same 1 / 9 / 32 pivots
+                                              595 / 1518 / 2164 -> 202 / 913 / 2283
+    SNIP(20,50) recourse LP, 64 rows, cold, 22 pivots                   970 -> 1321
+    SSLP(5,10,5), 25 rows, cold, 27-48 pivots     the dense form 1.7-2.1x faster
+
+A warm solve of few pivots pays two dense inversions, at the start and
+at the optimal exit, and the block form pays neither. From 100 rows the
+block form is within 5% of the dense one even on a cold solve; below,
+cold and many-pivot solves favour the dense form. The 102- and 103-row
+scenario LPs of SNIP(30,80) and the root-loop masters of SSLP(8,15,10)
+branch-and-cut, 100 to 143 rows, run the block form. The cutoff also
+follows what the duals feed. The cut loops build their cuts from the
+root-loop master's duals, and on the SSLP(5,10,5) Lagrangian root a
+block form from 32 rows up changed which cuts entered and slowed the
+loop; that workload's LPs stay under 100 rows, at 95 at most, so they
+keep the dense inverse's bits. Branch-and-cut node LPs carry only their
+active cuts (`driver.run_branch_and_cut`), so they stay small.
 
 Cold start: two-phase primal simplex from the slack/artificial basis;
 phase 1 minimizes the artificial sum. Entering variable: Dantzig rule,
@@ -119,9 +139,9 @@ _REFACTOR_EVERY = 64
 _BLAND_AFTER = 2
 #: the kernel's one size cutoff, read by `_lp_core` alone: from this many
 #: rows the core keeps the basis in block form and forms no m x m matrix;
-#: root-loop masters under it, whose duals cuts are built from, keep the
-#: dense inverse's last digits
-_BLOCK_FINAL_MIN_ROWS = 200
+#: from here the block form's measured cost stops losing to the dense
+#: inverse's (module docstring)
+_BLOCK_FINAL_MIN_ROWS = 100
 
 
 def _unit_columns(basis, n, asig):

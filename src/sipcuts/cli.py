@@ -178,6 +178,7 @@ def cmd_root(args) -> int:
         stop=trace.stop_reason,
         n_benders=last.n_benders,
         n_lagrangian=last.n_lagrangian,
+        sep_stops=",".join(f"{k}:{v}" for k, v in sorted(trace.separation_stops.items())) or "none",
         trace=trace_path,
     )
     return 4 if trace.stop_reason == "time_limit" else 0

@@ -131,12 +131,15 @@ class BoundTrace:
     Bounds are reported as the running maximum (an added cut never
     invalidates an earlier bound) and times are strictly increasing.
     Classical and strengthened-classical cuts are counted together.
+    `separation_stops` counts the root loop's `separate_restricted`
+    calls by `SeparationResult.stop`; the CSV does not carry it.
     """
 
     def __init__(self, baseline: float = math.nan):
         self.baseline = baseline
         self.records: list[TraceRecord] = []
         self.stop_reason = ""
+        self.separation_stops: dict[str, int] = {}
         self._t0 = time.monotonic()
 
     def record(self, bound: float, iteration: int, counts: dict[str, int]) -> None:
@@ -242,7 +245,9 @@ def run_root_loop(
             if added is False and cfg.variant != "benders_only":
                 phase_bounds = phase_bounds or [bound]
                 added = add_round(
-                    lambda s: _multiplier_cut(inst, s, x, theta[s], master.cuts, pools[s], cfg)
+                    lambda s: _multiplier_cut(
+                        inst, s, x, theta[s], master.cuts, pools[s], cfg, trace.separation_stops
+                    )
                 )
             if not added:
                 trace.stop_reason = "time_limit" if added is None else "saturated"
@@ -274,7 +279,11 @@ def separate_classical(inst, s, x_hat, theta_hat) -> Cut | None:
     return None
 
 
-def _multiplier_cut(inst, s, x, theta_s, cuts, pool, cfg: VariantConfig) -> Cut | None:
+def _multiplier_cut(
+    inst, s, x, theta_s, cuts, pool, cfg: VariantConfig, stops: dict[str, int]
+) -> Cut | None:
+    """The multiplier cut of scenario s at (x, theta_s), if violated; a
+    restricted separation counts its stop reason in `stops`."""
     scen_tol = LAGR_VIOL_TOL * (abs(theta_s) + 1.0)
     if cfg.variant == "strengthened":
         parent = _latest_classical(cuts, s)
@@ -301,7 +310,9 @@ def _multiplier_cut(inst, s, x, theta_s, cuts, pool, cfg: VariantConfig) -> Cut 
             if idx.size == 0 or ub <= scen_tol:
                 return None
             norm = NormalizationSpec("span_weight", cfg.alpha, span[idx])
-    return separate_restricted(inst, s, x, theta_s, norm, pool=pool, delta=cfg.delta).cut
+    res = separate_restricted(inst, s, x, theta_s, norm, pool=pool, delta=cfg.delta)
+    stops[res.stop] = stops.get(res.stop, 0) + 1
+    return res.cut
 
 
 # ------------------------------------------------------------------ B&C

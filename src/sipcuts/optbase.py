@@ -29,7 +29,7 @@ identical outputs, including the incumbent pool order and node counts.
 
 `solve_mip` builds the kernel's per-program set-up (`_simplex.prepare`:
 the structural columns A' and the slack bounds) once per tree instead
-of once per node. Below the kernel's block-form cutoff of 200 rows a
+of once per node. Below the kernel's block-form cutoff of 100 rows a
 node's final basis inverse rides along with its basis, and its children
 start from a copy of it instead of inverting that basis again; the
 kernel computes the same bits either way.

@@ -190,6 +190,16 @@ def test_root_output_is_key_value(tmp_path, t1_file, capsys):
         assert re.fullmatch(r"[a-z_]+=\S.*", line), line
 
 
+def test_root_prints_separation_stops(tmp_path, t1_file, capsys):
+    argv = ["root", t1_file, "--out", str(tmp_path), "--variant"]
+    _, kv, _ = run_cli(capsys, argv + ["benders_only"])
+    assert kv["sep_stops"] == ["none"]
+    _, kv, _ = run_cli(capsys, argv + ["exact"])
+    counts = dict(item.split(":") for item in kv["sep_stops"][0].split(","))
+    assert counts and all(int(v) > 0 for v in counts.values())
+    assert set(counts) <= {"delta", "no_violation", "stalled", "budget", "pi0_small"}
+
+
 def test_root_time_limit_exits_4(tmp_path, t1_file, capsys):
     code, kv, _ = run_cli(
         capsys,

@@ -278,6 +278,23 @@ def test_root_loop_separates_no_point_twice(monkeypatch, inst, variant):
     assert len(seen) == len(set(seen))
 
 
+def test_root_loop_counts_every_separation_stop(monkeypatch):
+    stops = []
+    real = driver.separate_restricted
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        stops.append(res.stop)
+        return res
+
+    monkeypatch.setattr(driver, "separate_restricted", recording)
+    inst = gen_snip(SnipParams(12, 30, 8, 10.0, 4, seed=3))
+    _, trace = run_root_loop(inst, VariantConfig(variant="exact", delta=0.0, early_stop=False))
+    assert trace.stop_reason == "saturated" and stops
+    assert sum(trace.separation_stops.values()) == len(stops)
+    assert trace.separation_stops == {k: stops.count(k) for k in set(stops)}
+
+
 def test_root_unbounded_master_raises_and_keeps_the_trace():
     trace = BoundTrace()
     with pytest.raises(InstanceError, match="cut master is unbounded; cannot run the root loop"):

@@ -1146,11 +1146,13 @@ def test_mip_warm_children_below_block_rows_make_no_start_inverse(monkeypatch):
 
 
 def _tall_mip(seed):
-    """A seeded integer program of 32 to 199 GE rows on 6 to 10 columns
-    that holds at an integer point of its box, so that its tree branches
-    before it ends optimal."""
+    """A seeded integer program of 32 rows up to the block-form cutoff,
+    all GE, on 6 to 10 columns, that holds at an integer point of its
+    box, so that its tree branches before it ends optimal."""
+    from sipcuts import _simplex
+
     rng = np.random.default_rng(seed)
-    m, n = int(rng.integers(32, 200)), int(rng.integers(6, 11))
+    m, n = int(rng.integers(32, _simplex._BLOCK_FINAL_MIN_ROWS)), int(rng.integers(6, 11))
     dense = np.round(rng.uniform(-5.0, 5.0, (m, n)))
     ub = rng.integers(2, 6, n)
     anchor = rng.integers(0, ub + 1)
@@ -1459,8 +1461,9 @@ def test_master_warm_solve_keeps_no_m_by_m_array(core_calls):
 def test_final_inverse_below_the_cutoff_is_dense(monkeypatch, core_calls):
     from sipcuts import _simplex
 
-    lp, anchor = _bounded_lp(0, (199, 200))
-    assert lp.nrows == _simplex._BLOCK_FINAL_MIN_ROWS - 1
+    cutoff = _simplex._BLOCK_FINAL_MIN_ROWS
+    lp, anchor = _bounded_lp(0, (cutoff - 1, cutoff))
+    assert lp.nrows == cutoff - 1
 
     def cold_and_warm():
         parent = _kernel(lp)
@@ -1474,3 +1477,46 @@ def test_final_inverse_below_the_cutoff_is_dense(monkeypatch, core_calls):
         _same_output(a, b)
         for u, v in zip(a[6], b[6]):
             assert u.tobytes() == v.tobytes()
+
+
+def test_snip_scenario_lps_in_block_form_match_the_dense_inverse(
+    monkeypatch, inverse_calls, core_calls
+):
+    """Scenario 0 of SNIP(30,80,20,b30,S20) seed 1, the snip-root
+    workload: the cold recourse LP at x = 0 and its warm re-solve at
+    x = 0.5, and a qbar-style joint LP and its warm re-solve under new
+    multipliers, as the block form runs them and with the cutoff above
+    their rows."""
+    from sipcuts import _simplex
+    from sipcuts.instances import SnipParams, gen_snip
+    from sipcuts.model import joint_scenario_program, recourse_program
+
+    inst = gen_snip(SnipParams(30, 80, 20, 30.0, 20, seed=1))
+    q, rng = inst.scenarios[0].q, np.random.default_rng(1)
+    pi = rng.uniform(-0.01, 0.01, inst.nx)
+    pairs = [
+        [recourse_program(inst, 0, np.full(inst.nx, v)) for v in (0.0, 0.5)],
+        [joint_scenario_program(inst, 0, pi, q), joint_scenario_program(inst, 0, -pi, 0.5 * q)],
+    ]
+    assert [lp.nrows for pair in pairs for lp in pair] == [102, 102, 103, 103]
+    assert 102 >= _simplex._BLOCK_FINAL_MIN_ROWS
+
+    def solve_pairs():
+        outs = []
+        for cold_lp, warm_lp in pairs:
+            cold = _kernel(cold_lp)
+            del core_calls[:]
+            warm = _kernel(warm_lp, warm=cold[6])
+            assert len(core_calls) == 1, "the warm attempt was accepted"
+            assert warm[5] > 0, "the warm start was optimal already"
+            outs += [cold, warm]
+        return outs
+
+    del inverse_calls[:]
+    block = solve_pairs()
+    assert not inverse_calls, "the block form inverted an m x m basis"
+    monkeypatch.setattr(_simplex, "_BLOCK_FINAL_MIN_ROWS", 10**9)
+    for a, b in zip(block, solve_pairs()):
+        assert a[0] == b[0] == _simplex.OPTIMAL
+        assert abs(a[2] - b[2]) <= 1e-9 * (1.0 + abs(b[2]))
+    assert inverse_calls
