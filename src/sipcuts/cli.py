@@ -35,7 +35,7 @@ from .driver import (
     solve_root_then_bc,
 )
 from .instances import FormatError, Rng, SnipParams, SslpParams, gen_snip, gen_sslp, read_instance, write_instance
-from .model import InstanceError, build_extensive_form
+from .model import InstanceError, build_extensive_form, merge_twins
 from .optbase import KernelError, OPTIMAL, solve_lp
 
 
@@ -136,6 +136,11 @@ def _baseline_lp(inst) -> float:
     return out.objective if out.status == OPTIMAL else math.nan
 
 
+def _scenarios(inst) -> str:
+    """`solved/given` scenario counts; runs solve `model.merge_twins(inst)`."""
+    return f"{merge_twins(inst).nscen}/{inst.nscen}"
+
+
 def _solver_failure(trace: BoundTrace, path: str, exc: Exception) -> int:
     """Write a failed run's partial trace, report the error, exit 3."""
     trace.to_csv(path)
@@ -169,6 +174,7 @@ def cmd_root(args) -> int:
     _emit(
         instance=inst.name,
         variant=args.variant,
+        scenarios=_scenarios(inst),
         final_bound=trace.final_bound,
         baseline_lp=trace.baseline,
         gap_closed=(trace.final_bound - trace.baseline)
@@ -209,6 +215,7 @@ def cmd_solve(args) -> int:
     _emit(
         instance=inst.name,
         mode=args.mode,
+        scenarios=_scenarios(inst),
         status=res.status,
         objective=res.objective,
         bound=res.bound,

@@ -27,24 +27,24 @@ Variants of the multiplier block:
   * ``span_mip``       pick the best few span vectors by a small MIP,
                        then search under the weight normalization.
 
-`run_root_loop` and `run_branch_and_cut` each open an oracle memo
-(`model.oracle_memo`) for their instance: inside one call, every scenario
-oracle (theta bound, scenario LP relaxation, exact recourse value, qbar)
-solves a question about a scenario class and a point once, and repeats,
-from an identical scenario or a revisited point, get copies of that
-answer. A call made inside an open memo for the same instance shares
-it; nothing outlives the call, so solving an instance twice does the
-same work twice. Branch-and-cut and the ``benders_only`` and ``exact``
-root loops open their memo with warm starts: each scenario LP
-relaxation starts from the last optimal basis of scenarios with the
-same q, W and bounds. The span and ``strengthened`` loops keep those
-LPs cold, since they build cuts from the classical duals, and another
-dual vertex at a degenerate point changes the span they search and the
-cut they lift; ``exact`` searches the whole ball. In every memo each
-qbar MIP's root LP starts from the last one of its scenario class; its
-value stays exact. A multiplier search asked again by a scenario of the
-same class, at the same point and with the same pool, which twins
-usually have, replays the first one (`lagrangian.separate_restricted`).
+`run_root_loop` and `run_branch_and_cut` first merge twin scenarios,
+those with byte-identical oracle data, into one scenario with their
+summed probability (`model.merge_twins`); an instance without twins is
+solved as given. Each then opens an oracle memo (`model.oracle_memo`)
+for the instance it solves: inside one call, every scenario oracle
+(theta bound, scenario LP relaxation, exact recourse value, qbar)
+solves a question about a scenario and a point once, and repeats get
+copies of that answer. A call made inside an open memo for the same
+instance shares it; nothing outlives the call, so solving an instance
+twice does the same work twice. Branch-and-cut and the
+``benders_only`` and ``exact`` root loops open their memo with warm
+starts: each scenario LP relaxation starts from the last optimal basis
+of scenarios with the same q, W and bounds. The span and
+``strengthened`` loops keep those LPs cold, since they build cuts from
+the classical duals, and another dual vertex at a degenerate point
+changes the span they search and the cut they lift; ``exact`` searches
+the whole ball. In every memo each qbar MIP's root LP starts from the
+last one of its scenario; its value stays exact.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from .lagrangian import (
     strengthen_benders,
     xy_round_first_stage,
 )
-from .model import InstanceError, SipInstance, eval_recourse, oracle_memo
+from .model import InstanceError, SipInstance, eval_recourse, merge_twins, oracle_memo
 
 VARIANTS = ("benders_only", "strengthened", "exact", "span_coef", "span_weight", "span_mip")
 
@@ -206,9 +206,12 @@ def run_root_loop(
 ) -> tuple[MasterModel, BoundTrace]:
     """Grow the cut master until the configured variant is saturated.
 
-    Passing `trace` lets the caller keep the partial record if a solve
-    fails mid-loop."""
+    The master is built over `merge_twins(inst)`, which is `master.inst`:
+    its theta columns and every `cuts[i].scenario` index
+    `master.inst.scenarios`. Passing `trace` lets the caller keep the
+    partial record if a solve fails mid-loop."""
     start = time.monotonic()
+    inst = merge_twins(inst)
     if trace is None:
         trace = BoundTrace()
     with oracle_memo(inst, warm_starts=cfg.variant in ("benders_only", "exact")):
@@ -361,8 +364,13 @@ def run_branch_and_cut(
     Integer-feasible candidates are re-cut (classical cuts at the LP
     value, integer optimality cuts at the exact value) and re-solved
     until clean before the incumbent is accepted. Exactness needs a
-    binary first stage, which the integer optimality cuts require."""
+    binary first stage, which the integer optimality cuts require.
+
+    The search runs over `merge_twins(inst)`, whose scenarios `root`'s
+    theta columns and cuts must index, as those of the master
+    `run_root_loop(inst, ...)` returns do."""
     require_binary_first_stage(inst)
+    inst = merge_twins(inst)
     n = inst.nx
     fresh: list[int] = []  # pool indices of the cuts added at this node
 

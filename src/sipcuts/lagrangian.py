@@ -20,14 +20,10 @@ The multiplier set is one of
 with pi0 >= 0 throughout; V stacks reference coefficient vectors.
 
 `eval_qbar` answers through the oracle memo of `model`: within one root
-loop or branch-and-cut, a question (scenario class, pi, pi0) asked again,
-by the same scenario or an identical one, replays the first solve's
-incumbents into the asking scenario's pool instead of solving the MIP,
-and a MIP it does solve starts its root LP from the last qbar root basis
-of the scenario's class. `separate_restricted` answers through the same
-memo: a scenario of the first asker's class that asks at the same
-candidate with the same normalization, delta and pool contents gets the
-first search's result, and its pool is fed the first search's points.
+loop or branch-and-cut, a question (scenario, pi, pi0) asked again
+replays the first solve's incumbents into the pool it is given instead
+of solving the MIP, and a MIP it does solve starts its root LP from the
+scenario's last qbar root basis.
 Within one separation the master is re-solved only after its pool
 changed (`ScenarioPool.version`) or, for the trust-region master, its
 region moved.
@@ -36,7 +32,7 @@ region moved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,20 +100,6 @@ class ScenarioPool:
         return X, th
 
 
-class _RecordingPool(ScenarioPool):
-    """A copy of `pool` that logs every (x, theta) fed to `add`, in order."""
-
-    def __init__(self, pool: ScenarioPool):
-        super().__init__()
-        self._points, self._index = list(pool._points), dict(pool._index)
-        self.version = pool.version
-        self.fed: list[tuple[np.ndarray, float]] = []
-
-    def add(self, x: np.ndarray, theta: float) -> bool:
-        self.fed.append((x, theta))
-        return super().add(x, theta)
-
-
 def eval_qbar(
     inst: SipInstance,
     s: int,
@@ -132,8 +114,8 @@ def eval_qbar(
     with an exact recourse solve before entering the pool.
 
     An answer taken from the oracle memo replays the incumbents of its
-    solve, in order, into this scenario's pool, so the pool ends as a
-    fresh solve would leave it."""
+    solve, in order, into `pool`, so the pool ends as a fresh solve
+    would leave it."""
     if pi0 < 0.0:
         raise InstanceError("qbar is only defined for nonnegative theta weights")
     pi = np.asarray(pi, dtype=np.float64)
@@ -157,8 +139,8 @@ def _qbar(inst: SipInstance, s: int, pi: np.ndarray, pi0: float):
     below the optimum until x is integral.
 
     Inside an open oracle memo the root LP starts from the root basis of
-    the class's last qbar MIP: only the objective differs, so that basis
-    is primal feasible and the kernel goes to primal phase 2 with it."""
+    the scenario's last qbar MIP: only the objective differs, so that
+    basis is primal feasible and the kernel goes to primal phase 2 with it."""
     scen = inst.scenarios[s]
     n = inst.nx
     prog = joint_scenario_program(inst, s, pi, pi0 * scen.q)
@@ -319,42 +301,10 @@ def separate_restricted(
     trust-region-restricted for the ball set, plain model argmax
     otherwise — which also tightens the model. Stops when the bound and
     the best exact violation are delta-close, when the bound proves no
-    usable cut exists, when queries stall, or on oracle budget.
-
-    The search answers through the oracle memo of `model`: a scenario of
-    the same class asking with the same x_hat, theta_hat, norm, delta
-    and pool contents gets the first search's result, its cut
-    attributed to the asking scenario, and its pool is fed the points
-    the first search fed, in order, so it ends as a fresh search would
-    leave it."""
+    usable cut exists, when queries stall, or on oracle budget."""
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if pool is None:
         pool = ScenarioPool()
-    pool_x, pool_th = pool.arrays()
-    point = (
-        x_hat.tobytes(),
-        np.float64(theta_hat).tobytes(),
-        norm.kind.encode(),
-        np.float64(norm.alpha).tobytes(),
-        b"" if norm.basis is None else norm.basis.tobytes(),
-        np.float64(delta).tobytes(),
-        pool_x.tobytes(),
-        pool_th.tobytes(),
-    )
-
-    def search():
-        copy = _RecordingPool(pool)
-        return _search(inst, s, x_hat, theta_hat, norm, copy, delta), copy.fed
-
-    res, fed = memo_answer(inst, "separation", s, point, search)
-    for x_z, theta_z in fed:
-        pool.add(x_z, theta_z)
-    cut = None if res.cut is None else replace(res.cut, scenario=s, coef_x=res.cut.coef_x.copy())
-    return replace(res, cut=cut, pi=None if res.pi is None else res.pi.copy())
-
-
-def _search(inst, s, x_hat, theta_hat, norm, pool, delta) -> SeparationResult:
-    """`separate_restricted`'s search, feeding `pool`."""
     scen_tol = LAGR_VIOL_TOL * (abs(theta_hat) + 1.0)
     if len(pool) == 0:
         seed_pool(inst, s, pool)

@@ -9,20 +9,23 @@ mapping to +inf when the subproblem is infeasible. All constraint rows
 are stored in >= form; writers that need equalities emit paired rows.
 The blocks A, W_s and T_s are dense 2-d float arrays.
 
+Instances whose scenarios repeat one (sampled scenario sets often do)
+are solved over `merge_twins`: one scenario per class of byte-identical
+oracle data, carrying the class's summed probability. The optimum, the
+Benders LP bound and the Lagrangian dual bound stay the same (scenario
+aggregation, Birge & Louveaux 2011), and each remaining scenario needs
+its own oracle answers.
+
 Scenario oracles answer through `memo_answer`: here the exact recourse
 value `eval_recourse` and the scenario LP relaxation
 `recourse_relaxation`, in `benders` the theta bound, in `lagrangian`
-the weighted value `eval_qbar` and the multiplier search
-`separate_restricted`. While an `oracle_memo` is open for an
+the weighted value `eval_qbar`. While an `oracle_memo` is open for an
 instance, each question is solved once: the key is the oracle's name,
-the scenario's class (`scenario_classes`: scenarios with byte-identical
-data share one) and the exact bytes of the point asked about (for the
-search, of its candidate, normalization, delta and pool). Sampled
-scenario sets often repeat a scenario, and cutting-plane loops ask
-again at points they have seen. Keys are exact bytes, not digests, so
-a repeat gets the very answer a fresh solve would give and no
-collision needs ruling out; the points are short vectors and pools,
-while keying whole programs would hold megabytes.
+the scenario and the exact bytes of the point asked about.
+Cutting-plane loops ask again at points they have seen. Keys are exact
+bytes, not digests, so a repeat gets the very answer a fresh solve
+would give and no collision needs ruling out; the points are short
+vectors, while keying whole programs would hold megabytes.
 
 Two questions share the relaxation. The classical (Benders)
 subproblem builds its cut from it, and `eval_recourse` hands it to
@@ -43,25 +46,25 @@ point the shared answer may be another dual vertex than a cold solve
 would return, so the cut and the root node built from it may differ.
 
 Every open memo, with `warm_starts` or not, also keeps per scenario
-class the root (basis, vstat) of the last qbar MIP it solved, and
-`lagrangian` starts the class's next qbar root from it
+the root (basis, vstat) of the last qbar MIP it solved, and
+`lagrangian` starts the scenario's next qbar root from it
 (`solve_from_start`). Between two such MIPs only the objective
 (pi, pi0 q) changes, so the basis is primal feasible and the kernel
 goes to primal phase 2 with it: MIP reoptimization (Gamrath, Hiller &
 Witzig 2015). The oracle value stays exact; the optimizer and
 incumbents may be other optima than a cold solve's. The key is the
-scenario class, not a class of equal W, h and T: SNIP's scenarios share
+scenario, not a class of equal W, h and T: SNIP's scenarios share
 those, and at pi0 = 0, where y has no cost, a start from another q
 keeps that scenario's y, whose recourse cost loosens the pool. All
-starts, one dict keyed by (oracle, class), die with the memo, so
-consecutive solves do the same work.
+starts, one dict keyed by (oracle, dual class or scenario), die with
+the memo, so consecutive solves do the same work.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -282,6 +285,19 @@ def scenario_classes(inst: SipInstance) -> list[int]:
     return _classes(inst, _ORACLE_FIELDS)
 
 
+def merge_twins(inst: SipInstance) -> SipInstance:
+    """`inst` itself when no two scenarios share a `scenario_classes`
+    class; otherwise a copy with one scenario per class, in order of
+    first occurrence, whose probability is the class's sum."""
+    classes = scenario_classes(inst)
+    probs = dict.fromkeys(classes, 0.0)  # first scenario of each class -> sum
+    if len(probs) == inst.nscen:
+        return inst
+    for scen, r in zip(inst.scenarios, classes):
+        probs[r] += scen.prob
+    return replace(inst, scenarios=[replace(inst.scenarios[r], prob=p) for r, p in probs.items()])
+
+
 def dual_classes(inst: SipInstance) -> list[int]:
     """Per scenario, the index of the first scenario with byte-identical
     q, W and bounds: an optimal basis of one's LP relaxation, at any x,
@@ -292,12 +308,11 @@ def dual_classes(inst: SipInstance) -> list[int]:
 class _OracleMemo:
     def __init__(self, inst: SipInstance, warm_starts: bool):
         self.inst = inst
-        self.classes = scenario_classes(inst)
         self.answers: dict = {}
         self.warm_starts = warm_starts
         self.dual_classes = dual_classes(inst)
-        #: (oracle, class) -> (basis, vstat) of the oracle's last optimal LP
-        #: of that class: the relaxation by dual class, qbar by scenario class
+        #: (oracle, key) -> (basis, vstat) of the oracle's last optimal LP
+        #: under that key: the relaxation's dual class, qbar's scenario
         self.starts: dict[tuple, tuple] = {}
 
 
@@ -314,7 +329,7 @@ def oracle_memo(inst: SipInstance, warm_starts: bool = False):
     With `warm_starts`, each scenario LP relaxation the memo solves
     starts from the last optimal basis of its dual class
     (`dual_classes`), the bunching of the L-shaped method. Each qbar
-    MIP's root starts from its scenario class's last one either way."""
+    MIP's root starts from its scenario's last one either way."""
     global _open_memo
     if _open_memo is not None and _open_memo.inst is inst:
         yield
@@ -327,14 +342,14 @@ def oracle_memo(inst: SipInstance, warm_starts: bool = False):
 
 
 def memo_answer(inst: SipInstance, oracle: str, s: int, point, solve):
-    """`solve()`, or its stored answer when (oracle, class of scenario s,
-    point) was asked before inside the open `oracle_memo` for `inst`;
-    `point` is bytes or a tuple of them. Callers hand out copies of a
-    mutable answer, never the answer."""
+    """`solve()`, or its stored answer when (oracle, scenario s, point)
+    was asked before inside the open `oracle_memo` for `inst`; `point`
+    is bytes. Callers hand out copies of a mutable answer, never the
+    answer."""
     memo = _open_memo
     if memo is None or memo.inst is not inst:
         return solve()
-    key = (oracle, memo.classes[s], point)
+    key = (oracle, s, point)
     if key not in memo.answers:
         memo.answers[key] = solve()
     return memo.answers[key]
@@ -342,15 +357,14 @@ def memo_answer(inst: SipInstance, oracle: str, s: int, point, solve):
 
 def solve_from_start(inst: SipInstance, oracle: str, s: int, solve) -> SolveOutcome:
     """`solve(warm)`, `warm` being the start the open `oracle_memo` for
-    `inst` keeps for (oracle, class of scenario s), or None without one;
-    the outcome's `basis`, when it has one, becomes that class's next
-    start. The relaxation keys by dual class, other oracles by scenario
-    class."""
+    `inst` keeps for (oracle, scenario s), or None without one; the
+    outcome's `basis`, when it has one, becomes the next start under
+    that key. The relaxation keys by dual class, other oracles by
+    scenario."""
     memo = _open_memo
     if memo is None or memo.inst is not inst:
         return solve(None)
-    classes = memo.dual_classes if oracle == "relaxation" else memo.classes
-    key = (oracle, classes[s])
+    key = (oracle, memo.dual_classes[s] if oracle == "relaxation" else s)
     out = solve(memo.starts.get(key))
     if out.basis is not None:
         memo.starts[key] = out.basis

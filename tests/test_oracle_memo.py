@@ -1,4 +1,5 @@
-"""Oracle memo: identical scenarios share answers, bit for bit, within one
+"""Twin merging and the oracle memo: identical scenarios are solved as one,
+a repeated question gets its first answer, bit for bit, within one
 top-level solve, and a separation reuses an unchanged master."""
 
 from dataclasses import replace
@@ -15,6 +16,7 @@ from sipcuts.model import (
     CONT,
     InstanceError,
     RecourseUnboundedError,
+    merge_twins,
     oracle_memo,
     scenario_classes,
     toy_instance,
@@ -41,29 +43,6 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def _exact_run(inst, monkeypatch):
-    """Root loop of the snip-root workload; returns what it produced and
-    every scenario pool it built."""
-    pools = []
-
-    def pool():
-        pools.append(ScenarioPool())
-        return pools[-1]
-
-    monkeypatch.setattr(driver, "ScenarioPool", pool)
-    cfg = VariantConfig(variant="exact", delta=0.0, early_stop=False)
-    master, trace = run_root_loop(inst, cfg)
-    records = [
-        (repr(r.lower_bound), r.iteration, r.n_benders, r.n_lagrangian, r.n_intl)
-        for r in trace.records
-    ]
-    cuts = [
-        (c.family, c.scenario, c.coef_x.tobytes(), c.coef_theta, c.rhs) for c in master.cuts
-    ]
-    pool_bytes = [tuple(a.tobytes() for a in p.arrays()) for p in pools]
-    return records, trace.stop_reason, cuts, pool_bytes
-
-
 def test_scenario_classes_name_the_first_identical_scenario(snip):
     assert scenario_classes(snip) == [0, 0, 2, 0]
     assert scenario_classes(toy_instance()) == [0, 1]
@@ -73,15 +52,49 @@ def test_scenario_classes_name_the_first_identical_scenario(snip):
     assert scenario_classes(snip) == [0, 0, 2, 3]
 
 
-def test_shared_answers_change_no_result(snip, monkeypatch, kernel_calls):
-    shared = _exact_run(snip, monkeypatch)
-    shared_calls = len(kernel_calls)
-    kernel_calls.clear()
-    monkeypatch.setattr(model, "scenario_classes", lambda inst: list(range(inst.nscen)))
-    distinct = _exact_run(snip, monkeypatch)
-    assert shared == distinct
-    assert shared[1] == "saturated" and shared[2]
-    assert len(kernel_calls) > shared_calls
+def _cuts_hold_on_their_epigraphs(inst, cuts):
+    """Every cut holds at each enumerated first-stage point of `inst`
+    with the exact recourse value of the scenario it names."""
+    epigraphs = {s: model.brute_force_epigraph(inst, s) for s in range(inst.nscen)}
+    for cut in cuts:
+        X, Q = epigraphs[cut.scenario]
+        finite = np.isfinite(Q)
+        slack = X[finite] @ cut.coef_x + cut.coef_theta * Q[finite] - cut.rhs
+        assert slack.min() >= -1e-7, (cut.family, cut.scenario, slack.min())
+
+
+def test_merge_twins_returns_a_twin_free_instance_itself(snip):
+    for inst in (toy_instance(), gen_sslp(SslpParams(3, 5, 3, seed=7))):
+        assert merge_twins(inst) is inst
+    merged = merge_twins(snip)
+    assert [s.prob for s in merged.scenarios] == [0.75, 0.25]
+    assert merged.scenarios[0].q is snip.scenarios[0].q
+    assert merged.scenarios[1].q is snip.scenarios[2].q
+    assert [s.prob for s in snip.scenarios] == [0.25] * 4  # the caller's is kept
+
+
+def test_branch_and_cut_on_the_root_loops_master_of_a_twin_instance(snip):
+    master, _ = run_root_loop(snip, VariantConfig(variant="benders_only"))
+    assert master.inst.nscen == 2
+    res = driver.run_branch_and_cut(snip, master)
+    assert res.status == "optimal"
+    assert abs(res.objective - 0.323883) <= 1e-6
+
+
+def test_merged_twins_keep_the_exact_root_bound_and_every_cut_holds(snip):
+    distinct = replace(snip, scenarios=[replace(scen) for scen in snip.scenarios])
+    for s, row in ((1, 0), (3, 1)):  # byte-distinct, equal in value
+        distinct.scenarios[s].h = distinct.scenarios[s].h.copy()
+        distinct.scenarios[s].h[row] = -0.0
+    assert scenario_classes(distinct) == [0, 1, 2, 3]
+    cfg = VariantConfig(variant="exact", delta=0.0, early_stop=False)
+    runs = [run_root_loop(inst, cfg) for inst in (snip, distinct)]
+    (merged, merged_trace), (unmerged, unmerged_trace) = runs
+    assert merged.inst.nscen == 2 and unmerged.inst is distinct
+    assert merged_trace.stop_reason == unmerged_trace.stop_reason == "saturated"
+    assert abs(merged_trace.final_bound - unmerged_trace.final_bound) <= 1e-9
+    for master in (merged, unmerged):
+        _cuts_hold_on_their_epigraphs(master.inst, master.cuts)
 
 
 def test_consecutive_root_loops_do_the_same_work(snip, kernel_calls):
@@ -104,27 +117,25 @@ def test_answers_are_copies(snip, kernel_calls):
         first.cut.coef_x[:] = 7.0
         first.cut.rhs = 7.0
         x_first[:] = 7.0
-        twin = solve_benders_subproblem(snip, 1, x)
         again = solve_benders_subproblem(snip, 0, x)
-        twin_value, x_twin = eval_qbar(snip, 3, pi, 0.5)
-        assert len(kernel_calls) == solved  # all four answered from the memo
-    fresh = solve_benders_subproblem(snip, 1, x)
-    assert twin.cut.scenario == 1 and again.cut.scenario == 0
-    for cut in (twin.cut, again.cut):
-        assert cut.coef_x.tobytes() == fresh.cut.coef_x.tobytes()
-        assert cut.rhs == fresh.cut.rhs
-    assert twin_value == value
-    assert x_twin.tobytes() == eval_qbar(snip, 3, pi, 0.5)[1].tobytes()
+        again_value, x_again = eval_qbar(snip, 0, pi, 0.5, ScenarioPool())
+        assert len(kernel_calls) == solved  # both answered from the memo
+    fresh = solve_benders_subproblem(snip, 0, x)
+    assert again.cut.scenario == 0
+    assert again.cut.coef_x.tobytes() == fresh.cut.coef_x.tobytes()
+    assert again.cut.rhs == fresh.cut.rhs
+    assert again_value == value
+    assert x_again.tobytes() == eval_qbar(snip, 0, pi, 0.5)[1].tobytes()
 
 
 def test_replayed_oracle_answer_fills_the_pool(snip, kernel_calls):
     pi = np.linspace(-0.5, 0.5, snip.nx)
     pools = [ScenarioPool() for _ in range(3)]
-    eval_qbar(snip, 3, pi, 5e-5, pools[0])  # outside a memo, as reference
+    eval_qbar(snip, 0, pi, 5e-5, pools[0])  # outside a memo, as reference
     with oracle_memo(snip):
         eval_qbar(snip, 0, pi, 5e-5, pools[1])
         solved = len(kernel_calls)
-        eval_qbar(snip, 3, pi, 5e-5, pools[2])
+        eval_qbar(snip, 0, pi, 5e-5, pools[2])  # the same question, a fresh pool
         assert len(kernel_calls) == solved
     arrays = [tuple(a.tobytes() for a in p.arrays()) for p in pools]
     assert arrays[0] == arrays[1] == arrays[2]
@@ -256,44 +267,6 @@ def test_separation_reuses_an_unchanged_master(snip, monkeypatch):
     assert reused.pi.tobytes() == plain.pi.tobytes()
 
 
-def _separation_bytes(res, pool):
-    cut = res.cut
-    return (
-        res.lower,
-        res.upper,
-        res.stop,
-        res.oracle_calls,
-        res.pi0,
-        res.pi.tobytes(),
-        (cut.family, cut.coef_x.tobytes(), cut.coef_theta, cut.rhs),
-        tuple(a.tobytes() for a in pool.arrays()),
-        pool.version,
-    )
-
-
-def test_twin_scenarios_share_one_separation(kernel_calls):
-    base = gen_sslp(SslpParams(3, 5, 3, seed=7))
-    first, *rest = base.scenarios
-    half = replace(first, prob=first.prob / 2)
-    inst = replace(base, scenarios=[half, replace(half), *rest])
-    assert scenario_classes(inst) == [0, 0, 2, 3]
-    x_hat, theta_hat, norm = np.array([0.5, 0.5, 0.0]), -60.0, NormalizationSpec("ball")
-    pools = [ScenarioPool() for _ in range(3)]
-    with oracle_memo(inst):
-        one = separate_restricted(inst, 0, x_hat, theta_hat, norm, pools[0])
-        solved = len(kernel_calls)
-        twin = separate_restricted(inst, 1, x_hat, theta_hat, norm, pools[1])
-        assert len(kernel_calls) == solved  # the twin's search is the first one's
-    # no memo open: every qbar MIP is solved cold, and at this point they
-    # reach the optima and incumbents of the warm ones
-    fresh = separate_restricted(inst, 1, x_hat, theta_hat, norm, pools[2])
-    assert one.cut is not None and one.oracle_calls > 2
-    assert (one.cut.scenario, twin.cut.scenario, fresh.cut.scenario) == (0, 1, 1)
-    assert twin.cut.coef_x is not one.cut.coef_x and twin.pi is not one.pi
-    digests = [_separation_bytes(r, p) for r, p in zip((one, twin, fresh), pools)]
-    assert digests[0] == digests[1] == digests[2]
-
-
 # ------------------------------------------------ warm-started relaxations
 
 
@@ -350,12 +323,7 @@ def test_bbc_warm_relaxations_match_cold_solves_and_every_cut_holds(
         if cold.status == optbase.OPTIMAL:
             assert abs(out.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
     assert {c.family for c in cuts} == {"benders", "integer_lshaped"}
-    epigraphs = {s: model.brute_force_epigraph(inst, s) for s in range(inst.nscen)}
-    for cut in cuts:
-        X, Q = epigraphs[cut.scenario]
-        finite = np.isfinite(Q)
-        slack = X[finite] @ cut.coef_x + cut.coef_theta * Q[finite] - cut.rhs
-        assert slack.min() >= -1e-7, (cut.family, cut.scenario, slack.min())
+    _cuts_hold_on_their_epigraphs(inst, cuts)
 
 
 @pytest.mark.parametrize(
@@ -404,7 +372,7 @@ def test_warm_exact_root_loop_matches_cold_solves_and_every_cut_holds(
 
     monkeypatch.setattr(driver.MasterModel, "add_cut", collecting)
     cfg = VariantConfig(variant="exact", delta=0.0, early_stop=False)
-    _, warm_trace = run_root_loop(inst, cfg)
+    master, warm_trace = run_root_loop(inst, cfg)
     warm = [(prog, out) for prog, start, out in relaxation_solves if start is not None]
     assert len(warm) >= 5
     for prog, out in warm:
@@ -413,12 +381,8 @@ def test_warm_exact_root_loop_matches_cold_solves_and_every_cut_holds(
         if cold.status == optbase.OPTIMAL:
             v = cold.objective
             assert abs(out.objective - v) <= 1e-9 * (1.0 + abs(v))
-    epigraphs = {s: model.brute_force_epigraph(inst, s) for s in range(inst.nscen)}
-    for cut in cuts:
-        X, Q = epigraphs[cut.scenario]
-        finite = np.isfinite(Q)
-        slack = X[finite] @ cut.coef_x + cut.coef_theta * Q[finite] - cut.rhs
-        assert slack.min() >= -1e-7, (cut.family, cut.scenario, slack.min())
+    # the cuts name scenarios of the merged instance the loop solved
+    _cuts_hold_on_their_epigraphs(master.inst, cuts)
     relaxation_solves.clear()
     memo = model.oracle_memo
     monkeypatch.setattr(driver, "oracle_memo", lambda inst, warm_starts=False: memo(inst))
@@ -506,8 +470,9 @@ def test_warm_qbar_values_match_cold_solves_and_every_pool_point_is_feasible(
         return pools[-1]
 
     monkeypatch.setattr(driver, "ScenarioPool", pool)
-    run_root_loop(inst, VariantConfig(variant="exact", delta=0.0, early_stop=False))
+    master, _ = run_root_loop(inst, VariantConfig(variant="exact", delta=0.0, early_stop=False))
     monkeypatch.undo()
+    inst = master.inst  # the answers and pools index its scenarios
     assert len(answers) >= 5 and len(pools) == inst.nscen
     for s, pi, pi0, value, _ in answers:  # no memo is open: cold solves
         cold = lagrangian._qbar(inst, s, pi, pi0)[0]
@@ -522,10 +487,10 @@ def test_warm_qbar_values_match_cold_solves_and_every_pool_point_is_feasible(
 
 
 def test_scenarios_that_differ_in_q_alone_never_share_a_qbar_start(snip, monkeypatch):
-    # scenario 2 has the other scenarios' W, h, T and bounds, and its own q
-    assert model._classes(snip, ("W", "h", "T", "lb", "ub", "vtype")) == [0, 0, 0, 0]
-    classes = scenario_classes(snip)
-    assert classes == [0, 0, 2, 0]
+    # the merged scenarios share W, h, T and bounds, and each has its own q
+    merged = merge_twins(snip)
+    assert model._classes(merged, ("W", "h", "T", "lb", "ub", "vtype")) == [0, 0]
+    assert scenario_classes(merged) == [0, 1]
     asked = []
     made = lagrangian.joint_scenario_program
 
@@ -533,25 +498,25 @@ def test_scenarios_that_differ_in_q_alone_never_share_a_qbar_start(snip, monkeyp
         asked.append(s)
         return made(inst, s, *args)
 
-    solves = []  # (class, warm, outcome) of every qbar MIP
+    solves = []  # (scenario, warm, outcome) of every qbar MIP
     solve = lagrangian.solve_mip
 
     def recording(prog, *args, warm=None, **kwargs):
         out = solve(prog, *args, warm=warm, **kwargs)
-        solves.append((classes[asked[-1]], warm, out))
+        solves.append((asked[-1], warm, out))
         return out
 
     monkeypatch.setattr(lagrangian, "joint_scenario_program", program)
     monkeypatch.setattr(lagrangian, "solve_mip", recording)
     run_root_loop(snip, VariantConfig(variant="exact", delta=0.0, early_stop=False))
-    warm_classes = set()
-    for k, (cls, warm, _) in enumerate(solves):
+    warm_scenarios = set()
+    for k, (s, warm, _) in enumerate(solves):
         if warm is None:
             continue
-        maker = [c for c, _, out in solves[:k] if out.basis is warm]
-        assert maker and maker[-1] == cls
-        warm_classes.add(cls)
-    assert warm_classes == {0, 2}
+        maker = [r for r, _, out in solves[:k] if out.basis is warm]
+        assert maker and maker[-1] == s
+        warm_scenarios.add(s)
+    assert warm_scenarios == {0, 1}
 
 
 def test_consecutive_lbc_solves_make_the_same_kernel_calls(monkeypatch):
