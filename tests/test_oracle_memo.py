@@ -81,7 +81,40 @@ def test_branch_and_cut_on_the_root_loops_master_of_a_twin_instance(snip):
     assert abs(res.objective - 0.323883) <= 1e-6
 
 
-def test_merged_twins_keep_the_exact_root_bound_and_every_cut_holds(snip):
+def _root_loop_bytes(master, trace):
+    """What an `exact` root loop produced, bit for bit."""
+    records = [
+        (repr(r.lower_bound), r.iteration, r.n_benders, r.n_lagrangian, r.n_intl)
+        for r in trace.records
+    ]
+    cuts = [
+        (c.family, c.scenario, c.coef_x.tobytes(), c.coef_theta, c.rhs) for c in master.cuts
+    ]
+    return records, trace.stop_reason, trace.separation_stops, cuts
+
+
+def test_twin_scenarios_share_one_separation(kernel_calls):
+    base = gen_sslp(SslpParams(3, 5, 3, seed=7))
+    first, *rest = base.scenarios
+    half = replace(first, prob=first.prob / 2)
+    inst = replace(base, scenarios=[half, replace(half), *rest])
+    assert scenario_classes(inst) == [0, 0, 2, 3]
+    cfg = VariantConfig(variant="exact", delta=0.0, early_stop=False)
+    runs, calls = [], []
+    for case in (base, inst):
+        kernel_calls.clear()
+        runs.append(run_root_loop(case, cfg))
+        calls.append(len(kernel_calls))
+    (one, one_trace), (twins, twins_trace) = runs
+    assert twins.inst.nscen == base.nscen == 3
+    assert [s.prob for s in twins.inst.scenarios] == [s.prob for s in base.scenarios]
+    assert sum(one_trace.separation_stops.values()) > 0
+    # the twins' scenario is searched once per round, as if never split
+    assert calls[0] == calls[1] > 0
+    assert _root_loop_bytes(one, one_trace) == _root_loop_bytes(twins, twins_trace)
+
+
+def test_shared_answers_change_no_result(snip):
     distinct = replace(snip, scenarios=[replace(scen) for scen in snip.scenarios])
     for s, row in ((1, 0), (3, 1)):  # byte-distinct, equal in value
         distinct.scenarios[s].h = distinct.scenarios[s].h.copy()
